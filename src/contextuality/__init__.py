@@ -22,9 +22,6 @@ from .analysis import (
     verify_quasi_coupling,
 )
 from .coupling import (
-    MAXIMAL_COUPLING,
-    CouplingRule,
-    MaximalCouplingRule,
     MaximalCouplingSpec,
     maximal_coupling_diagonal,
     maximal_coupling_full,
@@ -83,7 +80,6 @@ __all__ = [
     "ConsistencyReport",
     "Content",
     "ContextualityError",
-    "CouplingRule",
     "CriterionReport",
     "CyclicView",
     "DEFAULT_COLUMN_CAP",
@@ -92,8 +88,6 @@ __all__ = [
     "EprBResult",
     "FeasibilityResult",
     "LinearSystem",
-    "MAXIMAL_COUPLING",
-    "MaximalCouplingRule",
     "MaximalCouplingSpec",
     "MeasureResult",
     "NotCyclic",

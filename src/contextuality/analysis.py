@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .coupling import MAXIMAL_COUPLING, CouplingRule
+from .coupling import maximal_coupling_diagonal, maximal_coupling_full
 from .distribution import ONE, ZERO, Distribution, as_fraction
 from .errors import DimensionMismatchError, OutcomeSpaceTooLargeError, SolverError
 from .simplex import LinearSystem, OptimizationResult, minimize, solve_feasibility
@@ -47,6 +47,10 @@ class OutcomeSpace:
 
     cells: tuple[tuple[str, str], ...]
     sizes: tuple[int, ...]
+    _positions: dict[tuple[str, str], int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_positions", {cell: i for i, cell in enumerate(self.cells)})
 
     @property
     def size(self) -> int:
@@ -65,9 +69,6 @@ class OutcomeSpace:
     def outcomes(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(k) for k in self.sizes))
 
-    def index(self, outcome: Sequence[int]) -> int:
-        return sum(v * s for v, s in zip(outcome, self.strides))
-
     def indicator_row(self, fixed: Mapping[int, int]) -> list[int]:
         """0/1 row marking every outcome that agrees with ``fixed`` (cell pos -> value)."""
         row = [0] * self.size
@@ -79,14 +80,16 @@ class OutcomeSpace:
         return row
 
     def cell_position(self, context: str, content: str) -> int:
-        return self.cells.index((context, content))
+        return self._positions[(context, content)]
+
+
+def _cell_sizes(system: CCSystem) -> tuple[int, ...]:
+    return tuple(system.content(q).size for _, q in system.cells_in_order())
 
 
 def outcome_space(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> OutcomeSpace:
     """The system's hidden-outcome space, guarded by the column cap."""
-    cells = system.cells_in_order()
-    sizes = tuple(system.content(q).size for _, q in cells)
-    space = OutcomeSpace(cells, sizes)
+    space = OutcomeSpace(system.cells_in_order(), _cell_sizes(system))
     if space.size > max_columns:
         raise OutcomeSpaceTooLargeError(
             f"hidden-outcome space has {space.size} columns, cap is {max_columns}; "
@@ -99,34 +102,37 @@ def _value_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(k) for k in sizes))
 
 
-def _connection_marginals(system: CCSystem, content: str) -> list[Distribution]:
-    connection = next(c for c in system.connections() if c.content == content)
-    return [system.variable_marginal(ctx, content) for ctx, _ in connection.members]
+def _constraint_rows(
+    system: CCSystem, space: OutcomeSpace
+) -> Iterator[tuple[str, dict[int, int], Fraction]]:
+    """Each row of ``M``, in the order documented above, as ``(kind, fixed cells, rhs)``.
+
+    ``kind`` is ``"bunch"`` or ``"connection"``; ``fixed`` maps cell
+    positions of ``space`` to the values an outcome must take to count in
+    the row.
+    """
+    for context in system.contexts:
+        positions = [space.cell_position(context, q) for q in system.context_contents(context)]
+        bunch = system.bunches[context]
+        for value in _value_tuples(bunch.alphabet_sizes):
+            yield "bunch", dict(zip(positions, value)), bunch.mass(value)
+    for connection in system.connections():
+        positions = [space.cell_position(ctx, connection.content) for ctx, _ in connection.members]
+        marginals = [system.bunches[ctx].marginal((pos,)) for ctx, pos in connection.members]
+        for l, mass in enumerate(maximal_coupling_diagonal(marginals).diagonal_masses):
+            yield "connection", {pos: l for pos in positions}, mass
 
 
 def build_associated_system(
-    system: CCSystem,
-    max_columns: int = DEFAULT_COLUMN_CAP,
-    rule: CouplingRule = MAXIMAL_COUPLING,
+    system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP
 ) -> LinearSystem:
     """The Boolean system ``M Q = P`` whose nonnegative solvability is noncontextuality."""
     space = outcome_space(system, max_columns)
     rows: list[tuple[int, ...]] = []
     rhs: list[Fraction] = []
-    for context in system.contexts:
-        contents = system.context_contents(context)
-        positions = [space.cell_position(context, q) for q in contents]
-        bunch = system.bunches[context]
-        for value in _value_tuples(bunch.alphabet_sizes):
-            rows.append(tuple(space.indicator_row(dict(zip(positions, value)))))
-            rhs.append(bunch.mass(value))
-    for content in system.contents:
-        connection = next(c for c in system.connections() if c.content == content.label)
-        positions = [space.cell_position(ctx, content.label) for ctx, _ in connection.members]
-        diagonal = rule.diagonal_masses(_connection_marginals(system, content.label))
-        for l in range(content.size):
-            rows.append(tuple(space.indicator_row({pos: l for pos in positions})))
-            rhs.append(diagonal[l])
+    for _, fixed, mass in _constraint_rows(system, space):
+        rows.append(tuple(space.indicator_row(fixed)))
+        rhs.append(mass)
     return LinearSystem(tuple(rows), tuple(rhs), tuple(space.outcomes()))
 
 
@@ -146,22 +152,17 @@ class Verdict:
     pivots: int = 0
 
 
-def decide_contextuality(
-    system: CCSystem,
-    max_columns: int = DEFAULT_COLUMN_CAP,
-    rule: CouplingRule = MAXIMAL_COUPLING,
-) -> Verdict:
+def decide_contextuality(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> Verdict:
     """Decide contextuality by exact feasibility of the associated system."""
-    linear = build_associated_system(system, max_columns, rule)
+    linear = build_associated_system(system, max_columns)
     result = solve_feasibility(linear)
     if result.feasible:
-        space = outcome_space(system, max_columns)
         masses = {
             outcome: mass
-            for outcome, mass in zip(space.outcomes(), result.solution)
+            for outcome, mass in zip(linear.column_labels, result.solution)
             if mass
         }
-        coupling = Distribution(space.sizes, masses)
+        coupling = Distribution(_cell_sizes(system), masses)
         return Verdict(False, coupling, None, result.pivots)
     return Verdict(True, None, result.certificate, result.pivots)
 
@@ -170,7 +171,6 @@ def build_expanded_system(
     system: CCSystem,
     completions: Mapping[str, Distribution] | None = None,
     max_columns: int = DEFAULT_COLUMN_CAP,
-    rule: CouplingRule = MAXIMAL_COUPLING,
 ) -> LinearSystem:
     """The full-row-rank system ``M* Q = P*`` that always has a real solution.
 
@@ -180,14 +180,16 @@ def build_expanded_system(
     linear combinations of the rest, so they are omitted); and for every
     connection of size >= 2, the same for the r-marginals (r >= 2) of its
     full coupling.  ``completions`` overrides the per-connection couplings;
-    by default they come from ``rule``.
+    by default each is the coincidence-maximizing :func:`maximal_coupling_full`.
     """
     space = outcome_space(system, max_columns)
     if completions is None:
-        completions = {
-            content.label: rule.full_coupling(_connection_marginals(system, content.label))
-            for content in system.contents
-        }
+        completions = {}
+        for connection in system.connections():
+            marginals = [system.bunches[ctx].marginal((pos,)) for ctx, pos in connection.members]
+            completions[connection.content] = maximal_coupling_full(
+                maximal_coupling_diagonal(marginals)
+            )
     rows: list[tuple[int, ...]] = [(1,) * space.size]
     rhs: list[Fraction] = [ONE]
 
@@ -208,11 +210,9 @@ def build_expanded_system(
                     rows.append(tuple(space.indicator_row(dict(zip(positions, value)))))
                     rhs.append(sub_marginal.mass(value))
 
-    connections = {c.content: c for c in system.connections()}
-    max_connection_size = max(c.size for c in connections.values())
+    max_connection_size = max(c.size for c in system.connections())
     for r in range(2, max_connection_size + 1):
-        for content in system.contents:
-            connection = connections[content.label]
+        for content, connection in zip(system.contents, system.connections()):
             if connection.size < r or content.size == 1:
                 continue
             coupling = completions[content.label]
@@ -267,9 +267,7 @@ class MeasureResult:
 
 
 def contextuality_measure(
-    system: CCSystem,
-    max_columns: int = DEFAULT_COLUMN_CAP,
-    rule: CouplingRule = MAXIMAL_COUPLING,
+    system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP
 ) -> MeasureResult:
     """Minimize ``sum |Q|`` subject to ``M Q = P`` and report ``TV - 1``.
 
@@ -279,17 +277,14 @@ def contextuality_measure(
     ``TV = 1 + 2 sum Q2``, an identity asserted against the reconstructed
     signed masses.
     """
-    linear = build_associated_system(system, max_columns, rule)
-    space = outcome_space(system, max_columns)
-    n = space.size
+    linear = build_associated_system(system, max_columns)
+    outcomes = linear.column_labels
+    n = len(outcomes)
     wide_rows = tuple(row + tuple(-x for x in row) for row in linear.matrix)
-    labels = tuple(("+", o) for o in space.outcomes()) + tuple(
-        ("-", o) for o in space.outcomes()
-    )
+    labels = tuple(("+", o) for o in outcomes) + tuple(("-", o) for o in outcomes)
     wide = LinearSystem(wide_rows, linear.rhs, labels)
     objective = (ZERO,) * n + (ONE,) * n
     result: OptimizationResult = minimize(wide, objective)
-    outcomes = list(space.outcomes())
     masses: dict[tuple[int, ...], Fraction] = {}
     for i, outcome in enumerate(outcomes):
         gamma = result.solution[i] - result.solution[n + i]
@@ -329,7 +324,6 @@ def verify_quasi_coupling(
     system: CCSystem,
     quasi: QuasiCoupling | Mapping[tuple[int, ...], Fraction],
     max_columns: int = DEFAULT_COLUMN_CAP,
-    rule: CouplingRule = MAXIMAL_COUPLING,
 ) -> QuasiCouplingReport:
     """Check a signed mass assignment against a system's constraints, exactly.
 
@@ -367,32 +361,18 @@ def verify_quasi_coupling(
                 acc += mass
         return acc
 
-    bunch_violations = []
-    for context in system.contexts:
-        contents = system.context_contents(context)
-        positions = [space.cell_position(context, q) for q in contents]
-        bunch = system.bunches[context]
-        for value in _value_tuples(bunch.alphabet_sizes):
-            got = restricted_sum(dict(zip(positions, value)))
-            want = bunch.mass(value)
-            if got != want:
-                bunch_violations.append(
-                    f"bunch {context!r} at {value}: {got} != {want}"
-                )
-    checks.append(CheckResult("bunch_marginals", not bunch_violations, tuple(bunch_violations)))
-
-    connection_violations = []
-    for content in system.contents:
-        connection = next(c for c in system.connections() if c.content == content.label)
-        positions = [space.cell_position(ctx, content.label) for ctx, _ in connection.members]
-        diagonal = rule.diagonal_masses(_connection_marginals(system, content.label))
-        for l in range(content.size):
-            got = restricted_sum({pos: l for pos in positions})
-            if got != diagonal[l]:
-                connection_violations.append(
-                    f"connection {content.label!r} at value {l}: {got} != {diagonal[l]}"
-                )
-    checks.append(
-        CheckResult("connection_diagonals", not connection_violations, tuple(connection_violations))
-    )
+    violations: dict[str, list[str]] = {"bunch": [], "connection": []}
+    for kind, fixed, want in _constraint_rows(system, space):
+        got = restricted_sum(fixed)
+        if got == want:
+            continue
+        first = next(iter(fixed))
+        context, content = space.cells[first]
+        if kind == "bunch":
+            where = f"bunch {context!r} at {tuple(fixed.values())}"
+        else:
+            where = f"connection {content!r} at value {fixed[first]}"
+        violations[kind].append(f"{where}: {got} != {want}")
+    for name, kind in (("bunch_marginals", "bunch"), ("connection_diagonals", "connection")):
+        checks.append(CheckResult(name, not violations[kind], tuple(violations[kind])))
     return QuasiCouplingReport(tuple(checks))

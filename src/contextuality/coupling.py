@@ -15,7 +15,6 @@ marginal-preserving in rational arithmetic.
 
 from __future__ import annotations
 
-import abc
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,41 +109,3 @@ def maximal_coupling_full(spec: MaximalCouplingSpec) -> Distribution:
                 masses[combo] = product / scale
     return Distribution((k,) * n, masses)
 
-
-class CouplingRule(abc.ABC):
-    """Extension seam: how a connection, taken separately, must be coupled.
-
-    The shipped rule is coincidence maximality.  Alternative connection
-    constraints can be plugged in by implementing this interface; the
-    constraint-system builders only need the per-value constant-tuple masses
-    and (for the expanded system) one full coupling per connection.
-    """
-
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def full_coupling(self, marginals: Sequence[Distribution]) -> Distribution:
-        """A joint over the members whose 1-marginals reproduce ``marginals``."""
-
-    def diagonal_masses(self, marginals: Sequence[Distribution]) -> tuple[Fraction, ...]:
-        """Masses of the constant tuples under this rule's coupling."""
-        marginals = tuple(marginals)
-        joint = self.full_coupling(marginals)
-        k = marginals[0].alphabet_sizes[0]
-        n = len(marginals)
-        return tuple(joint.mass((v,) * n) for v in range(k))
-
-
-class MaximalCouplingRule(CouplingRule):
-    """Coincidence-maximizing couplings with the residual-product completion."""
-
-    name = "maximal"
-
-    def full_coupling(self, marginals: Sequence[Distribution]) -> Distribution:
-        return maximal_coupling_full(maximal_coupling_diagonal(marginals))
-
-    def diagonal_masses(self, marginals: Sequence[Distribution]) -> tuple[Fraction, ...]:
-        return maximal_coupling_diagonal(marginals).diagonal_masses
-
-
-MAXIMAL_COUPLING = MaximalCouplingRule()

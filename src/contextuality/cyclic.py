@@ -14,7 +14,6 @@ count as noncontextual.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -158,24 +157,6 @@ def s_odd(xs: Sequence) -> Fraction:
     if negatives % 2 == 1 or any(x == 0 for x in values):
         return total
     return total - 2 * min(abs(x) for x in values)
-
-
-def s_odd_bruteforce(xs: Sequence) -> Fraction:
-    """Reference enumeration over all odd-parity sign vectors (test oracle)."""
-    values = [as_fraction(x) for x in xs]
-    if not values:
-        raise EmptyInputError("s_odd needs at least one argument")
-    best = None
-    for signs in itertools.product((1, -1), repeat=len(values)):
-        parity = 1
-        for s in signs:
-            parity *= s
-        if parity != -1:
-            continue
-        candidate = sum((s * x for s, x in zip(signs, values)), ZERO)
-        if best is None or candidate > best:
-            best = candidate
-    return best
 
 
 def evaluate_criterion(view: CyclicView, system: CCSystem) -> CriterionReport:

@@ -83,12 +83,41 @@ class CCSystem:
     ``contents`` and ``contexts`` are sorted by label.  ``cells`` holds the
     filled (context, content) pairs.  ``bunches`` maps each context to the
     joint distribution of its variables, components ordered by content label.
+    The structure derived from the cells (per-context contents, canonical
+    cell order, connections) is computed once, on construction.
     """
 
     contents: tuple[Content, ...]
     contexts: tuple[str, ...]
     cells: frozenset[tuple[str, str]]
     bunches: dict[str, Distribution] = field(default_factory=dict)
+    _context_contents: dict[str, tuple[str, ...]] = field(
+        init=False, compare=False, repr=False
+    )
+    _cells_in_order: tuple[tuple[str, str], ...] = field(init=False, compare=False, repr=False)
+    _connections: tuple[Connection, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        rank = {c.label: i for i, c in enumerate(self.contents)}
+        held: dict[str, list[str]] = {context: [] for context in self.contexts}
+        for context, q in self.cells:
+            held[context].append(q)
+        context_contents = {
+            context: tuple(sorted(qs, key=rank.__getitem__)) for context, qs in held.items()
+        }
+        members: dict[str, list[tuple[str, int]]] = {c.label: [] for c in self.contents}
+        for context in self.contexts:
+            for position, q in enumerate(context_contents[context]):
+                members[q].append((context, position))
+        object.__setattr__(self, "_context_contents", context_contents)
+        object.__setattr__(
+            self,
+            "_cells_in_order",
+            tuple((context, q) for context in self.contexts for q in context_contents[context]),
+        )
+        object.__setattr__(
+            self, "_connections", tuple(Connection(q, tuple(m)) for q, m in members.items())
+        )
 
     # -- label/index lookups ------------------------------------------------
 
@@ -98,43 +127,22 @@ class CCSystem:
                 return c
         raise UnknownLabelError(f"unknown content {label!r}")
 
-    def content_index(self, label: str) -> int:
-        for i, c in enumerate(self.contents):
-            if c.label == label:
-                return i
-        raise UnknownLabelError(f"unknown content {label!r}")
-
-    def context_index(self, label: str) -> int:
-        try:
-            return self.contexts.index(label)
-        except ValueError:
-            raise UnknownLabelError(f"unknown context {label!r}") from None
-
     # -- structure ----------------------------------------------------------
 
     def context_contents(self, context: str) -> tuple[str, ...]:
         """Content labels filled in ``context``, sorted by content label."""
-        self.context_index(context)
-        present = {q for (c, q) in self.cells if c == context}
-        return tuple(c.label for c in self.contents if c.label in present)
+        try:
+            return self._context_contents[context]
+        except KeyError:
+            raise UnknownLabelError(f"unknown context {context!r}") from None
 
     def cells_in_order(self) -> tuple[tuple[str, str], ...]:
         """All filled cells, contexts-major, contents sorted within a context."""
-        return tuple(
-            (context, q) for context in self.contexts for q in self.context_contents(context)
-        )
+        return self._cells_in_order
 
     def connections(self) -> tuple[Connection, ...]:
         """Per-content connections, members ordered by context index."""
-        out = []
-        for content in self.contents:
-            members = tuple(
-                (context, self.context_contents(context).index(content.label))
-                for context in self.contexts
-                if (context, content.label) in self.cells
-            )
-            out.append(Connection(content.label, members))
-        return tuple(out)
+        return self._connections
 
     def variable_marginal(self, context: str, content: str) -> Distribution:
         """1-marginal of the variable at cell (context, content)."""

@@ -1,9 +1,14 @@
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from contextuality import Content, canonical_example, validate_system
+from contextuality.distribution import as_fraction
+from contextuality.errors import EmptyInputError
 
 HALF = Fraction(1, 2)
 
@@ -18,6 +23,26 @@ def rank2_contextual():
 def rank3_contextual():
     """Three binary contents, pairwise contexts, identical 0.7/0.3 marginals."""
     return canonical_example("fig10")
+
+
+def s_odd_bruteforce(xs):
+    """Max of ``sum sign_i * x_i`` over odd-parity sign vectors, by enumeration.
+
+    Reference oracle for ``s_odd``.  The inputs are scaled to integers by
+    their common denominator, every sign vector with an odd number of minuses
+    is summed in integer arithmetic, and the best sum is divided back once.
+    """
+    values = [as_fraction(x) for x in xs]
+    if not values:
+        raise EmptyInputError("s_odd needs at least one argument")
+    scale = math.lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (scale // x.denominator) for x in values]
+    best = max(
+        sum(map(operator.mul, signs, scaled))
+        for signs in itertools.product((1, -1), repeat=len(scaled))
+        if signs.count(-1) % 2
+    )
+    return Fraction(best, scale)
 
 
 def random_partition(rng: random.Random, parts: int, max_denominator: int = 64):

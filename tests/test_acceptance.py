@@ -33,9 +33,13 @@ from contextuality import (
     validate_system,
     verify_quasi_coupling,
 )
-from contextuality.cyclic import s_odd_bruteforce
 from contextuality.distribution import Distribution
-from conftest import random_boundary_cyclic, random_cyclic_system, random_partition
+from conftest import (
+    random_boundary_cyclic,
+    random_cyclic_system,
+    random_partition,
+    s_odd_bruteforce,
+)
 
 F = Fraction
 HALF = F(1, 2)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -95,6 +96,48 @@ class TestAssociatedSystem:
         assert (linear.rows, linear.cols) == (12, 16)
         assert [list(map(int, row)) for row in linear.matrix] == RANK2_MATRIX
         assert list(linear.rhs) == RANK2_RHS
+
+    def test_row_order_with_ternary_three_member_connection(self):
+        # Contexts sort x < y < z, but hold the contents in another pattern;
+        # bunch tables follow each context's given content order.
+        sizes = {"a": 3, "b": 2, "c": 2}
+        given = {"z": ("b", "a"), "y": ("a",), "x": ("c", "a")}
+        tables = {
+            "z": {(0, 0): F(1, 6), (0, 2): F(1, 3), (1, 1): F(1, 4), (1, 2): F(1, 4)},
+            "y": {(0,): F(1, 5), (1,): F(1, 2), (2,): F(3, 10)},
+            "x": {(0, 1): F(1, 3), (1, 0): F(1, 4), (1, 2): F(1, 6), (0, 2): F(1, 4)},
+        }
+        system = validate_system(sizes, {c: list(q) for c, q in given.items()}, tables)
+        cells = [("x", "a"), ("x", "c"), ("y", "a"), ("z", "a"), ("z", "b")]
+        outcomes = list(itertools.product(*(range(sizes[q]) for _, q in cells)))
+
+        def indicator(fixed):
+            return [
+                int(all(o[cells.index(cell)] == v for cell, v in fixed.items()))
+                for o in outcomes
+            ]
+
+        def marginal(context, content, value):
+            i = given[context].index(content)
+            return sum((m for t, m in tables[context].items() if t[i] == value), F(0))
+
+        rows, rhs = [], []
+        for context in ("x", "y", "z"):
+            held = sorted(given[context])
+            for value in itertools.product(*(range(sizes[q]) for q in held)):
+                rows.append(indicator({(context, q): v for q, v in zip(held, value)}))
+                as_given = tuple(value[held.index(q)] for q in given[context])
+                rhs.append(tables[context].get(as_given, F(0)))
+        for content, members in (("a", "xyz"), ("b", "z"), ("c", "x")):
+            for l in range(sizes[content]):
+                rows.append(indicator({(ctx, content): l for ctx in members}))
+                rhs.append(min(marginal(ctx, content, l) for ctx in members))
+
+        linear = build_associated_system(system)
+        assert linear.column_labels == tuple(outcomes)
+        assert (linear.rows, linear.cols) == (22, 108)
+        assert [list(map(int, row)) for row in linear.matrix] == rows
+        assert list(linear.rhs) == rhs
 
     def test_columns_are_lexicographic_outcomes(self, rank2_contextual):
         linear = build_associated_system(rank2_contextual)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from contextuality import (
     Distribution,
     LinearSystem,
-    MAXIMAL_COUPLING,
     maximal_coupling_diagonal,
     maximal_coupling_full,
     minimize,
@@ -136,10 +135,3 @@ def test_two_member_coincidence_is_lp_optimal(marginals):
     spec = maximal_coupling_diagonal(marginals)
     assert -result.value == spec.coincidence_probability
 
-
-def test_rule_interface_matches_direct_functions():
-    marginals = [arity1("0.3", "0.7"), arity1("0.4", "0.6")]
-    assert MAXIMAL_COUPLING.diagonal_masses(marginals) == (F(3, 10), F(3, 5))
-    assert MAXIMAL_COUPLING.full_coupling(marginals) == maximal_coupling_full(
-        maximal_coupling_diagonal(marginals)
-    )

@@ -18,9 +18,8 @@ from contextuality import (
     s_odd,
     validate_system,
 )
-from contextuality.cyclic import s_odd_bruteforce
 from contextuality.errors import EmptyInputError, NotBinaryError
-from conftest import random_cyclic_system
+from conftest import random_cyclic_system, s_odd_bruteforce
 
 F = Fraction
 HALF = F(1, 2)

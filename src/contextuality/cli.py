@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .analysis import (
@@ -54,10 +53,6 @@ def _write_output(path: str | None, text: str) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _system_summary(system: CCSystem) -> dict:
     report = consistency_report(system)
     connections = system.connections()
@@ -85,9 +80,9 @@ def _cyclic_section(system: CCSystem) -> dict:
                 "rank": report.rank,
                 "contents": list(view.contents),
                 "contexts": list(view.contexts),
-                "lhs": _frac(report.lhs),
-                "rhs": _frac(report.rhs),
-                "delta": _frac(report.delta),
+                "lhs": str(report.lhs),
+                "rhs": str(report.rhs),
+                "delta": str(report.delta),
                 "contextual": report.contextual,
             }
         )
@@ -166,13 +161,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if verdict.contextual:
             report["verdict"]["witness"] = {
                 "kind": "certificate",
-                "certificate": [_frac(y) for y in verdict.certificate],
+                "certificate": [str(y) for y in verdict.certificate],
             }
         else:
             report["verdict"]["witness"] = {
                 "kind": "coupling",
                 "masses": [
-                    [list(outcome), _frac(mass)]
+                    [list(outcome), str(mass)]
                     for outcome, mass in verdict.coupling.items()
                 ],
             }
@@ -190,12 +185,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         result = contextuality_measure(system, max_columns=args.max_columns)
         timings["measure"] = time.perf_counter() - start
         report["measure"] = {
-            "total_variation": _frac(result.total_variation),
-            "measure": _frac(result.measure),
+            "total_variation": str(result.total_variation),
+            "measure": str(result.measure),
         }
         if args.witness:
             report["measure"]["witness"] = [
-                [list(outcome), _frac(mass)]
+                [list(outcome), str(mass)]
                 for outcome, mass in sorted(result.witness.masses.items())
             ]
     report["timings"] = timings
@@ -223,8 +218,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "epr-b":
-        angles = [float(a) for a in args.angles.split(",")]
-        result = generate_epr_b(angles, args.denominator_bound)
+        result = generate_epr_b(args.angles.split(","), args.denominator_bound)
         _write_output(args.output, serialize_system(result.system))
         print(
             f"correlation approximation: max error {result.max_error:.3g} "

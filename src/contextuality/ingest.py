@@ -103,13 +103,15 @@ def _parse_contents(node, path: str) -> list[Content]:
     return contents
 
 
-def parse_layout(text: str) -> tuple[list[Content], dict[str, list[str]]]:
-    """Parse the contents/contexts declaration shared by system and layout files."""
+def _decode(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(str(exc), f"line {exc.lineno}, column {exc.colno}") from exc
-    doc = _expect(doc, dict, "document")
+    return _expect(doc, dict, "document")
+
+
+def _layout(doc: dict) -> tuple[list[Content], dict[str, list[str]]]:
     version = doc.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version}", "schema_version")
@@ -127,13 +129,15 @@ def parse_layout(text: str) -> tuple[list[Content], dict[str, list[str]]]:
     return contents, contexts
 
 
+def parse_layout(text: str) -> tuple[list[Content], dict[str, list[str]]]:
+    """Parse the contents/contexts declaration shared by system and layout files."""
+    return _layout(_decode(text))
+
+
 def parse_system(text: str) -> CCSystem:
     """Parse a system document into a validated CCSystem."""
-    contents, contexts = parse_layout(text)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:  # unreachable after parse_layout
-        raise SchemaError(str(exc)) from exc
+    doc = _decode(text)
+    contents, contexts = _layout(doc)
     by_label = {c.label: c for c in contents}
     bunch_node = _expect(doc.get("bunches"), dict, "bunches")
     bunches: dict[str, dict[tuple[int, ...], Fraction]] = {}
@@ -171,10 +175,6 @@ def parse_system(text: str) -> CCSystem:
         raise SchemaError(str(exc), "bunches") from exc
 
 
-def _mass_string(mass: Fraction) -> str:
-    return str(mass)
-
-
 def serialize_system(system: CCSystem, indent: int = 2) -> str:
     """Serialize a system to the canonical document form (round-trip exact)."""
     doc = {
@@ -198,7 +198,7 @@ def serialize_system(system: CCSystem, indent: int = 2) -> str:
                         system.content(q).values[v]
                         for q, v in zip(system.context_contents(context), value)
                     ],
-                    "mass": _mass_string(mass),
+                    "mass": str(mass),
                 }
                 for value, mass in system.bunches[context].items()
             ]
@@ -375,18 +375,21 @@ class EprBResult:
         return max(a.error for a in self.approximations)
 
 
-def generate_epr_b(angles: Sequence[float], denominator_bound: int = 10**6) -> EprBResult:
+def generate_epr_b(angles: Sequence[float | str], denominator_bound: int = 10**6) -> EprBResult:
     """Rank-4 cyclic system of two spin measurements in a singlet state.
 
     Contents ``q1..q4`` are the four measurement axes (given as angles in
-    radians); context ``c_i`` pairs axes ``q_i`` and ``q_(i+1)``.  Each bunch
+    radians, as numbers or numeric strings); context ``c_i`` pairs axes ``q_i`` and ``q_(i+1)``.  Each bunch
     has uniform marginals and product expectation ``-cos(theta)`` for the
     angle ``theta`` between its two axes, rounded to the nearest fraction
     with denominator at most ``denominator_bound``.  Marginals stay exactly
     1/2 (the approximation only touches the correlation term), so the system
     is consistently connected.
     """
-    angles = [float(a) for a in angles]
+    try:
+        angles = [float(a) for a in angles]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"need four finite angles, got {list(angles)!r}") from exc
     if len(angles) != 4 or not all(math.isfinite(a) for a in angles):
         raise ValidationError(f"need four finite angles, got {angles!r}")
     if denominator_bound < 1:

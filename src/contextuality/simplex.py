@@ -10,14 +10,16 @@ results are a pure function of the input.  An infeasible system comes back
 with a Farkas certificate: a row vector ``y`` with ``y^T M <= 0`` and
 ``y^T P > 0``, checkable by plain substitution.
 
-The tableau is dense.  Each row is stored as integer numerators plus one
-positive denominator, and is reduced to lowest terms after every pivot; this
-keeps the inner loop in machine/big-int arithmetic instead of per-entry
-Fraction objects while remaining exact.
+The tableau is dense and fraction-free: one integer matrix over one positive
+denominator, updated by integer-preserving (Bareiss/Edmonds) elimination.
+Every entry stays, up to sign, a minor of the integer-scaled starting
+matrix, so each pivot divides exactly and nothing is ever reduced to lowest
+terms; ``Fraction`` appears only in the inputs and the read-outs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,35 +147,25 @@ class OptimizationResult:
     pivots: int
 
 
-def _scaled_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Clear denominators: return integer numerators and a positive denominator."""
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    nums = [int(v.numerator * (den // v.denominator)) for v in values]
-    return nums, den
-
-
-def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = den
-    for a in nums:
-        if a:
-            g = math.gcd(g, a)
-            if g == 1:
-                return nums, den
-    if g > 1:
-        nums = [a // g for a in nums]
-        den //= g
-    return nums, den
-
-
 class _Tableau:
-    """Dense two-phase simplex state on integer-scaled rows.
+    """Dense two-phase simplex state, fraction-free over one denominator.
 
-    Column layout: ``n`` structural variables, ``m`` artificials, then the
-    right-hand side.  ``self.rows[i]``/``self.dens[i]`` hold constraint rows;
-    cost rows (reduced costs, with minus the objective value in the rhs cell)
-    are kept in ``self.costs`` and pivoted together with the constraints.
+    ``self.rows`` (the constraint rows) and ``self.costs`` (the phase-1 and,
+    when minimizing, phase-2 reduced-cost rows, with minus the objective value
+    in the rhs cell) are integer lists that all share the positive
+    denominator ``self.det``.  Column layout: ``n`` structural variables,
+    ``m`` artificials, then the right-hand side.
+
+    The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
+    that ``b >= 0``; the structural block is scaled by ``structural_scale``
+    and the rhs by ``rhs_scale``, the least integers that make both integral.
+    No row is ever scaled, so the artificial block stays an identity and the
+    phase-1 objective keeps unit weights.  With ``B`` the basis columns of
+    ``X0``, the constraint rows are ``det * B^-1 X0`` with ``det = |det B|``,
+    so every entry is, up to sign, a minor of ``X0`` (Bareiss/Edmonds).  Cost
+    row ``k`` holds ``det * cost_scales[k]`` times the reduced costs, where
+    ``cost_scales[k]`` is a positive integer fixed at the start: cost rows
+    never pivot, so they need no scale in common with the constraint rows.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -183,43 +175,35 @@ class _Tableau:
 
     def __init__(self, system: LinearSystem, objective: Sequence[Fraction] | None):
         self.n = system.cols
-        m = len(system.matrix)
-        self.flips = [1] * m
+        m = system.rows
+        self.structural_scale = math.lcm(*{x.denominator for row in system.matrix for x in row})
+        self.rhs_scale = math.lcm(*(b.denominator for b in system.rhs))
+        self.flips = [1 if b >= 0 else -1 for b in system.rhs]
         self.rows: list[list[int]] = []
-        self.dens: list[int] = []
-        for i, (row, b) in enumerate(zip(system.matrix, system.rhs)):
-            if b < 0:
-                self.flips[i] = -1
-                row = tuple(-x for x in row)
-                b = -b
-            art = [ZERO] * m
-            art[i] = Fraction(1)
-            nums, den = _scaled_row(list(row) + art + [b])
-            self.rows.append(nums)
-            self.dens.append(den)
+        for i, (row, b, sign) in enumerate(zip(system.matrix, system.rhs, self.flips)):
+            scale = sign * self.structural_scale
+            art = [0] * m
+            art[i] = 1
+            self.rows.append(
+                [x.numerator * (scale // x.denominator) for x in row]
+                + art
+                + [sign * b.numerator * (self.rhs_scale // b.denominator)]
+            )
         self.basis = [self.n + i for i in range(m)]
+        self.det = 1
 
-        width = self.n + m + 1
-        common = 1
-        for d in self.dens:
-            common = common * d // math.gcd(common, d)
-        acc = [0] * width
-        for nums, den in zip(self.rows, self.dens):
-            scale = common // den
-            for j, a in enumerate(nums):
-                if a:
-                    acc[j] += a * scale
-        phase1 = [-a for a in acc]
-        for j in range(self.n, self.n + m):
-            phase1[j] += common
-        self.costs: list[list[int]] = [phase1]
-        self.cost_dens: list[int] = [common]
+        # Phase 1 minimizes the sum of the artificials, all basic at the start.
+        phase1 = [-sum(column) for column in zip(*self.rows)]
+        phase1[self.n : self.n + m] = [0] * m
+        self.costs = [phase1]
+        self.cost_scales = [1]
         if objective is not None:
-            nums, den = _scaled_row(list(objective) + [ZERO] * m + [ZERO])
-            self.costs.append(nums)
-            self.cost_dens.append(den)
-        for idx in range(len(self.costs)):
-            self.costs[idx], self.cost_dens[idx] = _reduce(self.costs[idx], self.cost_dens[idx])
+            scale = math.lcm(*(c.denominator for c in objective))
+            self.costs.append(
+                [c.numerator * (scale // c.denominator) * self.structural_scale for c in objective]
+                + [0] * (m + 1)
+            )
+            self.cost_scales.append(scale)
 
         self.pivots = 0
         self.pivot_cap = math.comb(m + self.n + m, m)
@@ -227,41 +211,33 @@ class _Tableau:
     # -- elementary operations ---------------------------------------------
 
     def _pivot(self, prow: int, pcol: int) -> None:
+        """Fraction-free pivot: each other row becomes ``(a*row - row[c]*T[p]) / det``.
+
+        The division is exact by Sylvester's identity.  A negative pivot
+        (possible only when driving out artificials) negates the pivot row
+        first, which leaves the resulting tableau unchanged.
+        """
         self.pivots += 1
         if self.pivots > self.pivot_cap:
             raise PivotLimitError(
                 f"exceeded the anti-cycling pivot cap ({self.pivot_cap}); "
                 "this indicates a solver bug"
             )
-        nums = self.rows[prow]
-        piv = nums[pcol]
-        if piv < 0:
-            nums = [-a for a in nums]
-            piv = -piv
-        nums, den = _reduce(nums, piv)
-        self.rows[prow] = nums
-        self.dens[prow] = den
-
-        def update(other: list[int], other_den: int) -> tuple[list[int], int]:
-            f = other[pcol]
-            if not f:
-                return other, other_den
-            if den == 1:
-                if f == 1:
-                    new = [a - b for a, b in zip(other, nums)]
-                elif f == -1:
-                    new = [a + b for a, b in zip(other, nums)]
-                else:
-                    new = [a - f * b for a, b in zip(other, nums)]
-                return _reduce(new, other_den)
-            new = [a * den - f * b for a, b in zip(other, nums)]
-            return _reduce(new, other_den * den)
-
-        for i in range(len(self.rows)):
-            if i != prow:
-                self.rows[i], self.dens[i] = update(self.rows[i], self.dens[i])
-        for i in range(len(self.costs)):
-            self.costs[i], self.cost_dens[i] = update(self.costs[i], self.cost_dens[i])
+        pivot = self.rows[prow]
+        a = pivot[pcol]
+        if a < 0:
+            pivot[:] = [-x for x in pivot]
+            a = -a
+        det = self.det
+        for row in itertools.chain(self.rows, self.costs):
+            if row is pivot:
+                continue
+            f = row[pcol]
+            if f:
+                row[:] = [(a * x - f * y) // det for x, y in zip(row, pivot)]
+            elif a != det:
+                row[:] = [a * x // det for x in row]
+        self.det = a
         self.basis[prow] = pcol
 
     def _entering_bland(self, cost_idx: int, limit: int) -> int | None:
@@ -275,16 +251,18 @@ class _Tableau:
     def _entering_dantzig(self, cost_idx: int, limit: int) -> int | None:
         """Most negative reduced cost, lowest index on ties.
 
-        The cost row shares one denominator, so numerators compare directly.
+        Structural entries are stored times ``structural_scale`` and the
+        artificial ones are not, so the artificials are weighed by it to
+        compare the reduced costs themselves.
         """
         cost = self.costs[cost_idx]
-        best = None
-        best_col = None
-        for j in range(limit):
-            c = cost[j]
-            if c < 0 and (best is None or c < best):
-                best, best_col = c, j
-        return best_col
+        best_col = min(range(self.n), key=cost.__getitem__)
+        best = cost[best_col]
+        if limit > self.n:
+            art = min(range(self.n, limit), key=cost.__getitem__)
+            if cost[art] * self.structural_scale < best:
+                best_col, best = art, cost[art]
+        return best_col if best < 0 else None
 
     def _leaving(self, col: int) -> int | None:
         """Ratio test on ``col``; ties resolved by least basic variable (Bland)."""
@@ -323,26 +301,31 @@ class _Tableau:
     # -- readouts -------------------------------------------------------------
 
     def objective_value(self, cost_idx: int) -> Fraction:
-        return -Fraction(self.costs[cost_idx][-1], self.cost_dens[cost_idx])
+        scale = self.det * self.cost_scales[cost_idx] * self.rhs_scale
+        return -Fraction(self.costs[cost_idx][-1], scale)
 
     def structural_solution(self) -> tuple[Fraction, ...]:
         values = [ZERO] * self.n
+        scale = self.det * self.rhs_scale
         for i, var in enumerate(self.basis):
             if var < self.n:
-                values[var] = Fraction(self.rows[i][-1], self.dens[i])
+                values[var] = Fraction(self.rows[i][-1] * self.structural_scale, scale)
         return tuple(values)
 
     def farkas_certificate(self) -> tuple[Fraction, ...]:
         """Dual vector of the phase-1 optimum, unflipped to the original rows."""
         cost = self.costs[0]
-        den = self.cost_dens[0]
-        m = len(self.flips)
         return tuple(
-            self.flips[i] * (1 - Fraction(cost[self.n + i], den)) for i in range(m)
+            sign * (1 - Fraction(cost[self.n + i], self.det))
+            for i, sign in enumerate(self.flips)
         )
 
     def drop_artificials(self) -> None:
-        """Pivot remaining artificials out of the basis; drop redundant rows."""
+        """Pivot remaining artificials out of the basis; drop redundant rows.
+
+        A dropped row has no structural entry, so no later pivot reads it and
+        ``det`` stays valid for the rows that remain.
+        """
         i = 0
         while i < len(self.rows):
             if self.basis[i] < self.n:
@@ -351,7 +334,7 @@ class _Tableau:
             nums = self.rows[i]
             col = next((j for j in range(self.n) if nums[j]), None)
             if col is None:
-                del self.rows[i], self.dens[i], self.basis[i]
+                del self.rows[i], self.basis[i]
             else:
                 self._pivot(i, col)
                 i += 1

@@ -10,6 +10,8 @@ from contextuality import (
     build_expanded_system,
     contextuality_measure,
     decide_contextuality,
+    detect_cycles,
+    evaluate_criterion,
     outcome_space,
     rank2_family,
     rational_rank,
@@ -17,7 +19,7 @@ from contextuality import (
     verify_quasi_coupling,
 )
 from contextuality.errors import DimensionMismatchError, OutcomeSpaceTooLargeError
-from conftest import random_cyclic_system, random_small_system
+from conftest import random_boundary_cyclic, random_cyclic_system, random_small_system
 
 F = Fraction
 HALF = F(1, 2)
@@ -314,6 +316,19 @@ class TestMeasure:
             assert (result.measure == 0) == (not contextual)
             assert result.witness.total_mass == 1
             assert verify_quasi_coupling(s, result.witness).all_passed
+
+    def test_cycles_match_closed_form(self):
+        # On a cyclic system of rank n the measure is max(0, delta) / (2(n - 1)).
+        rng = random.Random(31)
+        contextual = 0
+        for rank in (2, 3, 4):
+            for _ in range(12):
+                for system in (random_cyclic_system(rng, rank), random_boundary_cyclic(rng, rank)):
+                    crit = evaluate_criterion(detect_cycles(system)[0], system)
+                    result = contextuality_measure(system)
+                    assert result.measure == max(0, crit.delta) / (2 * (rank - 1))
+                    contextual += crit.contextual
+        assert 0 < contextual < 72
 
 
 class TestVerification:

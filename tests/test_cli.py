@@ -224,3 +224,10 @@ class TestGenerate:
         assert code == 0
         code, _, _ = run(capsys, "analyze", str(target))
         assert code == 0
+
+    def test_malformed_angle_is_exit_two(self, capsys):
+        code, out, err = run(capsys, "generate", "epr-b", "--angles", "0,x,1,2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'x'" in err
+        assert "Traceback" not in err

@@ -93,10 +93,19 @@ class TestValidation:
             LinearSystem(((1, 0),), (F(1),), ("a",))
 
 
-def random_boolean_system(rng, rows, cols):
+def boolean_entry(rng):
+    return rng.randint(0, 1)
+
+
+def rational_entry(rng):
+    """Signed, with denominators up to 6, so the columns need a common scale."""
+    return F(rng.randint(-4, 6), rng.randint(1, 6))
+
+
+def random_system(rng, rows, cols, entry):
     matrix = []
     for _ in range(rows):
-        row = [rng.randint(0, 1) for _ in range(cols)]
+        row = [entry(rng) for _ in range(cols)]
         if not any(row):
             row[rng.randrange(cols)] = 1
         matrix.append(tuple(row))
@@ -106,45 +115,72 @@ def random_boolean_system(rng, rows, cols):
 
 class TestRandomizedSelfChecks:
     def test_every_result_verifies_and_respects_pivot_cap(self):
-        rng = random.Random(2024)
-        feasible = infeasible = 0
-        for _ in range(200):
-            rows = rng.randint(1, 6)
-            cols = rng.randint(1, 8)
-            system = random_boolean_system(rng, rows, cols)
-            result = solve_feasibility(system)
-            assert result.verify(system)
-            if result.feasible:
-                feasible += 1
-            else:
-                infeasible += 1
-        assert feasible and infeasible
+        for seed, entry in ((2024, boolean_entry), (2025, rational_entry)):
+            rng = random.Random(seed)
+            feasible = infeasible = 0
+            for _ in range(200):
+                rows = rng.randint(1, 6)
+                cols = rng.randint(1, 8)
+                system = random_system(rng, rows, cols, entry)
+                result = solve_feasibility(system)
+                assert result.verify(system)
+                if result.feasible:
+                    feasible += 1
+                else:
+                    infeasible += 1
+            assert feasible and infeasible
 
     def test_feasibility_and_minimize_agree(self):
-        rng = random.Random(77)
-        for _ in range(120):
-            rows = rng.randint(1, 5)
-            cols = rng.randint(1, 7)
-            system = random_boolean_system(rng, rows, cols)
-            feasible = solve_feasibility(system).feasible
-            try:
-                result = minimize(system, tuple(rng.randint(0, 3) for _ in range(cols)))
-            except InfeasibleError:
-                assert not feasible
-            else:
-                assert feasible
-                assert all(x >= 0 for x in result.solution)
-                assert all(
-                    sum(a * x for a, x in zip(row, result.solution)) == b
-                    for row, b in zip(system.matrix, system.rhs)
-                )
+        for seed, entry in ((77, boolean_entry), (78, rational_entry)):
+            rng = random.Random(seed)
+            for _ in range(120):
+                rows = rng.randint(1, 5)
+                cols = rng.randint(1, 7)
+                system = random_system(rng, rows, cols, entry)
+                feasible = solve_feasibility(system).feasible
+                try:
+                    result = minimize(system, tuple(rng.randint(0, 3) for _ in range(cols)))
+                except InfeasibleError:
+                    assert not feasible
+                else:
+                    assert feasible
+                    assert all(x >= 0 for x in result.solution)
+                    assert all(
+                        sum(a * x for a, x in zip(row, result.solution)) == b
+                        for row, b in zip(system.matrix, system.rhs)
+                    )
 
     def test_determinism(self):
-        rng = random.Random(5)
-        system = random_boolean_system(rng, 5, 9)
-        first = solve_feasibility(system)
-        second = solve_feasibility(system)
-        assert first == second
+        for entry in (boolean_entry, rational_entry):
+            rng = random.Random(5)
+            system = random_system(rng, 5, 9, entry)
+            first = solve_feasibility(system)
+            second = solve_feasibility(system)
+            assert first == second
+
+
+class TestPivotRule:
+    def test_artificials_compete_on_true_reduced_costs(self):
+        # In phase 1 the artificial columns compete with the structural ones
+        # for entry.  The structural columns of this matrix are stored times
+        # 6 to clear denominators; pricing must undo that before comparing
+        # the two kinds, or the run takes a fourth pivot.
+        system = LinearSystem(
+            (
+                (3, 2, 1),
+                (1, -1, F(5, 2)),
+                (-1, 0, 5),
+                (F(-5, 6), 6, 1),
+                (1, F(5, 2), -1),
+                (F(5, 3), -2, 1),
+            ),
+            (F(-4), F(5, 7), F(6), F(7, 9), F(2, 7), F(-1, 2)),
+        )
+        result = solve_feasibility(system)
+        assert not result.feasible
+        assert result.verify(system)
+        assert result.certificate == (-1, F(-19, 32), 1, F(-33, 64), 1, -1)
+        assert result.pivots == 3
 
 
 class TestDegeneracy:

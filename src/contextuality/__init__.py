@@ -59,7 +59,6 @@ from .simplex import (
     LinearSystem,
     OptimizationResult,
     minimize,
-    rational_rank,
     solve_feasibility,
 )
 from .systems import (
@@ -123,7 +122,6 @@ __all__ = [
     "parse_trials",
     "product_expectation",
     "rank2_family",
-    "rational_rank",
     "s_odd",
     "serialize_system",
     "solve_feasibility",

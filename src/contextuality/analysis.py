@@ -5,12 +5,17 @@ filled cell of a system.  A joint distribution over hidden outcomes couples
 all bunches at once; the system is noncontextual exactly when some such
 distribution reproduces every bunch and places the coincidence-maximizing
 mass on every connection's constant tuples.  That existence question is the
-feasibility of ``M Q = P`` with ``Q >= 0``, built here row by row:
+feasibility of ``M Q = P`` with ``Q >= 0``.
 
-* one row per (context, bunch value): indicator of the outcomes restricting
-  to that value, with the bunch probability on the right-hand side;
-* one row per (content, value ``l``): indicator of the outcomes constant
-  ``l`` on that connection, with the diagonal coupling mass on the right.
+Every row of ``M``, and of the paper's expanded system ``M*``, is a 0/1
+indicator described by one pattern: the cells it fixes, their values, and
+the right-hand side.  One expander turns a sequence of patterns into the
+dense system.  The rows of ``M`` are:
+
+* one per (context, bunch value): the outcomes restricting to that value,
+  with the bunch probability on the right-hand side;
+* one per (content, value ``l``): the outcomes constant ``l`` on that
+  connection, with the diagonal coupling mass on the right.
 
 Column order is lexicographic over the canonical cell order (contexts sorted
 by label, contents sorted within a context), value index ascending, first
@@ -26,13 +31,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .coupling import maximal_coupling_diagonal, maximal_coupling_full
+from .coupling import MaximalCouplingSpec, maximal_coupling_diagonal, maximal_coupling_full
 from .distribution import ONE, ZERO, Distribution, as_fraction
 from .errors import DimensionMismatchError, OutcomeSpaceTooLargeError, SolverError
 from .simplex import LinearSystem, OptimizationResult, minimize, solve_feasibility
-from .systems import CCSystem
+from .systems import CCSystem, Connection
 
 DEFAULT_COLUMN_CAP = 1 << 20
 
@@ -59,25 +64,8 @@ class OutcomeSpace:
             n *= k
         return n
 
-    @property
-    def strides(self) -> tuple[int, ...]:
-        strides = [1] * len(self.sizes)
-        for i in range(len(self.sizes) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.sizes[i + 1]
-        return tuple(strides)
-
     def outcomes(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(k) for k in self.sizes))
-
-    def indicator_row(self, fixed: Mapping[int, int]) -> list[int]:
-        """0/1 row marking every outcome that agrees with ``fixed`` (cell pos -> value)."""
-        row = [0] * self.size
-        strides = self.strides
-        base = sum(strides[pos] * value for pos, value in fixed.items())
-        free = [pos for pos in range(len(self.sizes)) if pos not in fixed]
-        for combo in itertools.product(*(range(self.sizes[pos]) for pos in free)):
-            row[base + sum(strides[pos] * v for pos, v in zip(free, combo))] = 1
-        return row
+        return _value_tuples(self.sizes)
 
     def cell_position(self, context: str, content: str) -> int:
         return self._positions[(context, content)]
@@ -102,6 +90,12 @@ def _value_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(k) for k in sizes))
 
 
+def _diagonal(system: CCSystem, connection: Connection) -> MaximalCouplingSpec:
+    """The coincidence-maximizing coupling spec of one connection's 1-marginals."""
+    marginals = [system.bunches[ctx].marginal((pos,)) for ctx, pos in connection.members]
+    return maximal_coupling_diagonal(marginals)
+
+
 def _constraint_rows(
     system: CCSystem, space: OutcomeSpace
 ) -> Iterator[tuple[str, dict[int, int], Fraction]]:
@@ -118,9 +112,29 @@ def _constraint_rows(
             yield "bunch", dict(zip(positions, value)), bunch.mass(value)
     for connection in system.connections():
         positions = [space.cell_position(ctx, connection.content) for ctx, _ in connection.members]
-        marginals = [system.bunches[ctx].marginal((pos,)) for ctx, pos in connection.members]
-        for l, mass in enumerate(maximal_coupling_diagonal(marginals).diagonal_masses):
+        for l, mass in enumerate(_diagonal(system, connection).diagonal_masses):
             yield "connection", {pos: l for pos in positions}, mass
+
+
+def _expand(
+    space: OutcomeSpace, patterns: Iterable[tuple[Mapping[int, int], Fraction]]
+) -> LinearSystem:
+    """The dense 0/1 system whose rows are the ``(fixed cells, rhs)`` patterns.
+
+    A row marks, with 1, every outcome of ``space`` that takes each fixed
+    cell's value; the empty pattern marks every outcome.
+    """
+    outcomes = tuple(space.outcomes())
+    digits = tuple(zip(*outcomes))
+    rows: list[list[int]] = []
+    rhs: list[Fraction] = []
+    for fixed, mass in patterns:
+        row = [1] * len(outcomes)
+        for pos, value in fixed.items():
+            row = [r if d == value else 0 for r, d in zip(row, digits[pos])]
+        rows.append(row)
+        rhs.append(mass)
+    return LinearSystem(rows, rhs, outcomes)
 
 
 def build_associated_system(
@@ -128,12 +142,7 @@ def build_associated_system(
 ) -> LinearSystem:
     """The Boolean system ``M Q = P`` whose nonnegative solvability is noncontextuality."""
     space = outcome_space(system, max_columns)
-    rows: list[tuple[int, ...]] = []
-    rhs: list[Fraction] = []
-    for _, fixed, mass in _constraint_rows(system, space):
-        rows.append(tuple(space.indicator_row(fixed)))
-        rhs.append(mass)
-    return LinearSystem(tuple(rows), tuple(rhs), tuple(space.outcomes()))
+    return _expand(space, ((fixed, mass) for _, fixed, mass in _constraint_rows(system, space)))
 
 
 @dataclass(frozen=True)
@@ -167,32 +176,11 @@ def decide_contextuality(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP
     return Verdict(True, None, result.certificate, result.pivots)
 
 
-def build_expanded_system(
-    system: CCSystem,
-    completions: Mapping[str, Distribution] | None = None,
-    max_columns: int = DEFAULT_COLUMN_CAP,
-) -> LinearSystem:
-    """The full-row-rank system ``M* Q = P*`` that always has a real solution.
-
-    Three blocks: a leading all-ones row with right-hand side 1; for every
-    bunch, all r-marginal probabilities (r = 1 up to the bunch arity) over
-    value indices below each content's top index (the top value's rows are
-    linear combinations of the rest, so they are omitted); and for every
-    connection of size >= 2, the same for the r-marginals (r >= 2) of its
-    full coupling.  ``completions`` overrides the per-connection couplings;
-    by default each is the coincidence-maximizing :func:`maximal_coupling_full`.
-    """
-    space = outcome_space(system, max_columns)
-    if completions is None:
-        completions = {}
-        for connection in system.connections():
-            marginals = [system.bunches[ctx].marginal((pos,)) for ctx, pos in connection.members]
-            completions[connection.content] = maximal_coupling_full(
-                maximal_coupling_diagonal(marginals)
-            )
-    rows: list[tuple[int, ...]] = [(1,) * space.size]
-    rhs: list[Fraction] = [ONE]
-
+def _expanded_rows(
+    system: CCSystem, space: OutcomeSpace
+) -> Iterator[tuple[dict[int, int], Fraction]]:
+    """Each row of ``M*``, in the order documented at :func:`build_expanded_system`."""
+    yield {}, ONE
     max_bunch_arity = max(len(system.context_contents(c)) for c in system.contexts)
     for r in range(1, max_bunch_arity + 1):
         for context in system.contexts:
@@ -207,31 +195,40 @@ def build_expanded_system(
                 sub_marginal = bunch.marginal(subset)
                 positions = [space.cell_position(context, contents[i]) for i in subset]
                 for value in _value_tuples(reduced):
-                    rows.append(tuple(space.indicator_row(dict(zip(positions, value)))))
-                    rhs.append(sub_marginal.mass(value))
+                    yield dict(zip(positions, value)), sub_marginal.mass(value)
 
+    couplings = [maximal_coupling_full(_diagonal(system, c)) for c in system.connections()]
     max_connection_size = max(c.size for c in system.connections())
     for r in range(2, max_connection_size + 1):
-        for content, connection in zip(system.contents, system.connections()):
+        for content, connection, coupling in zip(
+            system.contents, system.connections(), couplings
+        ):
             if connection.size < r or content.size == 1:
                 continue
-            coupling = completions[content.label]
-            if coupling.arity != connection.size or coupling.alphabet_sizes != (
-                content.size,
-            ) * connection.size:
-                raise DimensionMismatchError(
-                    f"completion for {content.label!r} has shape "
-                    f"{coupling.alphabet_sizes}, expected "
-                    f"{(content.size,) * connection.size}"
-                )
             members = [ctx for ctx, _ in connection.members]
             for subset in itertools.combinations(range(connection.size), r):
                 sub_marginal = coupling.marginal(subset)
                 positions = [space.cell_position(members[i], content.label) for i in subset]
                 for value in _value_tuples([content.size - 1] * r):
-                    rows.append(tuple(space.indicator_row(dict(zip(positions, value)))))
-                    rhs.append(sub_marginal.mass(value))
-    return LinearSystem(tuple(rows), tuple(rhs), tuple(space.outcomes()))
+                    yield dict(zip(positions, value)), sub_marginal.mass(value)
+
+
+def build_expanded_system(
+    system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP
+) -> LinearSystem:
+    """The paper's full-row-rank system ``M* Q = P*``, which always has a real solution.
+
+    Three blocks: a leading all-ones row with right-hand side 1; for every
+    bunch, all r-marginal probabilities (r = 1 up to the bunch arity) over
+    value indices below each content's top index (the top value's rows are
+    linear combinations of the rest, so they are omitted); and for every
+    connection of size >= 2, the same for the r-marginals (r >= 2) of its
+    coincidence-maximizing :func:`maximal_coupling_full`.  No verdict or
+    measure solves ``M*``; it is kept as the paper defines it, and acceptance
+    criterion 6 checks its 9x16 shape and rank 9 on the ``fig9`` system.
+    """
+    space = outcome_space(system, max_columns)
+    return _expand(space, _expanded_rows(system, space))
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,8 @@ def _decode(text: str) -> dict:
 
 def _layout(doc: dict) -> tuple[list[Content], dict[str, list[str]]]:
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    # bool is an int subclass and 1.0 == True == 1, so test the type itself
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version}", "schema_version")
     contents = _parse_contents(doc.get("contents"), "contents")
     ctx_node = _expect(doc.get("contexts"), list, "contexts")

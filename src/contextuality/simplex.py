@@ -154,7 +154,8 @@ class _Tableau:
     when minimizing, phase-2 reduced-cost rows, with minus the objective value
     in the rhs cell) are integer lists that all share the positive
     denominator ``self.det``.  Column layout: ``n`` structural variables,
-    ``m`` artificials, then the right-hand side.
+    ``m`` artificials, then the right-hand side; :meth:`drop_artificials`
+    deletes the artificial block once phase 1 is over.
 
     The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
     that ``b >= 0``; the structural block is scaled by ``structural_scale``
@@ -240,15 +241,15 @@ class _Tableau:
         self.det = a
         self.basis[prow] = pcol
 
-    def _entering_bland(self, cost_idx: int, limit: int) -> int | None:
-        """Bland: the lowest-index column (below ``limit``) with negative cost."""
+    def _entering_bland(self, cost_idx: int) -> int | None:
+        """Bland: the lowest-index column with negative cost."""
         cost = self.costs[cost_idx]
-        for j in range(limit):
+        for j in range(len(cost) - 1):
             if cost[j] < 0:
                 return j
         return None
 
-    def _entering_dantzig(self, cost_idx: int, limit: int) -> int | None:
+    def _entering_dantzig(self, cost_idx: int) -> int | None:
         """Most negative reduced cost, lowest index on ties.
 
         Structural entries are stored times ``structural_scale`` and the
@@ -258,8 +259,8 @@ class _Tableau:
         cost = self.costs[cost_idx]
         best_col = min(range(self.n), key=cost.__getitem__)
         best = cost[best_col]
-        if limit > self.n:
-            art = min(range(self.n, limit), key=cost.__getitem__)
+        if len(cost) - 1 > self.n:
+            art = min(range(self.n, len(cost) - 1), key=cost.__getitem__)
             if cost[art] * self.structural_scale < best:
                 best_col, best = art, cost[art]
         return best_col if best < 0 else None
@@ -281,14 +282,14 @@ class _Tableau:
                 best, best_row = (b, a), i
         return None if best is None else best_row
 
-    def _run(self, cost_idx: int, limit: int) -> bool:
+    def _run(self, cost_idx: int) -> bool:
         """Pivot to optimality of cost row ``cost_idx``; False if unbounded."""
         stalled = 0
         while True:
             if stalled < self.STALL_LIMIT:
-                col = self._entering_dantzig(cost_idx, limit)
+                col = self._entering_dantzig(cost_idx)
             else:
-                col = self._entering_bland(cost_idx, limit)
+                col = self._entering_bland(cost_idx)
             if col is None:
                 return True
             row = self._leaving(col)
@@ -324,7 +325,8 @@ class _Tableau:
         """Pivot remaining artificials out of the basis; drop redundant rows.
 
         A dropped row has no structural entry, so no later pivot reads it and
-        ``det`` stays valid for the rows that remain.
+        ``det`` stays valid for the rows that remain.  The artificial columns
+        are then deleted from every row: phase 2 never lets them enter.
         """
         i = 0
         while i < len(self.rows):
@@ -338,12 +340,14 @@ class _Tableau:
             else:
                 self._pivot(i, col)
                 i += 1
+        for row in itertools.chain(self.rows, self.costs):
+            del row[self.n : -1]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide ``{M Q = P, Q >= 0}`` and return a solution or a certificate."""
     tableau = _Tableau(system, objective=None)
-    tableau._run(0, tableau.n + len(system.matrix))
+    tableau._run(0)
     if tableau.objective_value(0) == 0:
         return FeasibilityResult(
             FEASIBLE, tableau.structural_solution(), None, tableau.pivots
@@ -367,35 +371,12 @@ def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
             f"objective has {len(objective)} entries for {system.cols} columns"
         )
     tableau = _Tableau(system, objective)
-    tableau._run(0, tableau.n + len(system.matrix))
+    tableau._run(0)
     if tableau.objective_value(0) != 0:
         raise InfeasibleError(certificate=tableau.farkas_certificate())
     tableau.drop_artificials()
-    if not tableau._run(1, tableau.n):
+    if not tableau._run(1):
         raise UnboundedError("objective is unbounded below on the feasible region")
     return OptimizationResult(
         tableau.objective_value(1), tableau.structural_solution(), tableau.pivots
     )
-
-
-def rational_rank(matrix: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by exact Gaussian elimination."""
-    rows = [[as_fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col] / lead
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

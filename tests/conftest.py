@@ -45,6 +45,32 @@ def s_odd_bruteforce(xs):
     return Fraction(best, scale)
 
 
+def rational_rank(matrix):
+    """Rank of a rational matrix by exact Gaussian elimination.
+
+    Reference oracle for the full row rank of ``build_expanded_system``.
+    """
+    rows = [[as_fraction(x) for x in row] for row in matrix]
+    if not rows:
+        return 0
+    cols = len(rows[0])
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] / lead
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 def random_partition(rng: random.Random, parts: int, max_denominator: int = 64):
     """Exact random probability vector with bounded denominator."""
     den = rng.randint(1, max_denominator)

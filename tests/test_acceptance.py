@@ -28,7 +28,6 @@ from contextuality import (
     maximal_coupling_full,
     outcome_space,
     rank2_family,
-    rational_rank,
     s_odd,
     validate_system,
     verify_quasi_coupling,
@@ -38,6 +37,7 @@ from conftest import (
     random_boundary_cyclic,
     random_cyclic_system,
     random_partition,
+    rational_rank,
     s_odd_bruteforce,
 )
 

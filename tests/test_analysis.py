@@ -14,12 +14,16 @@ from contextuality import (
     evaluate_criterion,
     outcome_space,
     rank2_family,
-    rational_rank,
     validate_system,
     verify_quasi_coupling,
 )
 from contextuality.errors import DimensionMismatchError, OutcomeSpaceTooLargeError
-from conftest import random_boundary_cyclic, random_cyclic_system, random_small_system
+from conftest import (
+    random_boundary_cyclic,
+    random_cyclic_system,
+    random_small_system,
+    rational_rank,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -43,6 +47,23 @@ RANK2_MATRIX = [
     [1 if j in (5, 7, 13, 15) else 0 for j in range(16)],
 ]
 RANK2_RHS = [HALF, 0, 0, HALF, 0, HALF, HALF, 0, HALF, HALF, HALF, HALF]
+
+# Expected expanded matrix M* of the same system.  Cells in canonical order
+# are (c1, q1), (c1, q2), (c2, q1), (c2, q2), so outcome j sets the cells to
+# the binary digits of j, most significant first.  Rows: all ones; value 0 of
+# each cell; value (0, 0) of each bunch; then the constant-0 pair of q1 and
+# of q2 (the top value 1 is omitted throughout).
+RANK2_EXPANDED = [
+    [1] * 16,
+    [1 if j // 8 == 0 else 0 for j in range(16)],
+    [1 if j // 4 % 2 == 0 else 0 for j in range(16)],
+    [1 if j // 2 % 2 == 0 else 0 for j in range(16)],
+    [1 if j % 2 == 0 else 0 for j in range(16)],
+    [1 if j // 4 == 0 else 0 for j in range(16)],
+    [1 if j % 4 == 0 else 0 for j in range(16)],
+    [1 if j in (0, 1, 4, 5) else 0 for j in range(16)],
+    [1 if j in (0, 2, 8, 10) else 0 for j in range(16)],
+]
 
 # A known signed solution of the expanded system for that system.
 SOLUTION_A = [0, 0, 0, HALF, 0, HALF, 0, -HALF, 0, 0, HALF, -HALF, 0, 0, 0, HALF]
@@ -216,6 +237,11 @@ class TestExpandedSystem:
         assert list(expanded.rhs) == [1, HALF, HALF, HALF, HALF, HALF, 0, HALF, HALF]
         assert all(x == 1 for x in expanded.matrix[0])
 
+    def test_rank2_matrix_row_for_row(self, rank2_contextual):
+        expanded = build_expanded_system(rank2_contextual)
+        assert [list(row) for row in expanded.matrix] == RANK2_EXPANDED
+        assert all(type(x) is int for row in expanded.matrix for x in row)
+
     def test_rank2_full_row_rank(self, rank2_contextual):
         expanded = build_expanded_system(rank2_contextual)
         assert rational_rank(expanded.matrix) == 9
@@ -273,16 +299,6 @@ class TestExpandedSystem:
         linear = build_associated_system(s)
         for row, b in zip(linear.matrix, linear.rhs):
             assert dot(row, x) == b
-
-    def test_rejects_malformed_completion(self, rank2_contextual):
-        from contextuality import Distribution
-
-        bad = {
-            "q1": Distribution((2,), {(0,): HALF, (1,): HALF}),
-            "q2": Distribution((2,), {(0,): HALF, (1,): HALF}),
-        }
-        with pytest.raises(DimensionMismatchError):
-            build_expanded_system(rank2_contextual, completions=bad)
 
 
 class TestMeasure:

@@ -97,6 +97,14 @@ class TestSystemDocuments:
             parse_system(json.dumps(doc))
         assert "mass" in str(err.value)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_schema_version_must_be_the_integer_one(self, version):
+        doc = json.loads(RANK2_DOC)
+        doc["schema_version"] = version
+        with pytest.raises(SchemaError) as err:
+            parse_system(json.dumps(doc))
+        assert err.value.path == "schema_version"
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(SchemaError) as err:
             parse_system("{not json")

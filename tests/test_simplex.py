@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from contextuality import LinearSystem, minimize, rational_rank, solve_feasibility
+from contextuality import LinearSystem, minimize, solve_feasibility
 from contextuality.errors import (
     DimensionMismatchError,
     InfeasibleError,
     UnboundedError,
 )
+from conftest import rational_rank
 
 F = Fraction
+HALF = F(1, 2)
 
 
 class TestFeasibility:
@@ -56,6 +58,15 @@ class TestMinimize:
         r = minimize(s, (F(3), F(1, 2), F(2)))
         assert r.value == F(1, 2)
         assert r.solution == (F(0), F(1), F(0))
+
+    def test_redundant_row_then_phase_two_pivot(self):
+        # the third row is the sum of the first two, so phase 1 ends with its
+        # artificial basic; phase 2 still has one pivot to make
+        s = LinearSystem(((1, 1, 1, 0), (1, 0, 0, 1), (2, 1, 1, 1)), (F(1), HALF, F(3, 2)))
+        r = minimize(s, (F(-1), 2, F(1, 3), 1))
+        assert r.value == F(-1, 3)
+        assert r.solution == (HALF, F(0), HALF, F(0))
+        assert r.pivots == 3
 
     def test_infeasible_raises_with_certificate(self):
         s = LinearSystem(((1, 1),), (F(-1),))

@@ -20,7 +20,7 @@ from .analysis import (
     decide_contextuality,
 )
 from .cyclic import NotCyclic, detect_cycles, evaluate_criterion
-from .errors import ContextualityError
+from .errors import ContextualityError, SchemaError
 from .ingest import (
     EXAMPLE_NAMES,
     canonical_example,
@@ -39,10 +39,14 @@ EXIT_ERROR = 2
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # a whole-stream read decodes in one call, so ``start`` is the input's byte offset
+        raise SchemaError(f"not {exc.encoding}: {exc.reason}", f"byte {exc.start}") from None
 
 
 def _write_output(path: str | None, text: str) -> None:

@@ -36,7 +36,6 @@ class MaximalCouplingSpec:
     member_marginals: tuple[Distribution, ...]
     diagonal_masses: tuple[Fraction, ...]
     coincidence_probability: Fraction
-    content: str | None = None
 
     @property
     def alphabet_size(self) -> int:
@@ -47,9 +46,7 @@ class MaximalCouplingSpec:
         return len(self.member_marginals)
 
 
-def maximal_coupling_diagonal(
-    marginals: Sequence[Distribution], content: str | None = None
-) -> MaximalCouplingSpec:
+def maximal_coupling_diagonal(marginals: Sequence[Distribution]) -> MaximalCouplingSpec:
     """Componentwise-minimum diagonal of the given arity-1 marginals.
 
     The probability of a joint event can never exceed any component event's
@@ -68,7 +65,7 @@ def maximal_coupling_diagonal(
                 f"marginal alphabets differ: {d.alphabet_sizes} vs ({k},)"
             )
     diagonal = tuple(min(d.mass((v,)) for d in marginals) for v in range(k))
-    return MaximalCouplingSpec(marginals, diagonal, sum(diagonal, ZERO), content)
+    return MaximalCouplingSpec(marginals, diagonal, sum(diagonal, ZERO))
 
 
 def maximal_coupling_full(spec: MaximalCouplingSpec) -> Distribution:

@@ -108,6 +108,8 @@ def _decode(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(str(exc), f"line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError:
+        raise SchemaError("nested too deeply to parse", "document") from None
     return _expect(doc, dict, "document")
 
 
@@ -228,9 +230,18 @@ class TrialTable:
     rows: tuple[TrialRow, ...]
 
 
+def _csv_records(text: str):
+    """The records of a CSV text; a record the reader rejects is a SchemaError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(str(exc), f"line {reader.line_num}") from None
+
+
 def parse_trials(text: str) -> TrialTable:
     """Parse a trial CSV into rows of per-content observed value labels."""
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_records(text)
     try:
         header = next(reader)
     except StopIteration:

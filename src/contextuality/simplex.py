@@ -10,11 +10,12 @@ results are a pure function of the input.  An infeasible system comes back
 with a Farkas certificate: a row vector ``y`` with ``y^T M <= 0`` and
 ``y^T P > 0``, checkable by plain substitution.
 
-The tableau is dense and fraction-free: one integer matrix over one positive
-denominator, updated by integer-preserving (Bareiss/Edmonds) elimination.
-Every entry stays, up to sign, a minor of the integer-scaled starting
-matrix, so each pivot divides exactly and nothing is ever reduced to lowest
-terms; ``Fraction`` appears only in the inputs and the read-outs.
+The tableau is dense and fraction-free: integer constraint rows over one
+positive denominator ``det``, updated by integer-preserving (Bareiss/Edmonds)
+elimination, and one cost row over ``det * cost_scale``, which phase 2 prices
+afresh from the basis that phase 1 leaves.  Each constraint entry stays, up
+to sign, a minor of the integer-scaled starting matrix, so every pivot divides
+exactly; nothing is reduced, and ``Fraction`` is only in inputs and read-outs.
 """
 
 from __future__ import annotations
@@ -150,12 +151,11 @@ class OptimizationResult:
 class _Tableau:
     """Dense two-phase simplex state, fraction-free over one denominator.
 
-    ``self.rows`` (the constraint rows) and ``self.costs`` (the phase-1 and,
-    when minimizing, phase-2 reduced-cost rows, with minus the objective value
-    in the rhs cell) are integer lists that all share the positive
-    denominator ``self.det``.  Column layout: ``n`` structural variables,
-    ``m`` artificials, then the right-hand side; :meth:`drop_artificials`
-    deletes the artificial block once phase 1 is over.
+    ``self.rows`` (the constraint rows) and ``self.cost`` (the one reduced-cost
+    row, with minus the objective value in the rhs cell) are integer lists
+    that share the positive denominator ``self.det``.  Column layout: ``n``
+    structural variables, ``m`` artificials, then the right-hand side;
+    :meth:`drop_artificials` deletes the artificial block once phase 1 is over.
 
     The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
     that ``b >= 0``; the structural block is scaled by ``structural_scale``
@@ -163,10 +163,11 @@ class _Tableau:
     No row is ever scaled, so the artificial block stays an identity and the
     phase-1 objective keeps unit weights.  With ``B`` the basis columns of
     ``X0``, the constraint rows are ``det * B^-1 X0`` with ``det = |det B|``,
-    so every entry is, up to sign, a minor of ``X0`` (Bareiss/Edmonds).  Cost
-    row ``k`` holds ``det * cost_scales[k]`` times the reduced costs, where
-    ``cost_scales[k]`` is a positive integer fixed at the start: cost rows
-    never pivot, so they need no scale in common with the constraint rows.
+    so every entry is, up to sign, a minor of ``X0`` (Bareiss/Edmonds).  The
+    cost row never pivots, so its positive integer ``cost_scale`` is its own:
+    it holds ``det * cost_scale`` times the reduced costs.  It starts as the
+    phase-1 row; :meth:`price` replaces it with the phase-2 objective, priced
+    against the basis that phase 1 leaves.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -174,7 +175,7 @@ class _Tableau:
     # the counter resets whenever the objective strictly improves.
     STALL_LIMIT = 24
 
-    def __init__(self, system: LinearSystem, objective: Sequence[Fraction] | None):
+    def __init__(self, system: LinearSystem):
         self.n = system.cols
         m = system.rows
         self.structural_scale = math.lcm(*{x.denominator for row in system.matrix for x in row})
@@ -192,22 +193,26 @@ class _Tableau:
             )
         self.basis = [self.n + i for i in range(m)]
         self.det = 1
-
         # Phase 1 minimizes the sum of the artificials, all basic at the start.
-        phase1 = [-sum(column) for column in zip(*self.rows)]
-        phase1[self.n : self.n + m] = [0] * m
-        self.costs = [phase1]
-        self.cost_scales = [1]
-        if objective is not None:
-            scale = math.lcm(*(c.denominator for c in objective))
-            self.costs.append(
-                [c.numerator * (scale // c.denominator) * self.structural_scale for c in objective]
-                + [0] * (m + 1)
-            )
-            self.cost_scales.append(scale)
-
+        self.cost = [-sum(column) for column in zip(*self.rows)]
+        self.cost[self.n : self.n + m] = [0] * m
+        self.cost_scale = 1
         self.pivots = 0
         self.pivot_cap = math.comb(m + self.n + m, m)
+
+    def price(self, objective: Sequence[Fraction]) -> None:
+        """Price ``objective`` against the basis: ``det * C_j - sum_i C[basis[i]] * rows[i][j]``.
+
+        ``C`` is ``objective`` scaled by ``cost_scale`` and ``structural_scale``.
+        """
+        scale = self.cost_scale = math.lcm(*(c.denominator for c in objective))
+        weights = [c.numerator * (scale // c.denominator) * self.structural_scale for c in objective]
+        cost = [self.det * w for w in weights] + [0]
+        for var, row in zip(self.basis, self.rows):
+            w = weights[var]
+            if w:
+                cost = [x - w * y for x, y in zip(cost, row)]
+        self.cost = cost
 
     # -- elementary operations ---------------------------------------------
 
@@ -230,7 +235,7 @@ class _Tableau:
             pivot[:] = [-x for x in pivot]
             a = -a
         det = self.det
-        for row in itertools.chain(self.rows, self.costs):
+        for row in itertools.chain(self.rows, (self.cost,)):
             if row is pivot:
                 continue
             f = row[pcol]
@@ -241,22 +246,18 @@ class _Tableau:
         self.det = a
         self.basis[prow] = pcol
 
-    def _entering_bland(self, cost_idx: int) -> int | None:
+    def _entering_bland(self) -> int | None:
         """Bland: the lowest-index column with negative cost."""
-        cost = self.costs[cost_idx]
-        for j in range(len(cost) - 1):
-            if cost[j] < 0:
-                return j
-        return None
+        return next((j for j, c in enumerate(self.cost[:-1]) if c < 0), None)
 
-    def _entering_dantzig(self, cost_idx: int) -> int | None:
+    def _entering_dantzig(self) -> int | None:
         """Most negative reduced cost, lowest index on ties.
 
         Structural entries are stored times ``structural_scale`` and the
         artificial ones are not, so the artificials are weighed by it to
         compare the reduced costs themselves.
         """
-        cost = self.costs[cost_idx]
+        cost = self.cost
         best_col = min(range(self.n), key=cost.__getitem__)
         best = cost[best_col]
         if len(cost) - 1 > self.n:
@@ -282,14 +283,14 @@ class _Tableau:
                 best, best_row = (b, a), i
         return None if best is None else best_row
 
-    def _run(self, cost_idx: int) -> bool:
-        """Pivot to optimality of cost row ``cost_idx``; False if unbounded."""
+    def _run(self) -> bool:
+        """Pivot to optimality of the cost row; False if unbounded."""
         stalled = 0
         while True:
             if stalled < self.STALL_LIMIT:
-                col = self._entering_dantzig(cost_idx)
+                col = self._entering_dantzig()
             else:
-                col = self._entering_bland(cost_idx)
+                col = self._entering_bland()
             if col is None:
                 return True
             row = self._leaving(col)
@@ -301,9 +302,8 @@ class _Tableau:
 
     # -- readouts -------------------------------------------------------------
 
-    def objective_value(self, cost_idx: int) -> Fraction:
-        scale = self.det * self.cost_scales[cost_idx] * self.rhs_scale
-        return -Fraction(self.costs[cost_idx][-1], scale)
+    def objective_value(self) -> Fraction:
+        return -Fraction(self.cost[-1], self.det * self.cost_scale * self.rhs_scale)
 
     def structural_solution(self) -> tuple[Fraction, ...]:
         values = [ZERO] * self.n
@@ -315,9 +315,8 @@ class _Tableau:
 
     def farkas_certificate(self) -> tuple[Fraction, ...]:
         """Dual vector of the phase-1 optimum, unflipped to the original rows."""
-        cost = self.costs[0]
         return tuple(
-            sign * (1 - Fraction(cost[self.n + i], self.det))
+            sign * (1 - Fraction(self.cost[self.n + i], self.det))
             for i, sign in enumerate(self.flips)
         )
 
@@ -326,7 +325,7 @@ class _Tableau:
 
         A dropped row has no structural entry, so no later pivot reads it and
         ``det`` stays valid for the rows that remain.  The artificial columns
-        are then deleted from every row: phase 2 never lets them enter.
+        are then deleted from the constraint rows; phase 2 never lets them in.
         """
         i = 0
         while i < len(self.rows):
@@ -340,15 +339,15 @@ class _Tableau:
             else:
                 self._pivot(i, col)
                 i += 1
-        for row in itertools.chain(self.rows, self.costs):
+        for row in self.rows:
             del row[self.n : -1]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """Decide ``{M Q = P, Q >= 0}`` and return a solution or a certificate."""
-    tableau = _Tableau(system, objective=None)
-    tableau._run(0)
-    if tableau.objective_value(0) == 0:
+    tableau = _Tableau(system)
+    tableau._run()
+    if tableau.objective_value() == 0:
         return FeasibilityResult(
             FEASIBLE, tableau.structural_solution(), None, tableau.pivots
         )
@@ -370,13 +369,14 @@ def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
         raise DimensionMismatchError(
             f"objective has {len(objective)} entries for {system.cols} columns"
         )
-    tableau = _Tableau(system, objective)
-    tableau._run(0)
-    if tableau.objective_value(0) != 0:
+    tableau = _Tableau(system)
+    tableau._run()
+    if tableau.objective_value() != 0:
         raise InfeasibleError(certificate=tableau.farkas_certificate())
     tableau.drop_artificials()
-    if not tableau._run(1):
+    tableau.price(objective)
+    if not tableau._run():
         raise UnboundedError("objective is unbounded below on the feasible region")
     return OptimizationResult(
-        tableau.objective_value(1), tableau.structural_solution(), tableau.pivots
+        tableau.objective_value(), tableau.structural_solution(), tableau.pivots
     )

@@ -102,6 +102,20 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/nonexistent/system.json")
         assert code == 2
 
+    def test_non_utf8_file_exit_two_at_its_byte_offset(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"contents": "\xe9"}')
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert err.startswith("error: byte 14: not utf-8")
+
+    def test_too_deeply_nested_json_exit_two(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, _, err = run(capsys, "analyze", str(deep))
+        assert code == 2
+        assert err.startswith("error: document: nested too deeply")
+
 
 class TestCyclic:
     def test_rank2_report(self, capsys, rank2_file):
@@ -187,6 +201,16 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(trials), "--layout", str(layout))
         assert code == 2
         assert "c2" in err
+
+    def test_oversized_csv_field_exit_two(self, capsys, tmp_path):
+        # the csv module refuses fields over 131,072 characters
+        trials = tmp_path / "trials.csv"
+        trials.write_text("context,q1,q2,q3\nc1," + "v" * 200_000 + ",v1,\n")
+        layout = tmp_path / "layout.json"
+        layout.write_text(self.LAYOUT)
+        code, _, err = run(capsys, "estimate", str(trials), "--layout", str(layout))
+        assert code == 2
+        assert err.startswith("error: line 2: field larger than field limit")
 
 
 class TestGenerate:

@@ -68,6 +68,16 @@ class TestMinimize:
         assert r.solution == (HALF, F(0), HALF, F(0))
         assert r.pivots == 3
 
+    def test_non_integer_data_phase_two_prices_the_phase_one_basis(self):
+        # matrix, rhs and objective all need scaling (6, 4 and 2); phase 1
+        # ends on x1 and x3, whose costs are 1, so phase 2 must price them
+        # before its one pivot brings in x2, bounded by 1/3 x2 <= 1/2
+        s = LinearSystem(((F(2, 3), F(1, 3), F(3, 2)), (2, HALF, HALF)), (HALF, F(3, 4)))
+        r = minimize(s, (1, F(-1, 2), 1))
+        assert r.value == F(-3, 4)
+        assert r.solution == (F(0), F(3, 2), F(0))
+        assert r.pivots == 3
+
     def test_infeasible_raises_with_certificate(self):
         s = LinearSystem(((1, 1),), (F(-1),))
         with pytest.raises(InfeasibleError) as err:

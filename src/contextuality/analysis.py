@@ -23,12 +23,20 @@ cell most significant.
 
 Dropping nonnegativity, real-valued solutions always exist; minimizing their
 total variation ``sum |Q|`` (via the split ``Q = Q1 - Q2``) yields the
-contextuality measure ``TV - 1``, zero exactly on noncontextual systems.
+contextuality measure ``TV - 1``.  The all-ones row is a sum of one context's
+bunch rows, so every solution has ``sum Q = 1`` and ``TV >= |sum Q| = 1``,
+with equality exactly when ``Q >= 0``.  The measure is therefore 0 exactly on
+noncontextual systems, where the verdict's coupling attains it, and only a
+contextual system needs the second LP.  That LP's dual ``y`` satisfies
+``-1 <= M^T y <= 0`` and ``y . P = (TV - 1) / 2``, so it bounds every
+quasi-coupling's TV from below by the one reported, and on a contextual
+system it is also a Farkas certificate for the verdict.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -36,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .coupling import MaximalCouplingSpec, maximal_coupling_diagonal, maximal_coupling_full
 from .distribution import ONE, ZERO, Distribution, as_fraction
 from .errors import DimensionMismatchError, OutcomeSpaceTooLargeError, SolverError
-from .simplex import LinearSystem, OptimizationResult, minimize, solve_feasibility
+from .simplex import LinearSystem, minimize, solve_feasibility
 from .systems import CCSystem, Connection
 
 DEFAULT_COLUMN_CAP = 1 << 20
@@ -163,7 +171,11 @@ class Verdict:
 
 def decide_contextuality(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> Verdict:
     """Decide contextuality by exact feasibility of the associated system."""
-    linear = build_associated_system(system, max_columns)
+    return _decide(system, build_associated_system(system, max_columns))
+
+
+def _decide(system: CCSystem, linear: LinearSystem) -> Verdict:
+    """The verdict on ``system`` from the feasibility of its associated system ``linear``."""
     result = solve_feasibility(linear)
     if result.feasible:
         masses = {
@@ -255,11 +267,19 @@ class QuasiCoupling:
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """Minimum total variation over constraint-satisfying quasi-couplings."""
+    """Minimum total variation over constraint-satisfying quasi-couplings.
+
+    ``verdict`` is the feasibility verdict the measure starts from.  ``dual``
+    is a vector ``y`` over the rows of ``M`` with ``-1 <= M^T y <= 0`` and
+    ``y . P == measure / 2``; it is zero on a noncontextual system.
+    ``pivots`` counts the measure LP's pivots, 0 when none was solved.
+    """
 
     total_variation: Fraction
     measure: Fraction
     witness: QuasiCoupling
+    verdict: Verdict
+    dual: tuple[Fraction, ...]
     pivots: int = 0
 
 
@@ -268,34 +288,64 @@ def contextuality_measure(
 ) -> MeasureResult:
     """Minimize ``sum |Q|`` subject to ``M Q = P`` and report ``TV - 1``.
 
-    The nonlinear objective is linearized by splitting ``Q = Q1 - Q2`` with
-    both halves nonnegative and minimizing ``sum Q2`` over the widened system
-    ``(M | -M)``; at the optimum the halves never overlap, so
-    ``TV = 1 + 2 sum Q2``, an identity asserted against the reconstructed
-    signed masses.
+    ``M`` is built once and its feasibility decides the verdict first.  Every
+    solution has ``sum Q = 1`` (the bunch rows of one context sum to the
+    all-ones row), so ``TV >= 1``; a noncontextual system's coupling has
+    ``TV = 1`` and is returned as the witness with measure 0 and dual 0.  On
+    a contextual system the nonlinear objective is linearized by splitting
+    ``Q = Q1 - Q2`` with both halves nonnegative and minimizing ``sum Q2``
+    over the widened system ``(M | -M)``; at the optimum the halves never
+    overlap, so ``TV = 1 + 2 sum Q2``, an identity asserted against the
+    reconstructed signed masses.  The LP's dual ``y`` maximizes ``y . P``
+    subject to ``-1 <= M^T y <= 0``: for any quasi-coupling ``Q``,
+    ``y . P = (M^T y) . Q <= (TV(Q) - 1) / 2``, so ``1 + 2 y . P`` bounds
+    every TV from below, and ``M^T y <= 0 < y . P`` is a Farkas certificate
+    of the contextual verdict.  Both the identity and the dual are checked
+    by substitution before returning; a failure raises :class:`SolverError`.
     """
     linear = build_associated_system(system, max_columns)
-    outcomes = linear.column_labels
-    n = len(outcomes)
-    wide_rows = tuple(row + tuple(-x for x in row) for row in linear.matrix)
-    labels = tuple(("+", o) for o in outcomes) + tuple(("-", o) for o in outcomes)
-    wide = LinearSystem(wide_rows, linear.rhs, labels)
-    objective = (ZERO,) * n + (ONE,) * n
-    result: OptimizationResult = minimize(wide, objective)
-    masses: dict[tuple[int, ...], Fraction] = {}
-    for i, outcome in enumerate(outcomes):
-        gamma = result.solution[i] - result.solution[n + i]
-        if gamma:
-            masses[outcome] = gamma
+    verdict = _decide(system, linear)
+    if verdict.contextual:
+        n = linear.cols
+        wide = LinearSystem(
+            tuple(row + tuple(-x for x in row) for row in linear.matrix), linear.rhs
+        )
+        result = minimize(wide, (ZERO,) * n + (ONE,) * n)
+        halves = zip(linear.column_labels, result.solution, result.solution[n:])
+        masses = {outcome: q1 - q2 for outcome, q1, q2 in halves if q1 != q2}
+        value, dual, pivots = result.value, result.dual, result.pivots
+    else:
+        masses = verdict.coupling.masses
+        value, dual, pivots = ZERO, (ZERO,) * linear.rows, 0
     witness = QuasiCoupling(masses)
-    if witness.total_variation != ONE + 2 * result.value:
+    if witness.total_variation != ONE + 2 * value:
         raise SolverError(
             "internal inconsistency: total variation "
-            f"{witness.total_variation} != 1 + 2*{result.value}"
+            f"{witness.total_variation} != 1 + 2*{value}"
         )
+    _check_dual(linear, dual, value)
     return MeasureResult(
-        witness.total_variation, witness.total_variation - ONE, witness, result.pivots
+        witness.total_variation, witness.total_variation - ONE, witness, verdict, dual, pivots
     )
+
+
+def _check_dual(linear: LinearSystem, dual: Sequence[Fraction], value: Fraction) -> None:
+    """Raise :class:`SolverError` unless ``-1 <= M^T y <= 0`` and ``y . P == value``.
+
+    ``y`` is scaled to integers over its common denominator, so the
+    substitution adds integer rows.
+    """
+    scale = math.lcm(*(y.denominator for y in dual))
+    combined = [0] * linear.cols
+    for row, y in zip(linear.matrix, dual):
+        if y:
+            weight = y.numerator * (scale // y.denominator)
+            combined = [c + weight * a for c, a in zip(combined, row)]
+    if not all(-scale <= c <= 0 for c in combined):
+        raise SolverError("internal inconsistency: the measure's dual violates -1 <= M^T y <= 0")
+    bound = sum((y * b for y, b in zip(dual, linear.rhs)), ZERO)
+    if bound != value:
+        raise SolverError(f"internal inconsistency: the measure's dual bound {bound} != {value}")
 
 
 @dataclass(frozen=True)

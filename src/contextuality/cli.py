@@ -9,9 +9,11 @@ classify verdicts: 0 noncontextual, 1 contextual, 2 error or no verdict.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
+from typing import Mapping
 
 from . import __version__
 from .analysis import (
@@ -39,11 +41,17 @@ EXIT_ERROR = 2
 
 
 def _read_input(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for ``-``, decoded the same way for both.
+
+    Stdin is read as bytes, so the locale's error handler never applies.
+    """
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         # a whole-stream read decodes in one call, so ``start`` is the input's byte offset
         raise SchemaError(f"not {exc.encoding}: {exc.reason}", f"byte {exc.start}") from None
@@ -138,6 +146,8 @@ def _render_text(report: dict) -> str:
             lines.append("quasi-coupling masses:")
             for outcome, mass in measure["witness"]:
                 lines.append(f"  {outcome}: {mass}")
+        if "dual" in measure:
+            lines.append(f"dual rows: {measure['dual']}")
     timings = report.get("timings")
     if timings:
         parts = ", ".join(f"{k} {v:.3f}s" for k, v in timings.items())
@@ -152,14 +162,23 @@ def _emit(report: dict, fmt: str) -> None:
         print(_render_text(report))
 
 
+def _masses(masses: Mapping) -> list:
+    """Outcome masses as ``[[outcome], "mass"]`` pairs in outcome order."""
+    return [[list(outcome), str(mass)] for outcome, mass in sorted(masses.items())]
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     system = parse_system(_read_input(args.system))
     report: dict = {"system": _system_summary(system)}
-    timings: dict[str, float] = {}
 
     start = time.perf_counter()
-    verdict = decide_contextuality(system, max_columns=args.max_columns)
-    timings["decide"] = time.perf_counter() - start
+    if args.measure:
+        result = contextuality_measure(system, max_columns=args.max_columns)
+        verdict = result.verdict
+    else:
+        verdict = decide_contextuality(system, max_columns=args.max_columns)
+    timings = {"measure" if args.measure else "decide": time.perf_counter() - start}
+
     report["verdict"] = {"contextual": verdict.contextual}
     if args.witness:
         if verdict.contextual:
@@ -170,10 +189,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else:
             report["verdict"]["witness"] = {
                 "kind": "coupling",
-                "masses": [
-                    [list(outcome), str(mass)]
-                    for outcome, mass in verdict.coupling.items()
-                ],
+                "masses": _masses(verdict.coupling.masses),
             }
 
     cyclic = _cyclic_section(system)
@@ -185,18 +201,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     report["measure"] = None
     if args.measure:
-        start = time.perf_counter()
-        result = contextuality_measure(system, max_columns=args.max_columns)
-        timings["measure"] = time.perf_counter() - start
         report["measure"] = {
             "total_variation": str(result.total_variation),
             "measure": str(result.measure),
         }
         if args.witness:
-            report["measure"]["witness"] = [
-                [list(outcome), str(mass)]
-                for outcome, mass in sorted(result.witness.masses.items())
-            ]
+            report["measure"]["witness"] = _masses(result.witness.masses)
+            if verdict.contextual:
+                report["measure"]["dual"] = [str(y) for y in result.dual]
     report["timings"] = timings
     _emit(report, args.format)
     return EXIT_CONTEXTUAL if verdict.contextual else EXIT_NONCONTEXTUAL

@@ -8,7 +8,9 @@ Bland's entering rule whenever a run of degenerate pivots has made no
 progress.  Bland's rule cannot cycle, so termination is guaranteed and
 results are a pure function of the input.  An infeasible system comes back
 with a Farkas certificate: a row vector ``y`` with ``y^T M <= 0`` and
-``y^T P > 0``, checkable by plain substitution.
+``y^T P > 0``, checkable by plain substitution.  An optimum comes back with
+the dual of its final basis, ``B^T y = c_B``, solved on the original columns
+because the artificial ones are gone by then.
 
 The tableau is dense and fraction-free: integer constraint rows over one
 positive denominator ``det``, updated by integer-preserving (Bareiss/Edmonds)
@@ -141,11 +143,17 @@ class FeasibilityResult:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Exact optimum of a linear objective with an attaining vertex."""
+    """Exact optimum of a linear objective with an attaining vertex and its dual.
+
+    ``dual`` is the basic dual solution ``y`` over the rows of the system:
+    ``M^T y <= objective`` and ``y . rhs == value``, so by weak duality no
+    feasible point does better than ``value``.
+    """
 
     value: Fraction
     solution: tuple[Fraction, ...]
     pivots: int
+    dual: tuple[Fraction, ...]
 
 
 class _Tableau:
@@ -192,6 +200,7 @@ class _Tableau:
                 + [sign * b.numerator * (self.rhs_scale // b.denominator)]
             )
         self.basis = [self.n + i for i in range(m)]
+        self.dropped: list[int] = []  # original rows dropped as redundant
         self.det = 1
         # Phase 1 minimizes the sum of the artificials, all basic at the start.
         self.cost = [-sum(column) for column in zip(*self.rows)]
@@ -324,8 +333,10 @@ class _Tableau:
         """Pivot remaining artificials out of the basis; drop redundant rows.
 
         A dropped row has no structural entry, so no later pivot reads it and
-        ``det`` stays valid for the rows that remain.  The artificial columns
-        are then deleted from the constraint rows; phase 2 never lets them in.
+        ``det`` stays valid for the rows that remain.  Its basic artificial
+        names an original row that the kept rows span, recorded in
+        ``dropped``.  The artificial columns are then deleted from the
+        constraint rows; phase 2 never lets them in.
         """
         i = 0
         while i < len(self.rows):
@@ -335,12 +346,59 @@ class _Tableau:
             nums = self.rows[i]
             col = next((j for j in range(self.n) if nums[j]), None)
             if col is None:
+                self.dropped.append(self.basis[i] - self.n)
                 del self.rows[i], self.basis[i]
             else:
                 self._pivot(i, col)
                 i += 1
         for row in self.rows:
             del row[self.n : -1]
+
+    def dual(self, system: LinearSystem, objective: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """The basis's dual ``y``: ``B^T y = c_B`` over the original rows.
+
+        Called after :meth:`drop_artificials`, when every basic variable is
+        structural.  The basis columns restricted to the rows not dropped
+        form a nonsingular square matrix ``B``; the dropped rows get
+        ``y = 0``.  Solving on the original columns, not the tableau's
+        sign-fixed rows, gives ``y`` in the rows' own signs.
+        """
+        kept = [i for i in range(system.rows) if i not in self.dropped]
+        equations = [([system.matrix[i][j] for i in kept], objective[j]) for j in self.basis]
+        y = [ZERO] * system.rows
+        for i, value in zip(kept, _solve_square(equations)):
+            y[i] = value
+        return tuple(y)
+
+
+def _solve_square(equations: Sequence[tuple[Sequence, Fraction]]) -> list[Fraction]:
+    """The solution of a nonsingular square system of ``(coefficients, rhs)`` equations.
+
+    Each equation is scaled to integers by the lcm of its denominators, then
+    fraction-free Gauss-Jordan elimination (the tableau's Bareiss pivot)
+    leaves ``det * I`` on the left, so the solution is the rhs over ``det``.
+    """
+    rows = []
+    for coefficients, rhs in equations:
+        entries = (*coefficients, rhs)
+        scale = math.lcm(*(x.denominator for x in entries))
+        rows.append([x.numerator * (scale // x.denominator) for x in entries])
+    det = 1
+    for k in range(len(rows)):
+        p = next(i for i in range(k, len(rows)) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        a = pivot[k]
+        for row in rows:
+            if row is pivot:
+                continue
+            f = row[k]
+            if f:
+                row[:] = [(a * x - f * y) // det for x, y in zip(row, pivot)]
+            elif a != det:
+                row[:] = [a * x // det for x in row]
+        det = a
+    return [Fraction(row[-1], det) for row in rows]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
@@ -359,7 +417,8 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
 def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
     """Minimize ``objective . Q`` over ``{M Q = P, Q >= 0}``, exactly.
 
-    Returns the unique optimal value and one optimal vertex.  Raises
+    Returns the unique optimal value, one optimal vertex and the dual of its
+    basis, which certifies the value.  Raises
     :class:`InfeasibleError` (with a Farkas certificate attached) on an
     infeasible system and :class:`UnboundedError` when the objective is
     unbounded below.
@@ -378,5 +437,8 @@ def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
     if not tableau._run():
         raise UnboundedError("objective is unbounded below on the feasible region")
     return OptimizationResult(
-        tableau.objective_value(), tableau.structural_solution(), tableau.pivots
+        tableau.objective_value(),
+        tableau.structural_solution(),
+        tableau.pivots,
+        tableau.dual(system, objective),
     )

@@ -18,6 +18,7 @@ from contextuality import (
     verify_quasi_coupling,
 )
 from contextuality.errors import DimensionMismatchError, OutcomeSpaceTooLargeError
+from contextuality.simplex import INFEASIBLE, FeasibilityResult
 from conftest import (
     random_boundary_cyclic,
     random_cyclic_system,
@@ -301,6 +302,20 @@ class TestExpandedSystem:
             assert dot(row, x) == b
 
 
+def assert_dual_certifies(system, result):
+    """The measure's dual ``y``: ``-1 <= M^T y <= 0``, ``y . P == measure / 2``,
+    and a Farkas certificate of the verdict on a contextual system."""
+    linear = build_associated_system(system)
+    y = result.dual
+    for j in range(linear.cols):
+        assert -1 <= sum(w * row[j] for w, row in zip(y, linear.matrix) if w) <= 0
+    assert sum(w * b for w, b in zip(y, linear.rhs)) == result.measure / 2
+    if result.verdict.contextual:
+        assert FeasibilityResult(INFEASIBLE, None, y, 0).verify(linear)
+    else:
+        assert not any(y)
+
+
 class TestMeasure:
     def test_rank2_total_variation_two(self, rank2_contextual):
         result = contextuality_measure(rank2_contextual)
@@ -308,6 +323,22 @@ class TestMeasure:
         assert result.measure == 1
         report = verify_quasi_coupling(rank2_contextual, result.witness)
         assert report.all_passed
+
+    def test_dual_failing_substitution_raises(self, rank2_contextual, monkeypatch):
+        import dataclasses
+
+        from contextuality import analysis
+        from contextuality.errors import SolverError
+
+        solve = analysis.minimize
+
+        def doubled_dual(*args):
+            result = solve(*args)
+            return dataclasses.replace(result, dual=tuple(2 * y for y in result.dual))
+
+        monkeypatch.setattr(analysis, "minimize", doubled_dual)
+        with pytest.raises(SolverError, match="dual"):
+            contextuality_measure(rank2_contextual)
 
     def test_family_sweep_is_linear_in_p(self):
         for p in (F(0), F(1, 8), F(1, 4), F(3, 8), HALF):
@@ -329,9 +360,11 @@ class TestMeasure:
         for s in systems:
             contextual = decide_contextuality(s).contextual
             result = contextuality_measure(s)
+            assert result.verdict.contextual == contextual
             assert (result.measure == 0) == (not contextual)
             assert result.witness.total_mass == 1
             assert verify_quasi_coupling(s, result.witness).all_passed
+            assert_dual_certifies(s, result)
 
     def test_cycles_match_closed_form(self):
         # On a cyclic system of rank n the measure is max(0, delta) / (2(n - 1)).
@@ -343,6 +376,7 @@ class TestMeasure:
                     crit = evaluate_criterion(detect_cycles(system)[0], system)
                     result = contextuality_measure(system)
                     assert result.measure == max(0, crit.delta) / (2 * (rank - 1))
+                    assert_dual_certifies(system, result)
                     contextual += crit.contextual
         assert 0 < contextual < 72
 

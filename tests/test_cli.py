@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from fractions import Fraction
@@ -78,13 +79,56 @@ class TestAnalyze:
             assert report["measure"] is None
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(serialize_system(canonical_example("fig9")))
-        )
+        text = serialize_system(canonical_example("fig9"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         code, out, _ = run(capsys, "analyze", "-")
         assert code == 1
+
+    def test_non_utf8_stdin_exit_two_like_the_file(self, capsys, monkeypatch, tmp_path):
+        # a C locale gives stdin the surrogateescape handler, which would let
+        # the byte through as text; the bytes must be decoded as a file's are
+        data = b'{"contents": "\xff"}'
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        file_code, _, file_err = run(capsys, "analyze", str(bad))
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run(capsys, "analyze", "-")
+        assert code == file_code == 2
+        assert err == file_err
+        assert err.startswith("error: byte 14: not utf-8")
+
+    @pytest.mark.parametrize(
+        "system, contextual",
+        [(canonical_example("fig9"), True), (rank2_family(F(1, 2)), False)],
+    )
+    def test_measure_builds_once_and_minimizes_only_when_contextual(
+        self, capsys, monkeypatch, tmp_path, system, contextual
+    ):
+        from contextuality import analysis
+
+        calls = {"build_associated_system": 0, "minimize": 0}
+        for name in calls:
+            original = getattr(analysis, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, counted)
+        path = write_system(tmp_path, "case.json", system)
+        code, out, _ = run(
+            capsys, "analyze", path, "--measure", "--witness", "--format", "json"
+        )
+        assert code == int(contextual)
+        assert calls == {"build_associated_system": 1, "minimize": int(contextual)}
+        report = json.loads(out)
+        if contextual:
+            certificate = report["verdict"]["witness"]["certificate"]
+            assert len(report["measure"]["dual"]) == len(certificate)
+        else:
+            assert report["measure"]["witness"] == report["verdict"]["witness"]["masses"]
+            assert "dual" not in report["measure"]
 
     def test_column_cap_is_an_error(self, capsys, rank3_file):
         code, _, err = run(capsys, "analyze", rank3_file, "--max-columns", "4")

@@ -63,10 +63,17 @@ class TestMinimize:
         # the third row is the sum of the first two, so phase 1 ends with its
         # artificial basic; phase 2 still has one pivot to make
         s = LinearSystem(((1, 1, 1, 0), (1, 0, 0, 1), (2, 1, 1, 1)), (F(1), HALF, F(3, 2)))
-        r = minimize(s, (F(-1), 2, F(1, 3), 1))
+        objective = (F(-1), 2, F(1, 3), 1)
+        r = minimize(s, objective)
         assert r.value == F(-1, 3)
         assert r.solution == (HALF, F(0), HALF, F(0))
         assert r.pivots == 3
+        # the dropped third row gets y = 0; B^T y = c_B on the basis {x1, x3}
+        # over the first two rows gives the rest, and y certifies the value
+        assert r.dual == (F(1, 3), F(-4, 3), F(0))
+        assert sum(y * b for y, b in zip(r.dual, s.rhs)) == r.value
+        for j, c in enumerate(objective):
+            assert sum(y * row[j] for y, row in zip(r.dual, s.matrix)) <= c
 
     def test_non_integer_data_phase_two_prices_the_phase_one_basis(self):
         # matrix, rhs and objective all need scaling (6, 4 and 2); phase 1

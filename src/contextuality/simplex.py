@@ -12,20 +12,24 @@ with a Farkas certificate: a row vector ``y`` with ``y^T M <= 0`` and
 the dual of its final basis, ``B^T y = c_B``, solved on the original columns
 because the artificial ones are gone by then.
 
-The tableau is dense and fraction-free: integer constraint rows over one
-positive denominator ``det``, updated by integer-preserving (Bareiss/Edmonds)
-elimination, and one cost row over ``det * cost_scale``, which phase 2 prices
-afresh from the basis that phase 1 leaves.  Each constraint entry stays, up
-to sign, a minor of the integer-scaled starting matrix, so every pivot divides
-exactly; nothing is reduced, and ``Fraction`` is only in inputs and read-outs.
+The simplex is revised and fraction-free: of the basis ``B`` of the
+integer-scaled starting matrix it keeps only ``det * B^-1`` and
+``det * B^-1 b`` over ``det = |det B|``, prices every column against one
+price vector by a scatter over sparse constraint rows, and updates
+``det * B^-1`` by integer-preserving (Bareiss/Edmonds) elimination.  Each
+kept entry is, up to sign, a minor of the starting matrix (Cramer's rule), so
+every pivot divides exactly (Sylvester's identity); nothing is reduced, and
+``Fraction`` is only in inputs and read-outs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Sequence
 
 from .distribution import ZERO, as_fraction
@@ -156,26 +160,18 @@ class OptimizationResult:
     dual: tuple[Fraction, ...]
 
 
-class _Tableau:
-    """Dense two-phase simplex state, fraction-free over one denominator.
-
-    ``self.rows`` (the constraint rows) and ``self.cost`` (the one reduced-cost
-    row, with minus the objective value in the rhs cell) are integer lists
-    that share the positive denominator ``self.det``.  Column layout: ``n``
-    structural variables, ``m`` artificials, then the right-hand side;
-    :meth:`drop_artificials` deletes the artificial block once phase 1 is over.
+class _Revised:
+    """Two-phase revised simplex state, fraction-free over one denominator.
 
     The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
     that ``b >= 0``; the structural block is scaled by ``structural_scale``
     and the rhs by ``rhs_scale``, the least integers that make both integral.
-    No row is ever scaled, so the artificial block stays an identity and the
-    phase-1 objective keeps unit weights.  With ``B`` the basis columns of
-    ``X0``, the constraint rows are ``det * B^-1 X0`` with ``det = |det B|``,
-    so every entry is, up to sign, a minor of ``X0`` (Bareiss/Edmonds).  The
-    cost row never pivots, so its positive integer ``cost_scale`` is its own:
-    it holds ``det * cost_scale`` times the reduced costs.  It starts as the
-    phase-1 row; :meth:`price` replaces it with the phase-2 objective, priced
-    against the basis that phase 1 leaves.
+    ``sparse`` holds each row of ``A`` as ``(coefficient, column indices)``
+    groups.  ``inverse`` holds ``det * B^-1`` with ``det * B^-1 b`` as a last
+    column: the artificial block and rhs of the dense tableau ``det * B^-1 X0``.
+    Costs ``C`` (``weights``, over ``cost_scale``; unit on the artificials in
+    phase 1, the objective on the structural columns after :meth:`price`) are
+    priced as ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -184,53 +180,69 @@ class _Tableau:
     STALL_LIMIT = 24
 
     def __init__(self, system: LinearSystem):
-        self.n = system.cols
+        self.n = n = system.cols
         m = system.rows
+        self.matrix = system.matrix
         self.structural_scale = math.lcm(*{x.denominator for row in system.matrix for x in row})
-        self.rhs_scale = math.lcm(*(b.denominator for b in system.rhs))
+        rhs_scale = self.rhs_scale = math.lcm(*(b.denominator for b in system.rhs))
         self.flips = [1 if b >= 0 else -1 for b in system.rhs]
-        self.rows: list[list[int]] = []
-        for i, (row, b, sign) in enumerate(zip(system.matrix, system.rhs, self.flips)):
-            scale = sign * self.structural_scale
-            art = [0] * m
-            art[i] = 1
-            self.rows.append(
-                [x.numerator * (scale // x.denominator) for x in row]
-                + art
-                + [sign * b.numerator * (self.rhs_scale // b.denominator)]
-            )
-        self.basis = [self.n + i for i in range(m)]
+        self.scales = [sign * self.structural_scale for sign in self.flips]
+        self.sparse = [
+            [
+                (int(x * scale), array("i", compress(range(n), map(operator.eq, row, repeat(x)))))
+                for x in set(row) if x
+            ]
+            for row, scale in zip(system.matrix, self.scales)
+        ]
+        self.inverse = [
+            [0] * i + [1] + [0] * (m - 1 - i) + [sign * b.numerator * (rhs_scale // b.denominator)]
+            for i, (b, sign) in enumerate(zip(system.rhs, self.flips))
+        ]
+        self.basis = [n + i for i in range(m)]
         self.dropped: list[int] = []  # original rows dropped as redundant
         self.det = 1
         # Phase 1 minimizes the sum of the artificials, all basic at the start.
-        self.cost = [-sum(column) for column in zip(*self.rows)]
-        self.cost[self.n : self.n + m] = [0] * m
+        self.weights = [0] * n + [1] * m
         self.cost_scale = 1
         self.pivots = 0
-        self.pivot_cap = math.comb(m + self.n + m, m)
+        self.pivot_cap = math.comb(m + n + m, m)
 
     def price(self, objective: Sequence[Fraction]) -> None:
-        """Price ``objective`` against the basis: ``det * C_j - sum_i C[basis[i]] * rows[i][j]``.
-
-        ``C`` is ``objective`` scaled by ``cost_scale`` and ``structural_scale``.
-        """
+        """Make ``objective``, scaled by ``cost_scale`` and ``structural_scale``, the costs."""
         scale = self.cost_scale = math.lcm(*(c.denominator for c in objective))
-        weights = [c.numerator * (scale // c.denominator) * self.structural_scale for c in objective]
-        cost = [self.det * w for w in weights] + [0]
-        for var, row in zip(self.basis, self.rows):
-            w = weights[var]
-            if w:
-                cost = [x - w * y for x, y in zip(cost, row)]
-        self.cost = cost
+        self.weights = [c.numerator * (scale // c.denominator) * self.structural_scale for c in objective]
 
-    # -- elementary operations ---------------------------------------------
+    def _prices(self) -> list[int]:
+        """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
+        costs = [self.weights[var] for var in self.basis]
+        return [sum(map(operator.mul, costs, column)) for column in zip(*self.inverse)]
 
-    def _pivot(self, prow: int, pcol: int) -> None:
-        """Fraction-free pivot: each other row becomes ``(a*row - row[c]*T[p]) / det``.
+    def _scatter(self, y: Sequence[int], out: list[int]) -> list[int]:
+        """Subtract ``y . A`` from ``out``, one sparse row at a time."""
+        for weight, groups in zip(y, self.sparse):
+            if weight:
+                for coefficient, indices in groups:
+                    v = weight * coefficient
+                    for j in indices:
+                        out[j] -= v
+        return out
 
-        The division is exact by Sylvester's identity.  A negative pivot
-        (possible only when driving out artificials) negates the pivot row
-        first, which leaves the resulting tableau unchanged.
+    def _column(self, q: int) -> list[int]:
+        """The entering column ``det * B^-1 X0_q``, summed over the nonzeros of ``X0_q``."""
+        if q >= self.n:
+            return [row[q - self.n] for row in self.inverse]
+        column = [0] * len(self.inverse)
+        for k, (entries, scale) in enumerate(zip(self.matrix, self.scales)):
+            if x := entries[q]:
+                a = int(x * scale)
+                column = [c + a * row[k] for c, row in zip(column, self.inverse)]
+        return column
+
+    def _pivot(self, prow: int, column: list[int], pcol: int) -> None:
+        """Fraction-free pivot: row ``i`` becomes ``(a * row - column[i] * pivot_row) / det``.
+
+        A negative pivot (possible only when driving out artificials) negates
+        the pivot row first, which leaves the resulting rows unchanged.
         """
         self.pivots += 1
         if self.pivots > self.pivot_cap:
@@ -238,16 +250,15 @@ class _Tableau:
                 f"exceeded the anti-cycling pivot cap ({self.pivot_cap}); "
                 "this indicates a solver bug"
             )
-        pivot = self.rows[prow]
-        a = pivot[pcol]
+        pivot = self.inverse[prow]
+        a = column[prow]
         if a < 0:
             pivot[:] = [-x for x in pivot]
             a = -a
         det = self.det
-        for row in itertools.chain(self.rows, (self.cost,)):
+        for row, f in zip(self.inverse, column):
             if row is pivot:
                 continue
-            f = row[pcol]
             if f:
                 row[:] = [(a * x - f * y) // det for x, y in zip(row, pivot)]
             elif a != det:
@@ -255,104 +266,94 @@ class _Tableau:
         self.det = a
         self.basis[prow] = pcol
 
-    def _entering_bland(self) -> int | None:
-        """Bland: the lowest-index column with negative cost."""
-        return next((j for j, c in enumerate(self.cost[:-1]) if c < 0), None)
+    def _entering(self, cost: list[int], bland: bool) -> int | None:
+        """Bland's lowest-index negative cost, or the most negative (lowest index on ties).
 
-    def _entering_dantzig(self) -> int | None:
-        """Most negative reduced cost, lowest index on ties.
-
-        Structural entries are stored times ``structural_scale`` and the
-        artificial ones are not, so the artificials are weighed by it to
-        compare the reduced costs themselves.
+        Dantzig's rule weighs the artificials by ``structural_scale``, which
+        scales only the structural columns, to compare true reduced costs.
         """
-        cost = self.cost
+        if bland:
+            return next((j for j, c in enumerate(cost) if c < 0), None)
         best_col = min(range(self.n), key=cost.__getitem__)
         best = cost[best_col]
-        if len(cost) - 1 > self.n:
-            art = min(range(self.n, len(cost) - 1), key=cost.__getitem__)
+        if len(cost) > self.n:
+            art = min(range(self.n, len(cost)), key=cost.__getitem__)
             if cost[art] * self.structural_scale < best:
                 best_col, best = art, cost[art]
         return best_col if best < 0 else None
 
-    def _leaving(self, col: int) -> int | None:
-        """Ratio test on ``col``; ties resolved by least basic variable (Bland)."""
-        best: tuple[int, int] | None = None  # (rhs_num, col_num) of best ratio
-        best_row = -1
-        for i, nums in enumerate(self.rows):
-            a = nums[col]
-            if a <= 0:
-                continue
-            b = nums[-1]
-            if best is None:
-                best, best_row = (b, a), i
-                continue
-            diff = b * best[1] - best[0] * a
-            if diff < 0 or (diff == 0 and self.basis[i] < self.basis[best_row]):
-                best, best_row = (b, a), i
-        return None if best is None else best_row
+    def _leaving(self, column: list[int]) -> int | None:
+        """Ratio test on ``column``; ties resolved by least basic variable (Bland)."""
+        best = None
+        for i, (a, row) in enumerate(zip(column, self.inverse)):
+            if a > 0 and (
+                best is None
+                or (diff := row[-1] * column[best] - self.inverse[best][-1] * a) < 0
+                or (diff == 0 and self.basis[i] < self.basis[best])
+            ):
+                best = i
+        return best
 
     def _run(self) -> bool:
-        """Pivot to optimality of the cost row; False if unbounded."""
+        """Pivot to optimality of the current costs; False if unbounded.
+
+        ``pi`` enters the dense cost row as ``det * C_art - pi`` (rhs: ``-pi``),
+        so each pivot updates it like a row of ``inverse``, by the entering cost.
+        """
         stalled = 0
+        pi = self._prices()
         while True:
-            if stalled < self.STALL_LIMIT:
-                col = self._entering_dantzig()
-            else:
-                col = self._entering_bland()
+            det = self.det
+            cost = self._scatter(pi, [det * w for w in self.weights[: self.n]])
+            cost += [det * w - p for w, p in zip(self.weights[self.n :], pi)]
+            col = self._entering(cost, stalled >= self.STALL_LIMIT)
             if col is None:
                 return True
-            row = self._leaving(col)
+            column = self._column(col)
+            row = self._leaving(column)
             if row is None:
                 return False
-            degenerate = self.rows[row][-1] == 0
-            self._pivot(row, col)
-            stalled = stalled + 1 if degenerate else 0
-
-    # -- readouts -------------------------------------------------------------
+            pivot, a, f = self.inverse[row], column[row], cost[col]
+            pi = [(a * x + f * y) // det for x, y in zip(pi, pivot)]
+            stalled = stalled + 1 if pivot[-1] == 0 else 0
+            self._pivot(row, column, col)
 
     def objective_value(self) -> Fraction:
-        return -Fraction(self.cost[-1], self.det * self.cost_scale * self.rhs_scale)
+        return Fraction(self._prices()[-1], self.det * self.cost_scale * self.rhs_scale)
 
     def structural_solution(self) -> tuple[Fraction, ...]:
         values = [ZERO] * self.n
         scale = self.det * self.rhs_scale
-        for i, var in enumerate(self.basis):
+        for var, row in zip(self.basis, self.inverse):
             if var < self.n:
-                values[var] = Fraction(self.rows[i][-1] * self.structural_scale, scale)
+                values[var] = Fraction(row[-1] * self.structural_scale, scale)
         return tuple(values)
 
     def farkas_certificate(self) -> tuple[Fraction, ...]:
-        """Dual vector of the phase-1 optimum, unflipped to the original rows."""
-        return tuple(
-            sign * (1 - Fraction(self.cost[self.n + i], self.det))
-            for i, sign in enumerate(self.flips)
-        )
+        """The phase-1 prices over ``det``, unflipped to the original rows."""
+        return tuple(sign * Fraction(p, self.det) for sign, p in zip(self.flips, self._prices()))
 
     def drop_artificials(self) -> None:
         """Pivot remaining artificials out of the basis; drop redundant rows.
 
-        A dropped row has no structural entry, so no later pivot reads it and
-        ``det`` stays valid for the rows that remain.  Its basic artificial
-        names an original row that the kept rows span, recorded in
-        ``dropped``.  The artificial columns are then deleted from the
-        constraint rows; phase 2 never lets them in.
+        A basic artificial's tableau row ``det * B^-1 A`` is one scatter.  If
+        it is zero, no later pivot reads it and ``det`` stays valid for the
+        rows that remain; its artificial names an original row that the kept
+        rows span, recorded in ``dropped``.
         """
         i = 0
-        while i < len(self.rows):
+        while i < len(self.inverse):
             if self.basis[i] < self.n:
                 i += 1
                 continue
-            nums = self.rows[i]
-            col = next((j for j in range(self.n) if nums[j]), None)
+            row = self._scatter(self.inverse[i], [0] * self.n)
+            col = next((j for j, x in enumerate(row) if x), None)
             if col is None:
                 self.dropped.append(self.basis[i] - self.n)
-                del self.rows[i], self.basis[i]
+                del self.inverse[i], self.basis[i]
             else:
-                self._pivot(i, col)
+                self._pivot(i, self._column(col), col)
                 i += 1
-        for row in self.rows:
-            del row[self.n : -1]
 
     def dual(self, system: LinearSystem, objective: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """The basis's dual ``y``: ``B^T y = c_B`` over the original rows.
@@ -360,8 +361,8 @@ class _Tableau:
         Called after :meth:`drop_artificials`, when every basic variable is
         structural.  The basis columns restricted to the rows not dropped
         form a nonsingular square matrix ``B``; the dropped rows get
-        ``y = 0``.  Solving on the original columns, not the tableau's
-        sign-fixed rows, gives ``y`` in the rows' own signs.
+        ``y = 0``.  Solving on the original columns, not the sign-fixed
+        rows, gives ``y`` in the rows' own signs.
         """
         kept = [i for i in range(system.rows) if i not in self.dropped]
         equations = [([system.matrix[i][j] for i in kept], objective[j]) for j in self.basis]
@@ -402,43 +403,40 @@ def _solve_square(equations: Sequence[tuple[Sequence, Fraction]]) -> list[Fracti
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
-    """Decide ``{M Q = P, Q >= 0}`` and return a solution or a certificate."""
-    tableau = _Tableau(system)
-    tableau._run()
-    if tableau.objective_value() == 0:
-        return FeasibilityResult(
-            FEASIBLE, tableau.structural_solution(), None, tableau.pivots
-        )
-    return FeasibilityResult(
-        INFEASIBLE, None, tableau.farkas_certificate(), tableau.pivots
-    )
+    """Decide ``{M Q = P, Q >= 0}`` and return a solution or a certificate.
+
+    Phase 1 minimizes the sum of the artificials; if the minimum is not 0,
+    its final prices over ``det``, unflipped, are the Farkas certificate.
+    """
+    lp = _Revised(system)
+    lp._run()
+    if lp.objective_value() == 0:
+        return FeasibilityResult(FEASIBLE, lp.structural_solution(), None, lp.pivots)
+    return FeasibilityResult(INFEASIBLE, None, lp.farkas_certificate(), lp.pivots)
 
 
 def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
     """Minimize ``objective . Q`` over ``{M Q = P, Q >= 0}``, exactly.
 
     Returns the unique optimal value, one optimal vertex and the dual of its
-    basis, which certifies the value.  Raises
+    basis, which certifies the value.  Phase 2 starts from phase 1's
+    ``det * B^-1`` once the artificials are out of the basis.  Raises
     :class:`InfeasibleError` (with a Farkas certificate attached) on an
-    infeasible system and :class:`UnboundedError` when the objective is
-    unbounded below.
+    infeasible system and :class:`UnboundedError` when unbounded below.
     """
     objective = tuple(as_fraction(x) for x in objective)
     if len(objective) != system.cols:
         raise DimensionMismatchError(
             f"objective has {len(objective)} entries for {system.cols} columns"
         )
-    tableau = _Tableau(system)
-    tableau._run()
-    if tableau.objective_value() != 0:
-        raise InfeasibleError(certificate=tableau.farkas_certificate())
-    tableau.drop_artificials()
-    tableau.price(objective)
-    if not tableau._run():
+    lp = _Revised(system)
+    lp._run()
+    if lp.objective_value() != 0:
+        raise InfeasibleError(certificate=lp.farkas_certificate())
+    lp.drop_artificials()
+    lp.price(objective)
+    if not lp._run():
         raise UnboundedError("objective is unbounded below on the feasible region")
     return OptimizationResult(
-        tableau.objective_value(),
-        tableau.structural_solution(),
-        tableau.pivots,
-        tableau.dual(system, objective),
+        lp.objective_value(), lp.structural_solution(), lp.pivots, lp.dual(system, objective)
     )

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from contextuality import (
+    Content,
     QuasiCoupling,
     build_associated_system,
     build_expanded_system,
     contextuality_measure,
+    cyclic_system_from_correlations,
     decide_contextuality,
     detect_cycles,
     evaluate_criterion,
@@ -418,3 +420,59 @@ class TestVerification:
             verify_quasi_coupling(
                 rank2_contextual, {(0, 0, 0, 0): 0.5, (1, 1, 1, 1): 0.5}
             )
+
+
+def _masses(masses):
+    """``{"0101...": "1/16"}`` as ``{(0, 1, 0, 1, ...): Fraction(1, 16)}``."""
+    return {tuple(map(int, outcome)): F(mass) for outcome, mass in masses.items()}
+
+
+class TestPinnedSolverPaths:
+    """Exact answers on LPs of hundreds of columns, as the dense tableau gave them.
+
+    A vertex, a dual and a pivot count are all fixed by the pivot path, so a
+    solver change that alters the path on an analysis-scale LP fails here.
+    """
+
+    def test_rank5_noncontextual_cycle_coupling(self):
+        verdict = decide_contextuality(cyclic_system_from_correlations([HALF] * 5))
+        assert not verdict.contextual
+        assert verdict.pivots == 50
+        assert verdict.coupling.masses == _masses({
+            "0000000000": "3/16", "0000000101": "1/16", "0000011000": "1/16",
+            "0001111000": "1/16", "0110011101": "1/16", "0111100000": "1/16",
+            "1000000010": "1/16", "1001100111": "1/16", "1110000010": "1/16",
+            "1111111111": "5/16",
+        })
+
+    def test_contextual_binary_triangle_measure(self):
+        # the 512-outcome triangle of the benchmark's measure workload: three
+        # pair contexts, two perfectly correlated and one anticorrelated, and
+        # one uniform context over all three contents
+        def pair(shift):
+            return {(v, (v + shift) % 2): HALF for v in range(2)}
+
+        system = validate_system(
+            [Content(q, 2) for q in ("q1", "q2", "q3")],
+            {"c1": ["q1", "q2"], "c2": ["q2", "q3"], "c3": ["q1", "q3"], "c4": ["q1", "q2", "q3"]},
+            {
+                "c1": pair(0), "c2": pair(0), "c3": pair(1),
+                "c4": {v: F(1, 8) for v in itertools.product(range(2), repeat=3)},
+            },
+        )
+        result = contextuality_measure(system)
+        assert result.verdict.contextual
+        assert result.verdict.pivots == 24
+        assert result.pivots == 70
+        assert result.total_variation == F(3, 2)
+        assert result.measure == HALF
+        fifths = (-1, -2, -2, -1, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, 0, -1, -1, 0, -1, -1)
+        assert result.dual == tuple(F(k, 5) for k in fifths + (1,) * 6)
+        assert result.witness.masses == _masses({
+            "000000000": "1/8", "000001000": "1/16", "000010100": "1/16",
+            "000101001": "1/16", "000101101": "1/16", "001101001": "1/8",
+            "010111000": "-1/16", "011011100": "-1/16", "011101011": "1/8",
+            "100010100": "1/8", "100100110": "-1/16", "101000001": "-1/16",
+            "110010101": "1/16", "110010110": "1/16", "111010110": "1/8",
+            "111101010": "1/16", "111110010": "1/16", "111111111": "1/8",
+        })

@@ -75,6 +75,17 @@ class TestMinimize:
         for j, c in enumerate(objective):
             assert sum(y * row[j] for y, row in zip(r.dual, s.matrix)) <= c
 
+    def test_driving_out_an_artificial_pivots_on_a_negative_entry(self):
+        # the second row reads -x4 = 0, so the two phase-1 pivots leave its
+        # artificial basic at zero; driving it out pivots on x4's entry, -1,
+        # and phase 2 then brings in x2 on the entry 2
+        s = LinearSystem(((-1, 0, -1, -1), (0, 0, 0, -1), (1, 2, 0, 0)), (F(-2), F(0), F(1)))
+        r = minimize(s, (2, -1, 0, -1))
+        assert r.value == F(-1, 2)
+        assert r.solution == (F(0), HALF, F(2), F(0))
+        assert r.dual == (F(0), F(1), F(-1, 2))
+        assert r.pivots == 4
+
     def test_non_integer_data_phase_two_prices_the_phase_one_basis(self):
         # matrix, rhs and objective all need scaling (6, 4 and 2); phase 1
         # ends on x1 and x3, whose costs are 1, so phase 2 must price them

@@ -9,8 +9,9 @@ feasibility of ``M Q = P`` with ``Q >= 0``.
 
 Every row of ``M``, and of the paper's expanded system ``M*``, is a 0/1
 indicator described by one pattern: the cells it fixes, their values, and
-the right-hand side.  One expander turns a sequence of patterns into the
-dense system.  The rows of ``M`` are:
+the right-hand side.  One expander turns a sequence of patterns into sparse
+rows, whose column indices it computes from the outcome strides, so no dense
+row is ever built.  The rows of ``M`` are:
 
 * one per (context, bunch value): the outcomes restricting to that value,
   with the bunch probability on the right-hand side;
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -127,22 +129,33 @@ def _constraint_rows(
 def _expand(
     space: OutcomeSpace, patterns: Iterable[tuple[Mapping[int, int], Fraction]]
 ) -> LinearSystem:
-    """The dense 0/1 system whose rows are the ``(fixed cells, rhs)`` patterns.
+    """The 0/1 system whose rows are the ``(fixed cells, rhs)`` patterns.
 
     A row marks, with 1, every outcome of ``space`` that takes each fixed
-    cell's value; the empty pattern marks every outcome.
+    cell's value; the empty pattern marks every outcome.  Its column indices
+    come from the outcome strides: the fixed cells give a base index, each
+    free cell before the last fixed one multiplies the starts, and the free
+    cells after it make each start a run of consecutive indices.
     """
-    outcomes = tuple(space.outcomes())
-    digits = tuple(zip(*outcomes))
-    rows: list[list[int]] = []
+    strides = [1] * len(space.sizes)
+    for pos in range(len(space.sizes) - 1, 0, -1):
+        strides[pos - 1] = strides[pos] * space.sizes[pos]
+    rows: list[tuple[tuple[int, array], ...]] = []
     rhs: list[Fraction] = []
     for fixed, mass in patterns:
-        row = [1] * len(outcomes)
-        for pos, value in fixed.items():
-            row = [r if d == value else 0 for r, d in zip(row, digits[pos])]
-        rows.append(row)
+        last = max(fixed, default=-1)
+        starts = [sum(strides[pos] * value for pos, value in fixed.items())]
+        for pos in range(last):
+            if pos not in fixed:
+                stride = strides[pos]
+                starts = [i + d * stride for i in starts for d in range(space.sizes[pos])]
+        run = strides[last] if fixed else space.size
+        indices = array("i")
+        for i in starts:
+            indices.extend(range(i, i + run))
+        rows.append(((1, indices),))
         rhs.append(mass)
-    return LinearSystem(rows, rhs, outcomes)
+    return LinearSystem.from_sparse(rows, rhs, space.size, tuple(space.outcomes()))
 
 
 def build_associated_system(
@@ -294,9 +307,10 @@ def contextuality_measure(
     ``TV = 1`` and is returned as the witness with measure 0 and dual 0.  On
     a contextual system the nonlinear objective is linearized by splitting
     ``Q = Q1 - Q2`` with both halves nonnegative and minimizing ``sum Q2``
-    over the widened system ``(M | -M)``; at the optimum the halves never
-    overlap, so ``TV = 1 + 2 sum Q2``, an identity asserted against the
-    reconstructed signed masses.  The LP's dual ``y`` maximizes ``y . P``
+    over the widened system ``(M | -M)``, which shares the rows of ``M``
+    rather than copying them; at the optimum the halves never overlap, so
+    ``TV = 1 + 2 sum Q2``, an identity asserted against the reconstructed
+    signed masses.  The LP's dual ``y`` maximizes ``y . P``
     subject to ``-1 <= M^T y <= 0``: for any quasi-coupling ``Q``,
     ``y . P = (M^T y) . Q <= (TV(Q) - 1) / 2``, so ``1 + 2 y . P`` bounds
     every TV from below, and ``M^T y <= 0 < y . P`` is a Farkas certificate
@@ -307,10 +321,7 @@ def contextuality_measure(
     verdict = _decide(system, linear)
     if verdict.contextual:
         n = linear.cols
-        wide = LinearSystem(
-            tuple(row + tuple(-x for x in row) for row in linear.matrix), linear.rhs
-        )
-        result = minimize(wide, (ZERO,) * n + (ONE,) * n)
+        result = minimize(linear.widened(), (ZERO,) * n + (ONE,) * n)
         halves = zip(linear.column_labels, result.solution, result.solution[n:])
         masses = {outcome: q1 - q2 for outcome, q1, q2 in halves if q1 != q2}
         value, dual, pivots = result.value, result.dual, result.pivots
@@ -333,14 +344,10 @@ def _check_dual(linear: LinearSystem, dual: Sequence[Fraction], value: Fraction)
     """Raise :class:`SolverError` unless ``-1 <= M^T y <= 0`` and ``y . P == value``.
 
     ``y`` is scaled to integers over its common denominator, so the
-    substitution adds integer rows.
+    substitution adds integers over the sparse rows of ``M``.
     """
     scale = math.lcm(*(y.denominator for y in dual))
-    combined = [0] * linear.cols
-    for row, y in zip(linear.matrix, dual):
-        if y:
-            weight = y.numerator * (scale // y.denominator)
-            combined = [c + weight * a for c, a in zip(combined, row)]
+    combined = linear.combine([y.numerator * (scale // y.denominator) for y in dual])
     if not all(-scale <= c <= 0 for c in combined):
         raise SolverError("internal inconsistency: the measure's dual violates -1 <= M^T y <= 0")
     bound = sum((y * b for y, b in zip(dual, linear.rhs)), ZERO)

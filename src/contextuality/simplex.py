@@ -14,12 +14,17 @@ because the artificial ones are gone by then.
 
 The simplex is revised and fraction-free: of the basis ``B`` of the
 integer-scaled starting matrix it keeps only ``det * B^-1`` and
-``det * B^-1 b`` over ``det = |det B|``, prices every column against one
-price vector by a scatter over sparse constraint rows, and updates
-``det * B^-1`` by integer-preserving (Bareiss/Edmonds) elimination.  Each
-kept entry is, up to sign, a minor of the starting matrix (Cramer's rule), so
-every pivot divides exactly (Sylvester's identity); nothing is reduced, and
-``Fraction`` is only in inputs and read-outs.
+``det * B^-1 b`` over ``det = |det B|``, and updates them by
+integer-preserving (Bareiss/Edmonds) elimination.  Each kept entry is, up to
+sign, a minor of the starting matrix (Cramer's rule), so every pivot divides
+exactly (Sylvester's identity); nothing is reduced, and ``Fraction`` is only
+in inputs and read-outs.  The reduced costs are priced once per phase; each
+pivot then updates them as the dense tableau updated its cost row, from the
+leaving row of ``det * B^-1`` scattered over the constraint rows where it is
+nonzero.  That division is exact too, because the result is again the
+tableau's integer cost row.  The measure's ``(A | -A)`` stores ``A`` once:
+the negated half is priced from the same scatter with the opposite sign and
+enters as the negated column of its partner.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from __future__ import annotations
 import math
 import operator
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import compress, repeat
 from typing import Sequence
 
 from .distribution import ZERO, as_fraction
@@ -49,54 +55,124 @@ def _exact(x):
     return x if type(x) is int else as_fraction(x)
 
 
-@dataclass(frozen=True)
 class LinearSystem:
-    """Constraint data for ``matrix . Q = rhs`` with ``Q >= 0``.
+    """Constraint data for ``A Q = rhs`` with ``Q >= 0``, held as sparse rows.
 
-    Matrix entries may be ints or Fractions (the systems built here are 0/1
-    Boolean, but general rationals are accepted).  ``column_labels`` are
+    ``LinearSystem(matrix, rhs, column_labels)`` takes dense rows, whose
+    entries may be ints or Fractions (the systems built here are 0/1 Boolean,
+    but general rationals are accepted), and converts them once.  Each row is
+    kept as ``(coefficient, column indices)`` groups, the indices ascending in
+    an ``array('i')``.  When ``negated`` is set the system is ``(A | -A)``
+    over ``2 * width`` columns and only ``A`` is stored: :meth:`widened`
+    makes one that shares this system's index arrays.  ``column_labels`` are
     opaque identifiers carried through to solutions.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    column_labels: tuple[object, ...] | None = None
-
-    def __post_init__(self):
-        matrix = tuple(tuple(_exact(x) for x in row) for row in self.matrix)
-        rhs = tuple(as_fraction(x) for x in self.rhs)
+    def __init__(self, matrix, rhs, column_labels=None):
+        matrix = [[_exact(x) for x in row] for row in matrix]
         if not matrix:
             raise DimensionMismatchError("constraint matrix has no rows")
         width = len(matrix[0])
         if width == 0:
             raise DimensionMismatchError("constraint matrix has no columns")
+        sparse_rows = []
         for i, row in enumerate(matrix):
             if len(row) != width:
                 raise DimensionMismatchError(f"row {i} has {len(row)} entries, expected {width}")
-            if not any(row):
+            groups: dict = {}
+            for j, x in enumerate(row):
+                if x:
+                    groups.setdefault(x, array("i")).append(j)
+            if not groups:
                 raise DimensionMismatchError(f"row {i} is identically zero")
+            sparse_rows.append(tuple(groups.items()))
+        rhs = tuple(as_fraction(x) for x in rhs)
         if len(rhs) != len(matrix):
             raise DimensionMismatchError(
                 f"rhs has {len(rhs)} entries for {len(matrix)} rows"
             )
-        labels = self.column_labels
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != width:
+        if column_labels is not None:
+            column_labels = tuple(column_labels)
+            if len(column_labels) != width:
                 raise DimensionMismatchError(
-                    f"{len(labels)} column labels for {width} columns"
+                    f"{len(column_labels)} column labels for {width} columns"
                 )
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "column_labels", labels)
+        self.sparse_rows = tuple(sparse_rows)
+        self.rhs = rhs
+        self.width = width
+        self.column_labels = column_labels
+        self.negated = False
+
+    @classmethod
+    def from_sparse(
+        cls, sparse_rows: Sequence, rhs: Sequence[Fraction], width: int,
+        column_labels: tuple | None = None, negated: bool = False,
+    ) -> LinearSystem:
+        """A system over rows already in sparse form, taken as they are, unchecked."""
+        system = cls.__new__(cls)
+        system.sparse_rows = tuple(sparse_rows)
+        system.rhs = tuple(rhs)
+        system.width = width
+        system.column_labels = column_labels
+        system.negated = negated
+        return system
+
+    def widened(self) -> LinearSystem:
+        """``(A | -A)`` over the same rows and rhs, sharing this system's index arrays."""
+        return LinearSystem.from_sparse(self.sparse_rows, self.rhs, self.width, negated=True)
 
     @property
     def rows(self) -> int:
-        return len(self.matrix)
+        return len(self.sparse_rows)
 
     @property
     def cols(self) -> int:
-        return len(self.matrix[0])
+        return 2 * self.width if self.negated else self.width
+
+    @cached_property
+    def matrix(self) -> tuple[tuple, ...]:
+        """The dense rows, built on first use; absent entries are the int 0."""
+        rows = []
+        for groups in self.sparse_rows:
+            row = [0] * self.width
+            for coefficient, indices in groups:
+                for j in indices:
+                    row[j] = coefficient
+            if self.negated:
+                row += [-x for x in row]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def column(self, j: int) -> list:
+        """Column ``j`` as one coefficient per row, found by bisection in each group."""
+        sign = 1
+        if j >= self.width:
+            j, sign = j - self.width, -1
+        column = []
+        for groups in self.sparse_rows:
+            entry = 0
+            for coefficient, indices in groups:
+                k = bisect_left(indices, j)
+                if k < len(indices) and indices[k] == j:
+                    entry = sign * coefficient
+                    break
+            column.append(entry)
+        return column
+
+    def combine(self, weights: Sequence) -> list:
+        """``weights . A`` over the ``width`` columns of ``A``."""
+        return _scatter(weights, self.sparse_rows, [0] * self.width)
+
+
+def _scatter(weights: Sequence, sparse_rows: Sequence, out: list) -> list:
+    """Add ``weights . A`` to ``out``, one sparse row of ``A`` at a time, and return it."""
+    for weight, groups in zip(weights, sparse_rows):
+        if weight:
+            for coefficient, indices in groups:
+                v = weight * coefficient
+                for j in indices:
+                    out[j] += v
+    return out
 
 
 @dataclass(frozen=True)
@@ -119,30 +195,33 @@ class FeasibilityResult:
     def verify(self, system: LinearSystem) -> bool:
         """Re-check the witness against the system by exact substitution.
 
-        Vertex solutions and certificates are sparse relative to the matrix,
-        so substitution runs over nonzero entries only.
+        A vertex solution is substituted column by column over its support.
+        A certificate is scaled to integers over its common denominator and
+        combined over the sparse rows, so every added entry is a nonzero one.
         """
         if self.feasible:
             q = self.solution
-            if q is None or len(q) != system.cols or any(x < 0 for x in q):
+            if q is None or len(q) != system.cols:
                 return False
             support = [j for j, x in enumerate(q) if x]
-            return all(
-                sum(row[j] * q[j] for j in support) == b
-                for row, b in zip(system.matrix, system.rhs)
-            )
+            if any(q[j] < 0 for j in support):
+                return False
+            lhs = [ZERO] * system.rows
+            for j in support:
+                for i, a in enumerate(system.column(j)):
+                    if a:
+                        lhs[i] += a * q[j]
+            return lhs == list(system.rhs)
         y = self.certificate
         if y is None or len(y) != system.rows:
             return False
-        combined = [ZERO] * system.cols
-        for weight, row in zip(y, system.matrix):
-            if weight:
-                for j, a in enumerate(row):
-                    if a:
-                        combined[j] += weight * a
+        scale = math.lcm(*(v.denominator for v in y))
+        combined = system.combine([v.numerator * (scale // v.denominator) for v in y])
+        if system.negated:
+            combined += [-x for x in combined]
         if any(entry > 0 for entry in combined):
             return False
-        return sum(y[i] * system.rhs[i] for i in range(system.rows)) > 0
+        return sum(map(operator.mul, y, system.rhs)) > 0
 
 
 @dataclass(frozen=True)
@@ -167,11 +246,18 @@ class _Revised:
     that ``b >= 0``; the structural block is scaled by ``structural_scale``
     and the rhs by ``rhs_scale``, the least integers that make both integral.
     ``sparse`` holds each row of ``A`` as ``(coefficient, column indices)``
-    groups.  ``inverse`` holds ``det * B^-1`` with ``det * B^-1 b`` as a last
-    column: the artificial block and rhs of the dense tableau ``det * B^-1 X0``.
-    Costs ``C`` (``weights``, over ``cost_scale``; unit on the artificials in
-    phase 1, the objective on the structural columns after :meth:`price`) are
-    priced as ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``.
+    groups, sharing the system's index arrays.  For a widened system
+    ``(A | -A)`` it holds only ``A``: the ``width`` columns of the negated
+    half are priced from the same scatter with the opposite sign, and each
+    enters as the negated column of its partner.  ``inverse`` holds
+    ``det * B^-1`` with ``det * B^-1 b`` as a last column: the artificial
+    block and rhs of the dense tableau ``det * B^-1 X0``.  Costs ``C``
+    (``weights``, over ``cost_scale``; unit on the artificials in phase 1,
+    the objective on the structural columns after :meth:`price`) give the
+    reduced costs ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``.
+    They are priced from ``pi`` once per phase and then updated on each pivot
+    from the leaving row ``rho`` of ``det * B^-1`` alone, as the dense
+    tableau's cost row was (Chvatal, *Linear Programming*, ch. 7-8).
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -181,18 +267,19 @@ class _Revised:
 
     def __init__(self, system: LinearSystem):
         self.n = n = system.cols
+        self.width = system.width
+        self.negated = system.negated
+        self.system = system
         m = system.rows
-        self.matrix = system.matrix
-        self.structural_scale = math.lcm(*{x.denominator for row in system.matrix for x in row})
+        self.structural_scale = math.lcm(
+            *{x.denominator for groups in system.sparse_rows for x, _ in groups}
+        )
         rhs_scale = self.rhs_scale = math.lcm(*(b.denominator for b in system.rhs))
         self.flips = [1 if b >= 0 else -1 for b in system.rhs]
         self.scales = [sign * self.structural_scale for sign in self.flips]
         self.sparse = [
-            [
-                (int(x * scale), array("i", compress(range(n), map(operator.eq, row, repeat(x)))))
-                for x in set(row) if x
-            ]
-            for row, scale in zip(system.matrix, self.scales)
+            [(int(x * scale), indices) for x, indices in groups]
+            for groups, scale in zip(system.sparse_rows, self.scales)
         ]
         self.inverse = [
             [0] * i + [1] + [0] * (m - 1 - i) + [sign * b.numerator * (rhs_scale // b.denominator)]
@@ -217,23 +304,22 @@ class _Revised:
         costs = [self.weights[var] for var in self.basis]
         return [sum(map(operator.mul, costs, column)) for column in zip(*self.inverse)]
 
-    def _scatter(self, y: Sequence[int], out: list[int]) -> list[int]:
-        """Subtract ``y . A`` from ``out``, one sparse row at a time."""
-        for weight, groups in zip(y, self.sparse):
-            if weight:
-                for coefficient, indices in groups:
-                    v = weight * coefficient
-                    for j in indices:
-                        out[j] -= v
-        return out
+    def _costs(self) -> list[int]:
+        """The reduced costs ``det * C_j - pi . X0_j``, with the artificials' last in phase 1."""
+        pi, det, w = self._prices(), self.det, self.weights
+        s = _scatter(pi, self.sparse, [0] * self.width)
+        cost = [det * c - x for c, x in zip(w, s)]
+        if self.negated:
+            cost += [det * c + x for c, x in zip(w[self.width :], s)]
+        return cost + [det * c - p for c, p in zip(w[self.n :], pi)]
 
     def _column(self, q: int) -> list[int]:
         """The entering column ``det * B^-1 X0_q``, summed over the nonzeros of ``X0_q``."""
         if q >= self.n:
             return [row[q - self.n] for row in self.inverse]
         column = [0] * len(self.inverse)
-        for k, (entries, scale) in enumerate(zip(self.matrix, self.scales)):
-            if x := entries[q]:
+        for k, (x, scale) in enumerate(zip(self.system.column(q), self.scales)):
+            if x:
                 a = int(x * scale)
                 column = [c + a * row[k] for c, row in zip(column, self.inverse)]
         return column
@@ -297,15 +383,17 @@ class _Revised:
     def _run(self) -> bool:
         """Pivot to optimality of the current costs; False if unbounded.
 
-        ``pi`` enters the dense cost row as ``det * C_art - pi`` (rhs: ``-pi``),
-        so each pivot updates it like a row of ``inverse``, by the entering cost.
+        The cost row is a row of the dense tableau, so a pivot on ``a`` with
+        entering cost ``f`` makes it ``(a * cost - f * rho . X0) / det``, and
+        the division is exact because the result is again that tableau's
+        integer cost row (Sylvester's identity).  ``rho . X0`` is a scatter
+        over the nonzeros of ``rho`` only: ``rho . A`` on the structural
+        columns, its negation on a negated half, ``rho`` on the artificials.
+        When ``a == det``, a cost whose ``rho . X0`` entry is zero is unchanged.
         """
         stalled = 0
-        pi = self._prices()
+        cost = self._costs()
         while True:
-            det = self.det
-            cost = self._scatter(pi, [det * w for w in self.weights[: self.n]])
-            cost += [det * w - p for w, p in zip(self.weights[self.n :], pi)]
             col = self._entering(cost, stalled >= self.STALL_LIMIT)
             if col is None:
                 return True
@@ -313,8 +401,15 @@ class _Revised:
             row = self._leaving(column)
             if row is None:
                 return False
-            pivot, a, f = self.inverse[row], column[row], cost[col]
-            pi = [(a * x + f * y) // det for x, y in zip(pi, pivot)]
+            pivot, a, f, det = self.inverse[row], column[row], cost[col], self.det
+            s = _scatter(pivot, self.sparse, [0] * self.width)
+            if self.negated:
+                s += [-x for x in s]
+            s += pivot[: len(cost) - self.n]
+            if a == det:
+                cost = [x - f * y // det if y else x for x, y in zip(cost, s)]
+            else:
+                cost = [(a * x - f * y) // det if y else a * x // det for x, y in zip(cost, s)]
             stalled = stalled + 1 if pivot[-1] == 0 else 0
             self._pivot(row, column, col)
 
@@ -336,7 +431,8 @@ class _Revised:
     def drop_artificials(self) -> None:
         """Pivot remaining artificials out of the basis; drop redundant rows.
 
-        A basic artificial's tableau row ``det * B^-1 A`` is one scatter.  If
+        A basic artificial's tableau row ``det * B^-1 A`` is one scatter; on a
+        negated half it is the negation, so its first nonzero is in ``A``.  If
         it is zero, no later pivot reads it and ``det`` stays valid for the
         rows that remain; its artificial names an original row that the kept
         rows span, recorded in ``dropped``.
@@ -346,7 +442,7 @@ class _Revised:
             if self.basis[i] < self.n:
                 i += 1
                 continue
-            row = self._scatter(self.inverse[i], [0] * self.n)
+            row = _scatter(self.inverse[i], self.sparse, [0] * self.width)
             col = next((j for j, x in enumerate(row) if x), None)
             if col is None:
                 self.dropped.append(self.basis[i] - self.n)
@@ -365,7 +461,10 @@ class _Revised:
         rows, gives ``y`` in the rows' own signs.
         """
         kept = [i for i in range(system.rows) if i not in self.dropped]
-        equations = [([system.matrix[i][j] for i in kept], objective[j]) for j in self.basis]
+        equations = []
+        for j in self.basis:
+            column = system.column(j)
+            equations.append(([column[i] for i in kept], objective[j]))
         y = [ZERO] * system.rows
         for i, value in zip(kept, _solve_square(equations)):
             y[i] = value

@@ -9,6 +9,7 @@ from contextuality import (
     QuasiCoupling,
     build_associated_system,
     build_expanded_system,
+    canonical_example,
     contextuality_measure,
     cyclic_system_from_correlations,
     decide_contextuality,
@@ -19,8 +20,15 @@ from contextuality import (
     validate_system,
     verify_quasi_coupling,
 )
+from contextuality.analysis import _constraint_rows, _expanded_rows
 from contextuality.errors import DimensionMismatchError, OutcomeSpaceTooLargeError
-from contextuality.simplex import INFEASIBLE, FeasibilityResult
+from contextuality.simplex import (
+    INFEASIBLE,
+    FeasibilityResult,
+    LinearSystem,
+    minimize,
+    solve_feasibility,
+)
 from conftest import (
     random_boundary_cyclic,
     random_cyclic_system,
@@ -422,6 +430,28 @@ class TestVerification:
             )
 
 
+def contextual_triangle(k):
+    """A contextual triangle of the benchmark's measure workload.
+
+    Three pair contexts over ``k``-valued contents, two perfectly correlated
+    and one shifted by one value, and one uniform context: over all three
+    contents when binary (512 outcomes), over ``q1`` alone when ternary
+    (2,187 outcomes).
+    """
+    def pair(shift):
+        return {(v, (v + shift) % k): F(1, k) for v in range(k)}
+
+    extra = ["q1", "q2", "q3"] if k == 2 else ["q1"]
+    return validate_system(
+        [Content(q, k) for q in ("q1", "q2", "q3")],
+        {"c1": ["q1", "q2"], "c2": ["q2", "q3"], "c3": ["q1", "q3"], "c4": extra},
+        {
+            "c1": pair(0), "c2": pair(0), "c3": pair(1),
+            "c4": {v: F(1, k ** len(extra)) for v in itertools.product(range(k), repeat=len(extra))},
+        },
+    )
+
+
 def _masses(masses):
     """``{"0101...": "1/16"}`` as ``{(0, 1, 0, 1, ...): Fraction(1, 16)}``."""
     return {tuple(map(int, outcome)): F(mass) for outcome, mass in masses.items()}
@@ -446,21 +476,7 @@ class TestPinnedSolverPaths:
         })
 
     def test_contextual_binary_triangle_measure(self):
-        # the 512-outcome triangle of the benchmark's measure workload: three
-        # pair contexts, two perfectly correlated and one anticorrelated, and
-        # one uniform context over all three contents
-        def pair(shift):
-            return {(v, (v + shift) % 2): HALF for v in range(2)}
-
-        system = validate_system(
-            [Content(q, 2) for q in ("q1", "q2", "q3")],
-            {"c1": ["q1", "q2"], "c2": ["q2", "q3"], "c3": ["q1", "q3"], "c4": ["q1", "q2", "q3"]},
-            {
-                "c1": pair(0), "c2": pair(0), "c3": pair(1),
-                "c4": {v: F(1, 8) for v in itertools.product(range(2), repeat=3)},
-            },
-        )
-        result = contextuality_measure(system)
+        result = contextuality_measure(contextual_triangle(2))
         assert result.verdict.contextual
         assert result.verdict.pivots == 24
         assert result.pivots == 70
@@ -476,3 +492,58 @@ class TestPinnedSolverPaths:
             "110010101": "1/16", "110010110": "1/16", "111010110": "1/8",
             "111101010": "1/16", "111110010": "1/16", "111111111": "1/8",
         })
+
+
+def dense_system(system, rows):
+    """The system of ``(fixed cells, rhs)`` patterns built densely, one 0/1 entry per outcome."""
+    space = outcome_space(system)
+    outcomes = tuple(space.outcomes())
+    patterns = list(rows(system, space))
+    matrix = [
+        [int(all(outcome[pos] == value for pos, value in fixed.items())) for outcome in outcomes]
+        for *_, fixed, _ in patterns
+    ]
+    return LinearSystem(matrix, [mass for *_, mass in patterns], outcomes)
+
+
+SPARSE_CASES = {
+    "fig9": lambda: canonical_example("fig9"),
+    "fig10": lambda: canonical_example("fig10"),
+    "rank3-cycle": lambda: cyclic_system_from_correlations([F(9, 10), F(9, 10), F(-1, 10)]),
+    "ternary-triangle": lambda: contextual_triangle(3),
+}
+
+
+class TestSparseRows:
+    """The pattern-built rows and the shared ``(M | -M)`` against dense construction."""
+
+    @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+    def test_pattern_rows_match_dense_construction(self, name):
+        system = SPARSE_CASES[name]()
+        for build, rows in (
+            (build_associated_system, _constraint_rows),
+            (build_expanded_system, _expanded_rows),
+        ):
+            linear, dense = build(system), dense_system(system, rows)
+            assert linear.matrix == dense.matrix
+            assert linear.rhs == dense.rhs
+            assert linear.column_labels == dense.column_labels
+        linear = build_associated_system(system)
+        rebuilt = LinearSystem(linear.matrix, linear.rhs, linear.column_labels)
+        assert solve_feasibility(linear) == solve_feasibility(rebuilt)
+
+    @pytest.mark.parametrize(
+        "system", [canonical_example("fig9"), contextual_triangle(2)], ids=["fig9", "binary-triangle"]
+    )
+    def test_shared_negated_half_matches_dense_widening(self, system):
+        linear = build_associated_system(system)
+        shared = linear.widened()
+        dense = LinearSystem(tuple(row + tuple(-x for x in row) for row in linear.matrix), linear.rhs)
+        assert shared.matrix == dense.matrix
+        assert shared.cols == dense.cols == 2 * linear.cols
+        n = linear.cols
+        objective = (F(0),) * n + (F(1),) * n
+        got, want = minimize(shared, objective), minimize(dense, objective)
+        assert (got.value, got.solution, got.dual, got.pivots) == (
+            want.value, want.solution, want.dual, want.pivots
+        )

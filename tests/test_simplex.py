@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from contextuality.errors import (
     InfeasibleError,
     UnboundedError,
 )
+from contextuality.simplex import FeasibilityResult
 from conftest import rational_rank
 
 F = Fraction
@@ -130,6 +132,35 @@ class TestValidation:
     def test_column_labels_length_checked(self):
         with pytest.raises(DimensionMismatchError):
             LinearSystem(((1, 0),), (F(1),), ("a",))
+
+
+class TestSparseRows:
+    def test_dense_rows_become_groups_of_ascending_indices(self):
+        s = LinearSystem(((0, 2, F(1, 2), 2), (1, 0, 0, 0)), (F(1), F(0)), "abcd")
+        assert s.sparse_rows == (
+            ((2, array("i", [1, 3])), (HALF, array("i", [2]))),
+            ((1, array("i", [0])),),
+        )
+        assert s.matrix == ((0, 2, HALF, 2), (1, 0, 0, 0))
+        assert s.column(3) == [2, 0]
+        assert (s.rows, s.cols, s.column_labels) == (2, 4, tuple("abcd"))
+
+    def test_widened_shares_rows_and_negates_the_second_half(self):
+        s = LinearSystem(((0, 2, F(1, 2)),), (F(1),))
+        wide = s.widened()
+        assert wide.sparse_rows is s.sparse_rows
+        assert (wide.rows, wide.cols) == (1, 6)
+        assert wide.matrix == ((0, 2, HALF, 0, -2, -HALF),)
+        assert [wide.column(j) for j in range(6)] == [[0], [2], [HALF], [0], [-2], [-HALF]]
+
+    def test_widened_certificate_verifies(self):
+        # (A | -A) reaches only the range of A, which misses this rhs
+        wide = LinearSystem(((1, 1), (1, 1)), (F(1), F(2))).widened()
+        result = solve_feasibility(wide)
+        assert not result.feasible
+        assert result.verify(wide)
+        assert not FeasibilityResult("infeasible", None, (F(1), F(-1)), 0).verify(wide)
+        assert not FeasibilityResult("infeasible", None, (F(-1), F(0)), 0).verify(wide)
 
 
 def boolean_entry(rng):

@@ -9,9 +9,7 @@ feasibility of ``M Q = P`` with ``Q >= 0``.
 
 Every row of ``M``, and of the paper's expanded system ``M*``, is a 0/1
 indicator described by one pattern: the cells it fixes, their values, and
-the right-hand side.  One expander turns a sequence of patterns into sparse
-rows, whose column indices it computes from the outcome strides, so no dense
-row is ever built.  The rows of ``M`` are:
+the right-hand side.  The rows of ``M`` are:
 
 * one per (context, bunch value): the outcomes restricting to that value,
   with the bunch probability on the right-hand side;
@@ -21,6 +19,19 @@ row is ever built.  The rows of ``M`` are:
 Column order is lexicographic over the canonical cell order (contexts sorted
 by label, contents sorted within a context), value index ascending, first
 cell most significant.
+
+The patterns make an :class:`~.simplex.OutcomeSystem`, which prices columns
+by variable elimination over the cells in reverse canonical order and never
+lists the hidden outcomes, or a :class:`~.simplex.LinearSystem` of sparse
+rows written from the outcome strides, which prices by sums over all of
+them.  One elimination sums ``terms`` table entries, a count the plan gives
+from the shape alone (16n - 10 on a rank-n cycle, whose tables span at most
+three binary cells).  ``M`` is priced by elimination when
+``ELIMINATION_COST * terms`` is below the number of hidden outcomes, and
+written out otherwise.  The constant sits between the measured crossovers:
+explicit rows are faster on rank-4 cycles, at 4.7 outcomes per term, and
+elimination on rank-5 cycles and the ternary triangle, at 14.6-14.9.  The
+answers do not depend on the choice.
 
 Dropping nonnegativity, real-valued solutions always exist; minimizing their
 total variation ``sum |Q|`` (via the split ``Q = Q1 - Q2``) yields the
@@ -37,19 +48,20 @@ system it is also a Farkas certificate for the verdict.
 from __future__ import annotations
 
 import itertools
-import math
-from array import array
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .coupling import MaximalCouplingSpec, maximal_coupling_diagonal, maximal_coupling_full
 from .distribution import ONE, ZERO, Distribution, as_fraction
 from .errors import DimensionMismatchError, OutcomeSpaceTooLargeError, SolverError
-from .simplex import LinearSystem, minimize, solve_feasibility
+from .simplex import LinearSystem, OutcomeSystem, common_denominator, minimize, solve_feasibility
 from .systems import CCSystem, Connection
 
 DEFAULT_COLUMN_CAP = 1 << 20
+# Hidden outcomes per elimination term above which elimination prices faster.
+ELIMINATION_COST = 8
 
 
 @dataclass(frozen=True)
@@ -126,44 +138,23 @@ def _constraint_rows(
             yield "connection", {pos: l for pos in positions}, mass
 
 
-def _expand(
-    space: OutcomeSpace, patterns: Iterable[tuple[Mapping[int, int], Fraction]]
-) -> LinearSystem:
-    """The 0/1 system whose rows are the ``(fixed cells, rhs)`` patterns.
-
-    A row marks, with 1, every outcome of ``space`` that takes each fixed
-    cell's value; the empty pattern marks every outcome.  Its column indices
-    come from the outcome strides: the fixed cells give a base index, each
-    free cell before the last fixed one multiplies the starts, and the free
-    cells after it make each start a run of consecutive indices.
-    """
-    strides = [1] * len(space.sizes)
-    for pos in range(len(space.sizes) - 1, 0, -1):
-        strides[pos - 1] = strides[pos] * space.sizes[pos]
-    rows: list[tuple[tuple[int, array], ...]] = []
-    rhs: list[Fraction] = []
-    for fixed, mass in patterns:
-        last = max(fixed, default=-1)
-        starts = [sum(strides[pos] * value for pos, value in fixed.items())]
-        for pos in range(last):
-            if pos not in fixed:
-                stride = strides[pos]
-                starts = [i + d * stride for i in starts for d in range(space.sizes[pos])]
-        run = strides[last] if fixed else space.size
-        indices = array("i")
-        for i in starts:
-            indices.extend(range(i, i + run))
-        rows.append(((1, indices),))
-        rhs.append(mass)
-    return LinearSystem.from_sparse(rows, rhs, space.size, tuple(space.outcomes()))
-
-
 def build_associated_system(
     system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP
-) -> LinearSystem:
-    """The Boolean system ``M Q = P`` whose nonnegative solvability is noncontextuality."""
+) -> LinearSystem | OutcomeSystem:
+    """The Boolean system ``M Q = P`` whose nonnegative solvability is noncontextuality.
+
+    It is an :class:`OutcomeSystem` when one elimination over its cells sums
+    fewer than one table entry per ``ELIMINATION_COST`` hidden outcomes, else
+    the same rows written out as a :class:`LinearSystem`.
+    """
     space = outcome_space(system, max_columns)
-    return _expand(space, ((fixed, mass) for _, fixed, mass in _constraint_rows(system, space)))
+    linear = OutcomeSystem(
+        space.sizes, ((fixed, mass) for _, fixed, mass in _constraint_rows(system, space))
+    )
+    # terms >= sum(sizes), as each step's table spans its own cell, so most
+    # small spaces are decided before the plan is made
+    bound = linear.width / ELIMINATION_COST
+    return linear if sum(space.sizes) < bound and linear.terms < bound else linear.explicit
 
 
 @dataclass(frozen=True)
@@ -187,15 +178,20 @@ def decide_contextuality(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP
     return _decide(system, build_associated_system(system, max_columns))
 
 
-def _decide(system: CCSystem, linear: LinearSystem) -> Verdict:
-    """The verdict on ``system`` from the feasibility of its associated system ``linear``."""
+def _decide(system: CCSystem, linear: LinearSystem | OutcomeSystem) -> Verdict:
+    """The verdict on ``system`` from the feasibility of its associated system ``linear``.
+
+    The witness is substituted back into ``linear`` first: a coupling over
+    its support, a certificate through ``best``.  A failure raises
+    :class:`SolverError`.
+    """
     result = solve_feasibility(linear)
+    if not result.verify(linear):
+        raise SolverError(
+            f"internal inconsistency: the {result.status} verdict's witness fails substitution"
+        )
     if result.feasible:
-        masses = {
-            outcome: mass
-            for outcome, mass in zip(linear.column_labels, result.solution)
-            if mass
-        }
+        masses = {linear.label(j): mass for j, mass in enumerate(result.solution) if mass}
         coupling = Distribution(_cell_sizes(system), masses)
         return Verdict(False, coupling, None, result.pivots)
     return Verdict(True, None, result.certificate, result.pivots)
@@ -253,7 +249,7 @@ def build_expanded_system(
     criterion 6 checks its 9x16 shape and rank 9 on the ``fig9`` system.
     """
     space = outcome_space(system, max_columns)
-    return _expand(space, _expanded_rows(system, space))
+    return OutcomeSystem(space.sizes, _expanded_rows(system, space)).explicit
 
 
 @dataclass(frozen=True)
@@ -322,8 +318,8 @@ def contextuality_measure(
     if verdict.contextual:
         n = linear.cols
         result = minimize(linear.widened(), (ZERO,) * n + (ONE,) * n)
-        halves = zip(linear.column_labels, result.solution, result.solution[n:])
-        masses = {outcome: q1 - q2 for outcome, q1, q2 in halves if q1 != q2}
+        q = result.solution
+        masses = {linear.label(j): q[j] - q[n + j] for j in range(n) if q[j] != q[n + j]}
         value, dual, pivots = result.value, result.dual, result.pivots
     else:
         masses = verdict.coupling.masses
@@ -340,17 +336,19 @@ def contextuality_measure(
     )
 
 
-def _check_dual(linear: LinearSystem, dual: Sequence[Fraction], value: Fraction) -> None:
+def _check_dual(
+    linear: LinearSystem | OutcomeSystem, dual: Sequence[Fraction], value: Fraction
+) -> None:
     """Raise :class:`SolverError` unless ``-1 <= M^T y <= 0`` and ``y . P == value``.
 
-    ``y`` is scaled to integers over its common denominator, so the
-    substitution adds integers over the sparse rows of ``M``.
+    ``y`` is scaled to integers over its common denominator, and the extremes
+    of ``M^T y`` are the system's :meth:`best` of ``y`` and of ``-y``.
     """
-    scale = math.lcm(*(y.denominator for y in dual))
-    combined = linear.combine([y.numerator * (scale // y.denominator) for y in dual])
-    if not all(-scale <= c <= 0 for c in combined):
+    weights, scale = common_denominator(dual)
+    if linear.best(weights)[0] > 0 or linear.best([-w for w in weights])[0] > scale:
         raise SolverError("internal inconsistency: the measure's dual violates -1 <= M^T y <= 0")
-    bound = sum((y * b for y, b in zip(dual, linear.rhs)), ZERO)
+    rhs, rhs_scale = common_denominator(linear.rhs)
+    bound = Fraction(sum(map(operator.mul, weights, rhs)), scale * rhs_scale)
     if bound != value:
         raise SolverError(f"internal inconsistency: the measure's dual bound {bound} != {value}")
 
@@ -408,16 +406,14 @@ def verify_quasi_coupling(
         )
     ]
 
-    def restricted_sum(fixed: Mapping[int, int]) -> Fraction:
-        acc = ZERO
-        for outcome, mass in masses.items():
-            if all(outcome[pos] == value for pos, value in fixed.items()):
-                acc += mass
-        return acc
-
+    rows = list(_constraint_rows(system, space))
+    linear = OutcomeSystem(space.sizes, ((fixed, want) for _, fixed, want in rows))
+    sums = [ZERO] * len(rows)
+    for outcome, mass in masses.items():
+        for i in linear.rows_hit(outcome):
+            sums[i] += mass
     violations: dict[str, list[str]] = {"bunch": [], "connection": []}
-    for kind, fixed, want in _constraint_rows(system, space):
-        got = restricted_sum(fixed)
+    for (kind, fixed, want), got in zip(rows, sums):
         if got == want:
             continue
         first = next(iter(fixed))

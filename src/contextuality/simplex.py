@@ -18,17 +18,37 @@ integer-scaled starting matrix it keeps only ``det * B^-1`` and
 integer-preserving (Bareiss/Edmonds) elimination.  Each kept entry is, up to
 sign, a minor of the starting matrix (Cramer's rule), so every pivot divides
 exactly (Sylvester's identity); nothing is reduced, and ``Fraction`` is only
-in inputs and read-outs.  The reduced costs are priced once per phase; each
-pivot then updates them as the dense tableau updated its cost row, from the
-leaving row of ``det * B^-1`` scattered over the constraint rows where it is
-nonzero.  That division is exact too, because the result is again the
-tableau's integer cost row.  The measure's ``(A | -A)`` stores ``A`` once:
-the negated half is priced from the same scatter with the opposite sign and
-enters as the negated column of its partner.
+in inputs and read-outs.
+
+A system comes in one of two kinds, which differ only in how columns are
+priced.  A :class:`LinearSystem` holds explicit sparse rows; its reduced
+costs are priced once per phase and each pivot updates them as the dense
+tableau updated its cost row, from the leaving row of ``det * B^-1``
+scattered over the constraint rows where it is nonzero.  An
+:class:`OutcomeSystem` holds only the ``(fixed cells, rhs)`` patterns of
+0/1 rows over a product of cells, so its columns, one per assignment of
+values to the cells, are never listed.  Pricing one asks which column
+maximizes ``w . A_j``, a max-sum over the cells that variable elimination
+answers exactly: the cells are eliminated last first, each step summing the
+tables that hold its cell and keeping that sum, and a forward walk over the
+cells then picks, at each cell, the lowest value whose exact max-completion
+bound clears a threshold, which ends on the lowest column that clears it.
+The solver keeps only the price vector ``pi`` for this kind and updates it
+on a pivot as ``(a * pi + f * rho) // det``, with ``rho`` the leaving row of
+``det * B^-1``, ``a`` the pivot and ``f`` the entering reduced cost.  The
+reduced costs ``det * C - pi . X0`` update to ``(a * cost - f * rho . X0) /
+det``, which is ``a * C`` less that new ``pi`` times ``X0`` with ``a`` the
+new ``det``, and that ``pi`` is again the integer ``C_B . det * B^-1``, so
+the division is exact.  Both kinds take the same pivots to the same answers.
+The measure's ``(A | -A)`` stores ``A`` once in either kind: the negated
+half is priced from the same sums with the opposite sign and enters as the
+negated column of its partner.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 import operator
 from array import array
@@ -36,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .distribution import ZERO, as_fraction
 from .errors import (
@@ -53,6 +73,12 @@ INFEASIBLE = "infeasible"
 def _exact(x):
     """Pass ints through untouched; coerce everything else via as_fraction."""
     return x if type(x) is int else as_fraction(x)
+
+
+def common_denominator(values: Sequence) -> tuple[list[int], int]:
+    """Exact ``values`` as integer numerators over their least common denominator."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 class LinearSystem:
@@ -159,9 +185,15 @@ class LinearSystem:
             column.append(entry)
         return column
 
-    def combine(self, weights: Sequence) -> list:
-        """``weights . A`` over the ``width`` columns of ``A``."""
-        return _scatter(weights, self.sparse_rows, [0] * self.width)
+    def label(self, j: int):
+        """The label of column ``j`` of ``A``."""
+        return self.column_labels[j]
+
+    def best(self, weights: Sequence) -> tuple:
+        """``(max_j weights . A_j, the lowest j attaining it)`` over the columns of ``A``."""
+        combined = _scatter(weights, self.sparse_rows, [0] * self.width)
+        top = max(combined)
+        return top, combined.index(top)
 
 
 def _scatter(weights: Sequence, sparse_rows: Sequence, out: list) -> list:
@@ -173,6 +205,185 @@ def _scatter(weights: Sequence, sparse_rows: Sequence, out: list) -> list:
                 for j in indices:
                     out[j] += v
     return out
+
+
+class OutcomeSystem:
+    """A 0/1 system ``A Q = rhs`` kept as its ``(fixed cells, rhs)`` patterns.
+
+    Column ``j`` assigns a value to every cell (of sizes ``sizes``),
+    lexicographically with the first cell most significant, and row ``i``
+    marks the columns that give each fixed cell of pattern ``i`` its value.
+    Rows fixing the same cells, a *scope*, share one table: each row is a
+    key ``(scope, entry)``.  ``negated`` and :meth:`widened` are as for
+    :class:`LinearSystem`.  :meth:`best` and :meth:`first_above` ask the
+    columns by variable elimination (see the module docstring).
+    """
+
+    def __init__(self, sizes: Sequence[int], patterns: Iterable, negated: bool = False):
+        self.sizes = sizes = tuple(sizes)
+        self.width = math.prod(sizes)
+        self.strides = tuple(math.prod(sizes[p + 1 :]) for p in range(len(sizes)))
+        self.patterns, self.rhs = zip(*patterns)
+        self.negated = negated
+
+    @cached_property
+    def _keys(self) -> tuple[list, list]:
+        """Each scope with its cells' strides in its table, and each row's ``(scope, entry)``."""
+        scopes: dict = {}
+        keys = []
+        for fixed in self.patterns:
+            scope = tuple(sorted(fixed))
+            if scope not in scopes:
+                scopes[scope] = len(scopes), _table_strides(self.sizes, scope)
+            f, strides = scopes[scope]
+            keys.append((f, sum(fixed[c] * s for c, s in strides)))
+        return [(scope, strides) for scope, (_, strides) in scopes.items()], keys
+
+    def widened(self) -> OutcomeSystem:
+        """``(A | -A)``, sharing this system's patterns and elimination plan."""
+        wide = copy.copy(self)
+        wide.negated = True
+        wide.__dict__.pop("explicit", None)
+        return wide
+
+    rows = property(lambda self: len(self.patterns))
+    cols = property(lambda self: 2 * self.width if self.negated else self.width)
+    matrix = property(lambda self: self.explicit.matrix)
+
+    @cached_property
+    def explicit(self) -> LinearSystem:
+        """The same rows as a :class:`LinearSystem`, each index array written from the strides.
+
+        The fixed cells give a base index, each free cell before the last
+        fixed one multiplies the starts, and the free cells after it make
+        each start a run of consecutive indices.
+        """
+        rows = []
+        for fixed in self.patterns:
+            last = max(fixed, default=-1)
+            starts = [sum(self.strides[pos] * value for pos, value in fixed.items())]
+            for pos in range(last):
+                if pos not in fixed:
+                    starts = [i + d * self.strides[pos] for i in starts for d in range(self.sizes[pos])]
+            run = self.strides[last] if fixed else self.width
+            indices = array("i")
+            for i in starts:
+                indices.extend(range(i, i + run))
+            rows.append(((1, indices),))
+        return LinearSystem.from_sparse(rows, self.rhs, self.width, self.column_labels, self.negated)
+
+    @cached_property
+    def column_labels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(itertools.product(*map(range, self.sizes)))
+
+    def label(self, j: int) -> tuple[int, ...]:
+        """Column ``j`` of ``A`` decoded through the strides: the value of each cell."""
+        return tuple(j // stride % size for size, stride in zip(self.sizes, self.strides))
+
+    def rows_hit(self, values: Sequence[int]) -> list[int]:
+        """The rows that mark the column giving the cells ``values``."""
+        scopes, keys = self._keys
+        at = [sum(values[c] * s for c, s in strides) for _, strides in scopes]
+        return [i for i, (scope, entry) in enumerate(keys) if at[scope] == entry]
+
+    def column(self, j: int) -> list[int]:
+        """Column ``j`` as one coefficient per row, from the rows its decoded values hit."""
+        sign = -1 if j >= self.width else 1
+        column = [0] * self.rows
+        for i in self.rows_hit(self.label(j % self.width)):
+            column[i] = sign
+        return column
+
+    @cached_property
+    def _steps(self) -> tuple[list, list[int]]:
+        """Per cell, last first: the cell, its table's cells and the factors it sums.
+
+        Factors are the scopes, then one per step: its max over the cell.
+        Those left at the end fix no cell and add a constant.
+        """
+        scopes = self._keys[0]
+        pool = {f: set(scope) for f, (scope, _) in enumerate(scopes)}
+        steps = []
+        for p in reversed(range(len(self.sizes))):
+            gathered = [f for f, cells in pool.items() if p in cells]
+            cells = {p}.union(*map(pool.pop, gathered))
+            pool[len(scopes) + len(steps)] = cells - {p}
+            steps.append((p, tuple(sorted(cells)), gathered))
+        return steps, list(pool)
+
+    @property
+    def terms(self) -> int:
+        """The entries one elimination sums: the sizes of the step tables."""
+        return sum(math.prod(self.sizes[c] for c in cells) for _, cells, _ in self._steps[0])
+
+    @cached_property
+    def _program(self) -> tuple[list[int], list]:
+        """The scopes' table sizes, and per step the cell, its size, its table's
+        size, each factor it sums with an index map, and the walk's strides.
+
+        An index map gives each entry of the step's table the factor's entry
+        read there; it is None when the factor's cells are the table's own.
+        """
+        sizes = self.sizes
+        scopes = [scope for scope, _ in self._keys[0]] + [cells[:-1] for _, cells, _ in self._steps[0]]
+        program = []
+        for p, cells, gathered in self._steps[0]:
+            maps = []
+            for f in gathered:
+                at = dict(_table_strides(sizes, scopes[f]))
+                weights = [at.get(c, 0) for c in cells]
+                values = itertools.product(*(range(sizes[c]) for c in cells))
+                index = [sum(map(operator.mul, v, weights)) for v in values]
+                maps.append((f, None if scopes[f] == cells else index))
+            size = math.prod(sizes[c] for c in cells)
+            program.append((p, sizes[p], size, maps, _table_strides(sizes, cells)[:-1]))
+        return [math.prod(sizes[c] for c in scope) for scope, _ in self._keys[0]], program
+
+    def _eliminate(self, weights: Sequence[int]) -> tuple[list[list[int]], int]:
+        """Each step's summed table and ``max_j weights . A_j``, for integer ``weights``."""
+        table_sizes, program = self._program
+        tables = [[0] * size for size in table_sizes]
+        for w, (scope, entry) in zip(weights, self._keys[1]):
+            if w:
+                tables[scope][entry] += w
+        sums = []
+        for _, k, size, maps, _ in program:
+            total = [0] * size
+            for f, index in maps:
+                table = tables[f] if index is None else map(tables[f].__getitem__, index)
+                total = list(map(operator.add, total, table))
+            sums.append(total)
+            tables.append(total if k == 1 else list(map(max, *(total[v::k] for v in range(k)))))
+        return sums, sum(tables[f][0] for f in self._steps[1])
+
+    def _walk(self, sums: list[list[int]], top: int, threshold: int) -> tuple[int, int] | None:
+        """The lowest column whose value exceeds ``threshold``, with that value."""
+        if top <= threshold:
+            return None
+        values = [0] * len(self.sizes)
+        bound = top
+        for (p, k, _, _, strides), total in zip(reversed(self._program[1]), reversed(sums)):
+            base = sum(values[c] * s for c, s in strides)
+            entries = total[base : base + k]
+            peak = max(entries)
+            values[p] = next(v for v, x in enumerate(entries) if bound - peak + x > threshold)
+            bound += entries[values[p]] - peak
+        return bound, sum(map(operator.mul, values, self.strides))
+
+    def best(self, weights: Sequence[int]) -> tuple[int, int]:
+        """``(max_j weights . A_j, the lowest j attaining it)`` over the columns of ``A``."""
+        sums, top = self._eliminate(weights)
+        return self._walk(sums, top, top - 1)
+
+    def first_above(self, weights: Sequence[int], threshold: int) -> int | None:
+        """The lowest ``j`` with ``weights . A_j > threshold``, or None."""
+        found = self._walk(*self._eliminate(weights), threshold)
+        return found and found[1]
+
+
+def _table_strides(sizes: Sequence[int], cells: Sequence[int]) -> list[tuple[int, int]]:
+    """Each of ``cells`` with its stride in a table over them, the last least significant."""
+    return [(c, math.prod(sizes[d] for d in cells[i + 1 :])) for i, c in enumerate(cells)]
 
 
 @dataclass(frozen=True)
@@ -192,36 +403,36 @@ class FeasibilityResult:
     def feasible(self) -> bool:
         return self.status == FEASIBLE
 
-    def verify(self, system: LinearSystem) -> bool:
+    def verify(self, system: LinearSystem | OutcomeSystem) -> bool:
         """Re-check the witness against the system by exact substitution.
 
-        A vertex solution is substituted column by column over its support.
-        A certificate is scaled to integers over its common denominator and
-        combined over the sparse rows, so every added entry is a nonzero one.
+        Both are scaled to integers over their common denominators first.  A
+        vertex solution is substituted column by column over its support.
+        For a certificate, ``y^T M <= 0`` is read from the largest
+        ``y . M_j`` that the system's :meth:`best` finds (on ``-y`` too for a
+        negated half).
         """
         if self.feasible:
             q = self.solution
             if q is None or len(q) != system.cols:
                 return False
             support = [j for j, x in enumerate(q) if x]
-            if any(q[j] < 0 for j in support):
+            masses, scale = common_denominator([q[j] for j in support])
+            if any(x < 0 for x in masses):
                 return False
-            lhs = [ZERO] * system.rows
-            for j in support:
+            lhs = [0] * system.rows
+            for j, x in zip(support, masses):
                 for i, a in enumerate(system.column(j)):
                     if a:
-                        lhs[i] += a * q[j]
-            return lhs == list(system.rhs)
+                        lhs[i] += a * x
+            return all(v * b.denominator == b.numerator * scale for v, b in zip(lhs, system.rhs))
         y = self.certificate
         if y is None or len(y) != system.rows:
             return False
-        scale = math.lcm(*(v.denominator for v in y))
-        combined = system.combine([v.numerator * (scale // v.denominator) for v in y])
-        if system.negated:
-            combined += [-x for x in combined]
-        if any(entry > 0 for entry in combined):
+        weights = common_denominator(y)[0]
+        if system.best(weights)[0] > 0 or system.negated and system.best([-w for w in weights])[0] > 0:
             return False
-        return sum(map(operator.mul, y, system.rhs)) > 0
+        return sum(map(operator.mul, weights, common_denominator(system.rhs)[0])) > 0
 
 
 @dataclass(frozen=True)
@@ -245,19 +456,16 @@ class _Revised:
     The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
     that ``b >= 0``; the structural block is scaled by ``structural_scale``
     and the rhs by ``rhs_scale``, the least integers that make both integral.
-    ``sparse`` holds each row of ``A`` as ``(coefficient, column indices)``
-    groups, sharing the system's index arrays.  For a widened system
-    ``(A | -A)`` it holds only ``A``: the ``width`` columns of the negated
-    half are priced from the same scatter with the opposite sign, and each
-    enters as the negated column of its partner.  ``inverse`` holds
-    ``det * B^-1`` with ``det * B^-1 b`` as a last column: the artificial
-    block and rhs of the dense tableau ``det * B^-1 X0``.  Costs ``C``
-    (``weights``, over ``cost_scale``; unit on the artificials in phase 1,
-    the objective on the structural columns after :meth:`price`) give the
-    reduced costs ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``.
-    They are priced from ``pi`` once per phase and then updated on each pivot
-    from the leaving row ``rho`` of ``det * B^-1`` alone, as the dense
-    tableau's cost row was (Chvatal, *Linear Programming*, ch. 7-8).
+    ``inverse`` holds ``det * B^-1`` with ``det * B^-1 b`` as a last column:
+    the artificial block and rhs of the dense tableau ``det * B^-1 X0``.
+    Costs ``C`` (``weights``, over ``cost_scale``; unit on the artificials in
+    phase 1, the objective on the structural columns after :meth:`price`)
+    give the reduced costs ``det * C_j - pi . X0_j`` with
+    ``pi = C_B . det * B^-1``.  How they are priced and kept across pivots
+    depends on the kind of system: ``pricing`` is a :class:`_CostRow` for a
+    :class:`LinearSystem` and a :class:`_PriceVector` for an
+    :class:`OutcomeSystem`.  For a widened system ``(A | -A)`` each column
+    of the negated half enters as the negated column of its partner.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -265,25 +473,21 @@ class _Revised:
     # the counter resets whenever the objective strictly improves.
     STALL_LIMIT = 24
 
-    def __init__(self, system: LinearSystem):
+    def __init__(self, system: LinearSystem | OutcomeSystem):
         self.n = n = system.cols
         self.width = system.width
         self.negated = system.negated
         self.system = system
         m = system.rows
+        explicit = isinstance(system, LinearSystem)
         self.structural_scale = math.lcm(
             *{x.denominator for groups in system.sparse_rows for x, _ in groups}
-        )
-        rhs_scale = self.rhs_scale = math.lcm(*(b.denominator for b in system.rhs))
-        self.flips = [1 if b >= 0 else -1 for b in system.rhs]
+        ) if explicit else 1
+        rhs, self.rhs_scale = common_denominator(system.rhs)
+        self.flips = [1 if b >= 0 else -1 for b in rhs]
         self.scales = [sign * self.structural_scale for sign in self.flips]
-        self.sparse = [
-            [(int(x * scale), indices) for x, indices in groups]
-            for groups, scale in zip(system.sparse_rows, self.scales)
-        ]
         self.inverse = [
-            [0] * i + [1] + [0] * (m - 1 - i) + [sign * b.numerator * (rhs_scale // b.denominator)]
-            for i, (b, sign) in enumerate(zip(system.rhs, self.flips))
+            [0] * i + [1] + [0] * (m - 1 - i) + [abs(b)] for i, b in enumerate(rhs)
         ]
         self.basis = [n + i for i in range(m)]
         self.dropped: list[int] = []  # original rows dropped as redundant
@@ -293,6 +497,7 @@ class _Revised:
         self.cost_scale = 1
         self.pivots = 0
         self.pivot_cap = math.comb(m + n + m, m)
+        self.pricing = (_CostRow if explicit else _PriceVector)(self)
 
     def price(self, objective: Sequence[Fraction]) -> None:
         """Make ``objective``, scaled by ``cost_scale`` and ``structural_scale``, the costs."""
@@ -303,15 +508,6 @@ class _Revised:
         """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
         costs = [self.weights[var] for var in self.basis]
         return [sum(map(operator.mul, costs, column)) for column in zip(*self.inverse)]
-
-    def _costs(self) -> list[int]:
-        """The reduced costs ``det * C_j - pi . X0_j``, with the artificials' last in phase 1."""
-        pi, det, w = self._prices(), self.det, self.weights
-        s = _scatter(pi, self.sparse, [0] * self.width)
-        cost = [det * c - x for c, x in zip(w, s)]
-        if self.negated:
-            cost += [det * c + x for c, x in zip(w[self.width :], s)]
-        return cost + [det * c - p for c, p in zip(w[self.n :], pi)]
 
     def _column(self, q: int) -> list[int]:
         """The entering column ``det * B^-1 X0_q``, summed over the nonzeros of ``X0_q``."""
@@ -352,22 +548,6 @@ class _Revised:
         self.det = a
         self.basis[prow] = pcol
 
-    def _entering(self, cost: list[int], bland: bool) -> int | None:
-        """Bland's lowest-index negative cost, or the most negative (lowest index on ties).
-
-        Dantzig's rule weighs the artificials by ``structural_scale``, which
-        scales only the structural columns, to compare true reduced costs.
-        """
-        if bland:
-            return next((j for j, c in enumerate(cost) if c < 0), None)
-        best_col = min(range(self.n), key=cost.__getitem__)
-        best = cost[best_col]
-        if len(cost) > self.n:
-            art = min(range(self.n, len(cost)), key=cost.__getitem__)
-            if cost[art] * self.structural_scale < best:
-                best_col, best = art, cost[art]
-        return best_col if best < 0 else None
-
     def _leaving(self, column: list[int]) -> int | None:
         """Ratio test on ``column``; ties resolved by least basic variable (Bland)."""
         best = None
@@ -383,33 +563,24 @@ class _Revised:
     def _run(self) -> bool:
         """Pivot to optimality of the current costs; False if unbounded.
 
-        The cost row is a row of the dense tableau, so a pivot on ``a`` with
-        entering cost ``f`` makes it ``(a * cost - f * rho . X0) / det``, and
-        the division is exact because the result is again that tableau's
-        integer cost row (Sylvester's identity).  ``rho . X0`` is a scatter
-        over the nonzeros of ``rho`` only: ``rho . A`` on the structural
-        columns, its negation on a negated half, ``rho`` on the artificials.
-        When ``a == det``, a cost whose ``rho . X0`` entry is zero is unchanged.
+        Each pivot hands the pricing its leaving row ``rho`` of
+        ``det * B^-1``, the pivot ``a`` and the entering reduced cost ``f``
+        before ``det * B^-1`` moves on.
         """
         stalled = 0
-        cost = self._costs()
+        pricing = self.pricing
+        pricing.price()
         while True:
-            col = self._entering(cost, stalled >= self.STALL_LIMIT)
-            if col is None:
+            entering = pricing.entering(stalled >= self.STALL_LIMIT)
+            if entering is None:
                 return True
+            col, f = entering
             column = self._column(col)
             row = self._leaving(column)
             if row is None:
                 return False
-            pivot, a, f, det = self.inverse[row], column[row], cost[col], self.det
-            s = _scatter(pivot, self.sparse, [0] * self.width)
-            if self.negated:
-                s += [-x for x in s]
-            s += pivot[: len(cost) - self.n]
-            if a == det:
-                cost = [x - f * y // det if y else x for x, y in zip(cost, s)]
-            else:
-                cost = [(a * x - f * y) // det if y else a * x // det for x, y in zip(cost, s)]
+            pivot = self.inverse[row]
+            pricing.update(pivot, column[row], f)
             stalled = stalled + 1 if pivot[-1] == 0 else 0
             self._pivot(row, column, col)
 
@@ -431,19 +602,18 @@ class _Revised:
     def drop_artificials(self) -> None:
         """Pivot remaining artificials out of the basis; drop redundant rows.
 
-        A basic artificial's tableau row ``det * B^-1 A`` is one scatter; on a
-        negated half it is the negation, so its first nonzero is in ``A``.  If
-        it is zero, no later pivot reads it and ``det`` stays valid for the
-        rows that remain; its artificial names an original row that the kept
-        rows span, recorded in ``dropped``.
+        A basic artificial's tableau row is ``rho . X0`` for its row ``rho``
+        of ``det * B^-1``; on a negated half it is the negation, so its first
+        nonzero is in ``A``.  If it is zero, no later pivot reads it and
+        ``det`` stays valid for the rows that remain; its artificial names an
+        original row that the kept rows span, recorded in ``dropped``.
         """
         i = 0
         while i < len(self.inverse):
             if self.basis[i] < self.n:
                 i += 1
                 continue
-            row = _scatter(self.inverse[i], self.sparse, [0] * self.width)
-            col = next((j for j, x in enumerate(row) if x), None)
+            col = self.pricing.first_nonzero(self.inverse[i])
             if col is None:
                 self.dropped.append(self.basis[i] - self.n)
                 del self.inverse[i], self.basis[i]
@@ -451,7 +621,9 @@ class _Revised:
                 self._pivot(i, self._column(col), col)
                 i += 1
 
-    def dual(self, system: LinearSystem, objective: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def dual(
+        self, system: LinearSystem | OutcomeSystem, objective: Sequence[Fraction]
+    ) -> tuple[Fraction, ...]:
         """The basis's dual ``y``: ``B^T y = c_B`` over the original rows.
 
         Called after :meth:`drop_artificials`, when every basic variable is
@@ -471,6 +643,131 @@ class _Revised:
         return tuple(y)
 
 
+class _CostRow:
+    """Pricing over explicit sparse rows: every reduced cost, kept across pivots.
+
+    ``sparse`` holds each row of ``A`` as ``(coefficient, column indices)``
+    groups scaled to the sign-fixed integer rows of ``X0``, sharing the
+    system's index arrays; a widened system's negated half is priced from
+    the same scatter with the opposite sign.  The reduced costs are priced
+    from ``pi`` once per phase and then updated on each pivot from the
+    leaving row ``rho`` of ``det * B^-1`` alone, as the dense tableau's cost
+    row was (Chvatal, *Linear Programming*, ch. 7-8): a pivot on ``a`` with
+    entering cost ``f`` makes it ``(a * cost - f * rho . X0) / det``, exact
+    because the result is again that tableau's integer cost row (Sylvester's
+    identity).  ``rho . X0`` is a scatter over the nonzeros of ``rho`` only:
+    ``rho . A`` on the structural columns, its negation on a negated half,
+    ``rho`` on the artificials.  When ``a == det``, a cost whose
+    ``rho . X0`` entry is zero is unchanged.
+    """
+
+    def __init__(self, lp: _Revised):
+        self.lp = lp
+        self.sparse = [
+            [(int(x * scale), indices) for x, indices in groups]
+            for groups, scale in zip(lp.system.sparse_rows, lp.scales)
+        ]
+
+    def price(self) -> None:
+        """The reduced costs ``det * C_j - pi . X0_j``, with the artificials' last in phase 1."""
+        lp = self.lp
+        pi, det, w = lp._prices(), lp.det, lp.weights
+        s = _scatter(pi, self.sparse, [0] * lp.width)
+        cost = [det * c - x for c, x in zip(w, s)]
+        if lp.negated:
+            cost += [det * c + x for c, x in zip(w[lp.width :], s)]
+        self.cost = cost + [det * c - p for c, p in zip(w[lp.n :], pi)]
+
+    def entering(self, bland: bool) -> tuple[int, int] | None:
+        """Bland's lowest-index negative cost, or the most negative (lowest index on ties).
+
+        Dantzig's rule weighs the artificials by ``structural_scale``, which
+        scales only the structural columns, to compare true reduced costs.
+        """
+        cost, n = self.cost, self.lp.n
+        if bland:
+            col = next((j for j, c in enumerate(cost) if c < 0), None)
+            return None if col is None else (col, cost[col])
+        best_col = min(range(n), key=cost.__getitem__)
+        best = cost[best_col]
+        if len(cost) > n:
+            art = min(range(n, len(cost)), key=cost.__getitem__)
+            if cost[art] * self.lp.structural_scale < best:
+                best_col, best = art, cost[art]
+        return (best_col, best) if best < 0 else None
+
+    def update(self, rho: list[int], a: int, f: int) -> None:
+        lp = self.lp
+        det, cost = lp.det, self.cost
+        s = _scatter(rho, self.sparse, [0] * lp.width)
+        if lp.negated:
+            s += [-x for x in s]
+        s += rho[: len(cost) - lp.n]
+        if a == det:
+            self.cost = [x - f * y // det if y else x for x, y in zip(cost, s)]
+        else:
+            self.cost = [(a * x - f * y) // det if y else a * x // det for x, y in zip(cost, s)]
+
+    def first_nonzero(self, rho: list[int]) -> int | None:
+        """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
+        row = _scatter(rho, self.sparse, [0] * self.lp.width)
+        return next((j for j, x in enumerate(row) if x), None)
+
+
+class _PriceVector:
+    """Pricing over an :class:`OutcomeSystem`: only ``pi`` is kept, and the columns are asked.
+
+    The costs are constant on each half, ``c``; the structural reduced costs
+    are ``det * c - w . A_j`` with ``w = pi * flips`` (``-w`` on a negated
+    half), as ``structural_scale`` is 1.  Dantzig's column is ``best(w)``
+    and Bland's ``first_above(w, det * c)``.  On a pivot ``pi`` becomes
+    ``(a * pi + f * rho) // det``, exactly (see the module docstring).
+    """
+
+    def __init__(self, lp: _Revised):
+        self.lp = lp
+
+    def price(self) -> None:
+        lp = self.lp
+        halves = [lp.weights[h : h + lp.width] for h in range(0, lp.n, lp.width)]
+        if any(half.count(half[0]) != lp.width for half in halves):
+            raise DimensionMismatchError("an outcome-space system needs one cost per half")
+        self.costs = [half[0] for half in halves]
+        self.pi = lp._prices()[:-1]
+
+    def entering(self, bland: bool) -> tuple[int, int] | None:
+        lp = self.lp
+        system, u = lp.system, list(map(operator.mul, self.pi, lp.flips))
+        halves = [(0, lp.det * self.costs[0], u)]
+        if lp.negated:
+            halves.append((lp.width, lp.det * self.costs[1], [-x for x in u]))
+        artificials = [lp.det * c - p for c, p in zip(lp.weights[lp.n :], self.pi)]
+        if bland:
+            for offset, c, w in halves:
+                j = system.first_above(w, c)
+                if j is not None:
+                    return offset + j, c - sum(w[i] for i in system.rows_hit(system.label(j)))
+            i = next((i for i, x in enumerate(artificials) if x < 0), None)
+            return None if i is None else (lp.n + i, artificials[i])
+        best = None
+        for offset, c, w in halves:
+            top, j = system.best(w)
+            if best is None or c - top < best[1]:
+                best = offset + j, c - top
+        if artificials and min(artificials) < best[1]:
+            best = lp.n + artificials.index(min(artificials)), min(artificials)
+        return best if best[1] < 0 else None
+
+    def update(self, rho: list[int], a: int, f: int) -> None:
+        self.pi = [(a * p + f * r) // self.lp.det for p, r in zip(self.pi, rho)]
+
+    def first_nonzero(self, rho: list[int]) -> int | None:
+        """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
+        u = list(map(operator.mul, rho, self.lp.flips))
+        found = (self.lp.system.first_above(w, 0) for w in (u, [-x for x in u]))
+        return min((j for j in found if j is not None), default=None)
+
+
 def _solve_square(equations: Sequence[tuple[Sequence, Fraction]]) -> list[Fraction]:
     """The solution of a nonsingular square system of ``(coefficients, rhs)`` equations.
 
@@ -480,9 +777,7 @@ def _solve_square(equations: Sequence[tuple[Sequence, Fraction]]) -> list[Fracti
     """
     rows = []
     for coefficients, rhs in equations:
-        entries = (*coefficients, rhs)
-        scale = math.lcm(*(x.denominator for x in entries))
-        rows.append([x.numerator * (scale // x.denominator) for x in entries])
+        rows.append(common_denominator((*coefficients, rhs))[0])
     det = 1
     for k in range(len(rows)):
         p = next(i for i in range(k, len(rows)) if rows[i][k])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contextuality import canonical_example, parse_system, rank2_family, serialize_system
+from contextuality.distribution import ZERO
 from contextuality.cli import main
 
 F = Fraction
@@ -129,6 +130,35 @@ class TestAnalyze:
         else:
             assert report["measure"]["witness"] == report["verdict"]["witness"]["masses"]
             assert "dual" not in report["measure"]
+
+    @pytest.mark.parametrize("measure", [False, True])
+    @pytest.mark.parametrize(
+        "system", [canonical_example("fig9"), rank2_family(F(1, 2))], ids=["certificate", "coupling"]
+    )
+    def test_a_witness_failing_substitution_exits_two(
+        self, capsys, monkeypatch, tmp_path, system, measure
+    ):
+        from contextuality import analysis
+        from contextuality.simplex import FeasibilityResult, solve_feasibility
+
+        def corrupted(linear):
+            result = solve_feasibility(linear)
+            if result.feasible:
+                # move the first mass one column on
+                q = list(result.solution)
+                j = next(j for j, x in enumerate(q) if x)
+                q[j], q[j + 1] = ZERO, q[j + 1] + q[j]
+                return FeasibilityResult(result.status, tuple(q), None, result.pivots)
+            certificate = tuple(-y for y in result.certificate)
+            return FeasibilityResult(result.status, None, certificate, result.pivots)
+
+        monkeypatch.setattr(analysis, "solve_feasibility", corrupted)
+        path = write_system(tmp_path, "case.json", system)
+        flags = ["--measure"] if measure else []
+        code, out, err = run(capsys, "analyze", path, *flags, "--witness", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: internal inconsistency") and "witness fails substitution" in err
 
     def test_column_cap_is_an_error(self, capsys, rank3_file):
         code, _, err = run(capsys, "analyze", rank3_file, "--max-columns", "4")

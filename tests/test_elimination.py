@@ -1,0 +1,221 @@
+"""The outcome-space system: its elimination oracle and its solver path.
+
+``OutcomeSystem`` answers the solver's column questions by variable
+elimination over the cells.  These tests check that oracle against a scan
+of the explicit matrix, and that solving the same ``M`` as an
+``OutcomeSystem`` and as its explicit ``LinearSystem`` takes the identical
+pivot path.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from contextuality import (
+    Content,
+    build_associated_system,
+    canonical_example,
+    cyclic_system_from_correlations,
+    outcome_space,
+    rank2_family,
+    validate_system,
+)
+from contextuality import simplex
+from contextuality.analysis import _constraint_rows
+from contextuality.distribution import ONE, ZERO
+from contextuality.simplex import LinearSystem, OutcomeSystem, minimize, solve_feasibility
+
+F = Fraction
+
+
+def outcome_system(system):
+    """``M`` of ``system`` as an :class:`OutcomeSystem`, whatever the cost rule picks."""
+    space = outcome_space(system)
+    patterns = ((fixed, mass) for _, fixed, mass in _constraint_rows(system, space))
+    return OutcomeSystem(space.sizes, patterns)
+
+
+def uniform_system(sizes, contexts):
+    """A system over contents ``q1, q2, ...`` of ``sizes``, each bunch uniform."""
+    labels = [f"q{i + 1}" for i in range(len(sizes))]
+    layout = {f"c{i + 1}": [labels[q] for q in members] for i, members in enumerate(contexts)}
+    bunches = {}
+    for context, members in zip(layout, contexts):
+        values = list(itertools.product(*(range(sizes[q]) for q in members)))
+        bunches[context] = {v: F(1, len(values)) for v in values}
+    return validate_system([Content(q, k) for q, k in zip(labels, sizes)], layout, bunches)
+
+
+@st.composite
+def small_systems(draw):
+    """2-3 contents of 2-3 values in contexts of at most 4 cells, plus one per missing content."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    members = st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=len(sizes), unique=True)
+    contexts = []
+    for context in draw(st.lists(members, min_size=2, max_size=4)):
+        if sum(map(len, contexts)) + len(context) <= 4:
+            contexts.append(context)
+    contexts += [[q] for q in range(len(sizes)) if not any(q in c for c in contexts)]
+    return sizes, contexts
+
+
+def scan(linear, weights):
+    """``weights . A_j`` for every column of the explicit matrix."""
+    return [sum(w * row[j] for w, row in zip(weights, linear.matrix)) for j in range(linear.width)]
+
+
+class TestOracle:
+    """``best`` and ``first_above`` against a scan of the explicit ``M``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=small_systems(), data=st.data())
+    # a ternary content shared by three contexts: a connection of three members
+    @example(shape=([3, 2], [[0, 1], [0], [0, 1]]), data=None)
+    def test_best_and_first_above_match_a_scan(self, shape, data):
+        linear = outcome_system(uniform_system(*shape))
+        rows = linear.rows
+        if data is None:
+            weight_sets = [[(-1) ** i * (i % 3) for i in range(rows)], [0] * rows, [1] * rows]
+            thresholds = [-2, 0, 1, 5, 100]
+        else:
+            weight_sets = [data.draw(st.lists(st.integers(-3, 3), min_size=rows, max_size=rows))]
+            thresholds = data.draw(st.lists(st.integers(-12, 12), min_size=1, max_size=4))
+        for weights in weight_sets:
+            values = scan(linear, weights)
+            top = max(values)
+            assert linear.best(weights) == (top, values.index(top))
+            for t in thresholds + [top, top - 1]:
+                want = next((j for j, v in enumerate(values) if v > t), None)
+                assert linear.first_above(weights, t) == want
+
+    def test_columns_decode_through_the_strides(self):
+        linear = outcome_system(triangle(3, "contextual"))
+        explicit = linear.explicit
+        for j in (0, 1, 17, 1000, linear.width - 1):
+            assert linear.column(j) == explicit.column(j)
+            assert linear.label(j) == explicit.column_labels[j]
+        wide = linear.widened()
+        assert wide.cols == 2 * linear.width and wide.rows == linear.rows
+        assert wide.column(linear.width + 5) == [-x for x in linear.column(5)]
+        assert not linear.negated
+
+    def test_verify_rejects_a_certificate_positive_on_some_column(self):
+        # a unit vector on a row with positive rhs has y . P > 0, but y . A_j = 1
+        # on that row's columns
+        outcome = outcome_system(canonical_example("fig10"))
+        i = next(i for i, b in enumerate(outcome.rhs) if b > 0)
+        unit = tuple(F(int(k == i)) for k in range(outcome.rows))
+        valid = solve_feasibility(outcome)
+        for linear in (outcome, outcome.explicit):
+            assert valid.verify(linear)
+            assert not simplex.FeasibilityResult(simplex.INFEASIBLE, None, unit, 0).verify(linear)
+
+
+def triangle(k, variant):
+    """A triangle of the measure workload: contextual, noncontextual or half noise."""
+    def pair(shift):
+        return {(v, (v + shift) % k): F(1, k) for v in range(k)}
+
+    def flat():
+        return {(a, b): F(1, k * k) for a in range(k) for b in range(k)}
+
+    contextual = {"c1": pair(0), "c2": pair(0), "c3": pair(1)}
+    bunches = {
+        "contextual": contextual,
+        "noncontextual": {c: flat() for c in contextual},
+        "noisy": {
+            c: {v: (contextual[c].get(v, 0) + m) / 2 for v, m in flat().items()} for c in contextual
+        },
+    }[variant]
+    extra = ["q1", "q2", "q3"] if k == 2 else ["q1"]
+    c4 = {v: F(1, k ** len(extra)) for v in itertools.product(range(k), repeat=len(extra))}
+    return validate_system(
+        [Content(q, k) for q in ("q1", "q2", "q3")],
+        {"c1": ["q1", "q2"], "c2": ["q2", "q3"], "c3": ["q1", "q3"], "c4": extra},
+        {**{c: {v: m for v, m in b.items() if m} for c, b in bunches.items()}, "c4": c4},
+    )
+
+
+def flat_cycle(rank):
+    return cyclic_system_from_correlations([F(1, 2)] * rank)
+
+
+def anti_cycle(rank, correlation=F(9, 10)):
+    return cyclic_system_from_correlations([-correlation] + [correlation] * (rank - 1))
+
+
+def drive_out_system():
+    """Two ternary pair contexts whose measure LP drives two artificials out."""
+    third = F(1, 3)
+    return validate_system(
+        [Content("q1", 3), Content("q2", 3)],
+        {"c1": ["q1", "q2"], "c2": ["q1", "q2"]},
+        {
+            "c1": {(0, 2): third, (1, 1): third, (2, 0): third},
+            "c2": {(1, 0): third, (2, 0): third, (2, 1): third},
+        },
+    )
+
+
+PATH_CASES = {
+    **{f"rank2-{p}": (lambda p=p: rank2_family(F(p, 8))) for p in (0, 1, 3, 4)},
+    "fig9": lambda: canonical_example("fig9"),
+    "fig10": lambda: canonical_example("fig10"),
+    **{f"noncontextual-{n}": (lambda n=n: flat_cycle(n)) for n in range(3, 7)},
+    **{f"contextual-{n}": (lambda n=n: anti_cycle(n)) for n in range(3, 7)},
+    **{f"triangle-{k}-{v}": (lambda k=k, v=v: triangle(k, v))
+       for k in (2, 3) for v in ("contextual", "noncontextual", "noisy")},
+    "drive-out": drive_out_system,
+}
+
+
+class TestPathIdentity:
+    """The same ``M`` solved as both kinds of system takes the same pivots to the same answers."""
+
+    @pytest.mark.parametrize("name", sorted(PATH_CASES))
+    def test_both_kinds_solve_identically(self, name, monkeypatch):
+        entering, first_nonzero = simplex._PriceVector.entering, simplex._PriceVector.first_nonzero
+        seen = {"bland": 0, "drive-out": 0}
+
+        def spy_entering(self, bland):
+            seen["bland"] += bland
+            return entering(self, bland)
+
+        def spy_first_nonzero(self, rho):
+            j = first_nonzero(self, rho)
+            seen["drive-out"] += j is not None
+            return j
+
+        monkeypatch.setattr(simplex._PriceVector, "entering", spy_entering)
+        monkeypatch.setattr(simplex._PriceVector, "first_nonzero", spy_first_nonzero)
+        outcome = outcome_system(PATH_CASES[name]())
+        explicit = outcome.explicit
+        assert isinstance(explicit, LinearSystem)
+        got, want = solve_feasibility(outcome), solve_feasibility(explicit)
+        assert got == want
+        assert got.verify(outcome) and want.verify(explicit)
+        if not got.feasible:
+            n = outcome.width
+            objective = (ZERO,) * n + (ONE,) * n
+            got, want = minimize(outcome.widened(), objective), minimize(explicit.widened(), objective)
+            assert (got.value, got.solution, got.dual, got.pivots) == (
+                want.value, want.solution, want.dual, want.pivots
+            )
+        if name == "noncontextual-6":
+            assert seen["bland"] > 0
+        if name == "drive-out":
+            assert seen["drive-out"] == 2
+
+    def test_a_non_constant_half_is_rejected(self):
+        outcome = outcome_system(rank2_family(F(1, 2)))
+        with pytest.raises(ValueError):
+            minimize(outcome, (ONE,) + (ZERO,) * (outcome.width - 1))
+
+    def test_cost_rule_picks_elimination_only_for_large_spaces(self):
+        assert isinstance(build_associated_system(flat_cycle(4)), LinearSystem)
+        assert isinstance(build_associated_system(flat_cycle(5)), OutcomeSystem)
+        assert isinstance(build_associated_system(triangle(2, "noisy")), LinearSystem)
+        assert isinstance(build_associated_system(triangle(3, "contextual")), OutcomeSystem)

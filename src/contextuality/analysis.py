@@ -318,8 +318,10 @@ def contextuality_measure(
     if verdict.contextual:
         n = linear.cols
         result = minimize(linear.widened(), (ZERO,) * n + (ONE,) * n)
-        q = result.solution
-        masses = {linear.label(j): q[j] - q[n + j] for j in range(n) if q[j] != q[n + j]}
+        # a basic solution never has both q[j] and q[n + j] nonzero
+        masses = {
+            linear.label(j % n): x if j < n else -x for j, x in enumerate(result.solution) if x
+        }
         value, dual, pivots = result.value, result.dual, result.pivots
     else:
         masses = verdict.coupling.masses

@@ -6,11 +6,13 @@ simplex with a deterministic pivot rule: most-negative-reduced-cost entering
 (ties to the lowest index), Bland's smallest-index leaving, and a switch to
 Bland's entering rule whenever a run of degenerate pivots has made no
 progress.  Bland's rule cannot cycle, so termination is guaranteed and
-results are a pure function of the input.  An infeasible system comes back
-with a Farkas certificate: a row vector ``y`` with ``y^T M <= 0`` and
+results are a pure function of the input.  Both witnesses over the rows are
+read from the final simplex multipliers ``pi = C_B . det * B^-1`` (Chvatal,
+*Linear Programming*, ch. 7-8).  An infeasible system comes back with a
+Farkas certificate: a row vector ``y`` with ``y^T M <= 0`` and
 ``y^T P > 0``, checkable by plain substitution.  An optimum comes back with
-the dual of its final basis, ``B^T y = c_B``, solved on the original columns
-because the artificial ones are gone by then.
+the dual of its final basis, the ``y`` with ``B^T y = c_B``, which is zero
+on the rows phase 1 dropped as redundant.
 
 The simplex is revised and fraction-free: of the basis ``B`` of the
 integer-scaled starting matrix it keeps only ``det * B^-1`` and
@@ -375,10 +377,9 @@ class OutcomeSystem:
         sums, top = self._eliminate(weights)
         return self._walk(sums, top, top - 1)
 
-    def first_above(self, weights: Sequence[int], threshold: int) -> int | None:
-        """The lowest ``j`` with ``weights . A_j > threshold``, or None."""
-        found = self._walk(*self._eliminate(weights), threshold)
-        return found and found[1]
+    def first_above(self, weights: Sequence[int], threshold: int) -> tuple[int, int] | None:
+        """``(weights . A_j, j)`` for the lowest ``j`` above ``threshold``, or None."""
+        return self._walk(*self._eliminate(weights), threshold)
 
 
 def _table_strides(sizes: Sequence[int], cells: Sequence[int]) -> list[tuple[int, int]]:
@@ -439,9 +440,11 @@ class FeasibilityResult:
 class OptimizationResult:
     """Exact optimum of a linear objective with an attaining vertex and its dual.
 
-    ``dual`` is the basic dual solution ``y`` over the rows of the system:
-    ``M^T y <= objective`` and ``y . rhs == value``, so by weak duality no
-    feasible point does better than ``value``.
+    ``dual`` is the basic dual solution ``y`` over the rows of the system,
+    the final basis's simplex multipliers: ``M^T y <= objective``, with
+    equality on the basic columns, and ``y . rhs == value``, so by weak
+    duality no feasible point does better than ``value``.  Rows dropped as
+    redundant get ``y = 0``.
     """
 
     value: Fraction
@@ -490,7 +493,6 @@ class _Revised:
             [0] * i + [1] + [0] * (m - 1 - i) + [abs(b)] for i, b in enumerate(rhs)
         ]
         self.basis = [n + i for i in range(m)]
-        self.dropped: list[int] = []  # original rows dropped as redundant
         self.det = 1
         # Phase 1 minimizes the sum of the artificials, all basic at the start.
         self.weights = [0] * n + [1] * m
@@ -595,18 +597,28 @@ class _Revised:
                 values[var] = Fraction(row[-1] * self.structural_scale, scale)
         return tuple(values)
 
-    def farkas_certificate(self) -> tuple[Fraction, ...]:
-        """The phase-1 prices over ``det``, unflipped to the original rows."""
-        return tuple(sign * Fraction(p, self.det) for sign, p in zip(self.flips, self._prices()))
+    def multipliers(self) -> tuple[Fraction, ...]:
+        """The simplex multipliers ``y = flips * pi / (det * cost_scale)`` over the original rows.
+
+        ``pi / (det * cost_scale)`` solves ``B^T y = C_B`` on the sign-fixed
+        rows, and ``structural_scale`` cancels between ``B`` and ``C_B``, so
+        unflipping gives ``y`` in the rows' own signs.  After phase 1 it is
+        the Farkas certificate; after phase 2, the dual of the final basis.
+        """
+        scale = self.det * self.cost_scale
+        return tuple(sign * Fraction(p, scale) for sign, p in zip(self.flips, self._prices()))
 
     def drop_artificials(self) -> None:
         """Pivot remaining artificials out of the basis; drop redundant rows.
 
         A basic artificial's tableau row is ``rho . X0`` for its row ``rho``
         of ``det * B^-1``; on a negated half it is the negation, so its first
-        nonzero is in ``A``.  If it is zero, no later pivot reads it and
-        ``det`` stays valid for the rows that remain; its artificial names an
-        original row that the kept rows span, recorded in ``dropped``.
+        nonzero is in ``A``.  If it is zero, its original row is spanned by
+        the others: deleting ``rho`` keeps ``det`` valid for the rows that
+        remain, and no later pivot reads it.  The artificial's own column of
+        ``det * B^-1`` is ``det`` in the row of ``rho`` and 0 elsewhere, so
+        the deletion leaves it zero, pivots keep it zero, and
+        :meth:`multipliers` gives the original row ``y = 0``.
         """
         i = 0
         while i < len(self.inverse):
@@ -615,32 +627,10 @@ class _Revised:
                 continue
             col = self.pricing.first_nonzero(self.inverse[i])
             if col is None:
-                self.dropped.append(self.basis[i] - self.n)
                 del self.inverse[i], self.basis[i]
             else:
                 self._pivot(i, self._column(col), col)
                 i += 1
-
-    def dual(
-        self, system: LinearSystem | OutcomeSystem, objective: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        """The basis's dual ``y``: ``B^T y = c_B`` over the original rows.
-
-        Called after :meth:`drop_artificials`, when every basic variable is
-        structural.  The basis columns restricted to the rows not dropped
-        form a nonsingular square matrix ``B``; the dropped rows get
-        ``y = 0``.  Solving on the original columns, not the sign-fixed
-        rows, gives ``y`` in the rows' own signs.
-        """
-        kept = [i for i in range(system.rows) if i not in self.dropped]
-        equations = []
-        for j in self.basis:
-            column = system.column(j)
-            equations.append(([column[i] for i in kept], objective[j]))
-        y = [ZERO] * system.rows
-        for i, value in zip(kept, _solve_square(equations)):
-            y[i] = value
-        return tuple(y)
 
 
 class _CostRow:
@@ -744,9 +734,10 @@ class _PriceVector:
         artificials = [lp.det * c - p for c, p in zip(lp.weights[lp.n :], self.pi)]
         if bland:
             for offset, c, w in halves:
-                j = system.first_above(w, c)
-                if j is not None:
-                    return offset + j, c - sum(w[i] for i in system.rows_hit(system.label(j)))
+                found = system.first_above(w, c)
+                if found is not None:
+                    value, j = found
+                    return offset + j, c - value
             i = next((i for i, x in enumerate(artificials) if x < 0), None)
             return None if i is None else (lp.n + i, artificials[i])
         best = None
@@ -765,35 +756,7 @@ class _PriceVector:
         """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
         u = list(map(operator.mul, rho, self.lp.flips))
         found = (self.lp.system.first_above(w, 0) for w in (u, [-x for x in u]))
-        return min((j for j in found if j is not None), default=None)
-
-
-def _solve_square(equations: Sequence[tuple[Sequence, Fraction]]) -> list[Fraction]:
-    """The solution of a nonsingular square system of ``(coefficients, rhs)`` equations.
-
-    Each equation is scaled to integers by the lcm of its denominators, then
-    fraction-free Gauss-Jordan elimination (the tableau's Bareiss pivot)
-    leaves ``det * I`` on the left, so the solution is the rhs over ``det``.
-    """
-    rows = []
-    for coefficients, rhs in equations:
-        rows.append(common_denominator((*coefficients, rhs))[0])
-    det = 1
-    for k in range(len(rows)):
-        p = next(i for i in range(k, len(rows)) if rows[i][k])
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        a = pivot[k]
-        for row in rows:
-            if row is pivot:
-                continue
-            f = row[k]
-            if f:
-                row[:] = [(a * x - f * y) // det for x, y in zip(row, pivot)]
-            elif a != det:
-                row[:] = [a * x // det for x in row]
-        det = a
-    return [Fraction(row[-1], det) for row in rows]
+        return min((j for _, j in filter(None, found)), default=None)
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
@@ -806,7 +769,7 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     lp._run()
     if lp.objective_value() == 0:
         return FeasibilityResult(FEASIBLE, lp.structural_solution(), None, lp.pivots)
-    return FeasibilityResult(INFEASIBLE, None, lp.farkas_certificate(), lp.pivots)
+    return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots)
 
 
 def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
@@ -826,11 +789,11 @@ def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
     lp = _Revised(system)
     lp._run()
     if lp.objective_value() != 0:
-        raise InfeasibleError(certificate=lp.farkas_certificate())
+        raise InfeasibleError(certificate=lp.multipliers())
     lp.drop_artificials()
     lp.price(objective)
     if not lp._run():
         raise UnboundedError("objective is unbounded below on the feasible region")
     return OptimizationResult(
-        lp.objective_value(), lp.structural_solution(), lp.pivots, lp.dual(system, objective)
+        lp.objective_value(), lp.structural_solution(), lp.pivots, lp.multipliers()
     )

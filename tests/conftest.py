@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from contextuality import Content, canonical_example, validate_system
+from contextuality import Content, build_associated_system, canonical_example, validate_system
 from contextuality.distribution import as_fraction
 from contextuality.errors import EmptyInputError
+from contextuality.simplex import INFEASIBLE, FeasibilityResult
 
 HALF = Fraction(1, 2)
 
@@ -43,6 +44,20 @@ def s_odd_bruteforce(xs):
         if signs.count(-1) % 2
     )
     return Fraction(best, scale)
+
+
+def assert_dual_certifies(system, result):
+    """The measure's dual ``y``: ``-1 <= M^T y <= 0``, ``y . P == measure / 2``,
+    and a Farkas certificate of the verdict on a contextual system."""
+    linear = build_associated_system(system)
+    y = result.dual
+    for j in range(linear.cols):
+        assert -1 <= sum(w * row[j] for w, row in zip(y, linear.matrix) if w) <= 0
+    assert sum(w * b for w, b in zip(y, linear.rhs)) == result.measure / 2
+    if result.verdict.contextual:
+        assert FeasibilityResult(INFEASIBLE, None, y, 0).verify(linear)
+    else:
+        assert not any(y)
 
 
 def rational_rank(matrix):

@@ -22,14 +22,9 @@ from contextuality import (
 )
 from contextuality.analysis import _constraint_rows, _expanded_rows
 from contextuality.errors import DimensionMismatchError, OutcomeSpaceTooLargeError
-from contextuality.simplex import (
-    INFEASIBLE,
-    FeasibilityResult,
-    LinearSystem,
-    minimize,
-    solve_feasibility,
-)
+from contextuality.simplex import LinearSystem, minimize, solve_feasibility
 from conftest import (
+    assert_dual_certifies,
     random_boundary_cyclic,
     random_cyclic_system,
     random_small_system,
@@ -310,20 +305,6 @@ class TestExpandedSystem:
         linear = build_associated_system(s)
         for row, b in zip(linear.matrix, linear.rhs):
             assert dot(row, x) == b
-
-
-def assert_dual_certifies(system, result):
-    """The measure's dual ``y``: ``-1 <= M^T y <= 0``, ``y . P == measure / 2``,
-    and a Farkas certificate of the verdict on a contextual system."""
-    linear = build_associated_system(system)
-    y = result.dual
-    for j in range(linear.cols):
-        assert -1 <= sum(w * row[j] for w, row in zip(y, linear.matrix) if w) <= 0
-    assert sum(w * b for w, b in zip(y, linear.rhs)) == result.measure / 2
-    if result.verdict.contextual:
-        assert FeasibilityResult(INFEASIBLE, None, y, 0).verify(linear)
-    else:
-        assert not any(y)
 
 
 class TestMeasure:

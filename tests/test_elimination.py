@@ -88,7 +88,7 @@ class TestOracle:
             top = max(values)
             assert linear.best(weights) == (top, values.index(top))
             for t in thresholds + [top, top - 1]:
-                want = next((j for j, v in enumerate(values) if v > t), None)
+                want = next(((v, j) for j, v in enumerate(values) if v > t), None)
                 assert linear.first_above(weights, t) == want
 
     def test_columns_decode_through_the_strides(self):

@@ -183,6 +183,17 @@ def random_system(rng, rows, cols, entry):
     return LinearSystem(tuple(matrix), rhs)
 
 
+def assert_dual_is_optimal(system, objective, result):
+    """``A^T y <= c`` with equality on the solution's support, and ``y . b == value``."""
+    y = result.dual
+    assert len(y) == system.rows
+    assert sum(a * b for a, b in zip(y, system.rhs)) == result.value
+    for j, c in enumerate(objective):
+        slack = c - sum(a * row[j] for a, row in zip(y, system.matrix))
+        assert slack >= 0
+        assert slack == 0 or not result.solution[j]
+
+
 class TestRandomizedSelfChecks:
     def test_every_result_verifies_and_respects_pivot_cap(self):
         for seed, entry in ((2024, boolean_entry), (2025, rational_entry)):
@@ -201,24 +212,39 @@ class TestRandomizedSelfChecks:
             assert feasible and infeasible
 
     def test_feasibility_and_minimize_agree(self):
+        redundant_optima = 0
         for seed, entry in ((77, boolean_entry), (78, rational_entry)):
             rng = random.Random(seed)
             for _ in range(120):
                 rows = rng.randint(1, 5)
                 cols = rng.randint(1, 7)
                 system = random_system(rng, rows, cols, entry)
-                feasible = solve_feasibility(system).feasible
-                try:
-                    result = minimize(system, tuple(rng.randint(0, 3) for _ in range(cols)))
-                except InfeasibleError:
-                    assert not feasible
-                else:
-                    assert feasible
-                    assert all(x >= 0 for x in result.solution)
-                    assert all(
-                        sum(a * x for a, x in zip(row, result.solution)) == b
-                        for row, b in zip(system.matrix, system.rhs)
-                    )
+                objective = tuple(rng.randint(0, 3) for _ in range(cols))
+                systems = [system]
+                if rows >= 2:
+                    # a last row summing the first two is redundant whenever the
+                    # system is feasible, so phase 1 leaves an artificial to drop
+                    total = tuple(a + b for a, b in zip(*system.matrix[:2]))
+                    if any(total):
+                        systems.append(LinearSystem(
+                            system.matrix + (total,), system.rhs + (sum(system.rhs[:2]),)
+                        ))
+                for s in systems:
+                    feasible = solve_feasibility(s).feasible
+                    try:
+                        result = minimize(s, objective)
+                    except InfeasibleError:
+                        assert not feasible
+                    else:
+                        assert feasible
+                        assert all(x >= 0 for x in result.solution)
+                        assert all(
+                            sum(a * x for a, x in zip(row, result.solution)) == b
+                            for row, b in zip(s.matrix, s.rhs)
+                        )
+                        assert_dual_is_optimal(s, objective, result)
+                        redundant_optima += s is not system
+        assert redundant_optima
 
     def test_determinism(self):
         for entry in (boolean_entry, rational_entry):

@@ -39,10 +39,13 @@ contextuality measure ``TV - 1``.  The all-ones row is a sum of one context's
 bunch rows, so every solution has ``sum Q = 1`` and ``TV >= |sum Q| = 1``,
 with equality exactly when ``Q >= 0``.  The measure is therefore 0 exactly on
 noncontextual systems, where the verdict's coupling attains it, and only a
-contextual system needs the second LP.  That LP's dual ``y`` satisfies
-``-1 <= M^T y <= 0`` and ``y . P = (TV - 1) / 2``, so it bounds every
-quasi-coupling's TV from below by the one reported, and on a contextual
-system it is also a Farkas certificate for the verdict.
+contextual system needs the second LP.  That LP over ``(M | -M)`` is always
+feasible, and it is not solved from scratch: its phase 2 resumes from the
+basis that the verdict's phase 1 on ``M`` ended in, once the artificials
+are pivoted out and each basic column is signed by its value.  Its dual
+``y`` satisfies ``-1 <= M^T y <= 0`` and ``y . P = (TV - 1) / 2``, so it
+bounds every quasi-coupling's TV from below by the one reported, and on a
+contextual system it is also a Farkas certificate for the verdict.
 """
 
 from __future__ import annotations
@@ -56,7 +59,14 @@ from typing import Iterator, Mapping, Sequence
 from .coupling import MaximalCouplingSpec, maximal_coupling_diagonal, maximal_coupling_full
 from .distribution import ONE, ZERO, Distribution, as_fraction
 from .errors import DimensionMismatchError, OutcomeSpaceTooLargeError, SolverError
-from .simplex import LinearSystem, OutcomeSystem, common_denominator, minimize, solve_feasibility
+from .simplex import (
+    FeasibilityResult,
+    LinearSystem,
+    OutcomeSystem,
+    common_denominator,
+    minimize,
+    solve_feasibility,
+)
 from .systems import CCSystem, Connection
 
 DEFAULT_COLUMN_CAP = 1 << 20
@@ -85,9 +95,6 @@ class OutcomeSpace:
         for k in self.sizes:
             n *= k
         return n
-
-    def outcomes(self) -> Iterator[tuple[int, ...]]:
-        return _value_tuples(self.sizes)
 
     def cell_position(self, context: str, content: str) -> int:
         return self._positions[(context, content)]
@@ -175,11 +182,14 @@ class Verdict:
 
 def decide_contextuality(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> Verdict:
     """Decide contextuality by exact feasibility of the associated system."""
-    return _decide(system, build_associated_system(system, max_columns))
+    return _decide(system, build_associated_system(system, max_columns))[0]
 
 
-def _decide(system: CCSystem, linear: LinearSystem | OutcomeSystem) -> Verdict:
-    """The verdict on ``system`` from the feasibility of its associated system ``linear``.
+def _decide(
+    system: CCSystem, linear: LinearSystem | OutcomeSystem
+) -> tuple[Verdict, FeasibilityResult]:
+    """The verdict on ``system`` from the feasibility of its associated system ``linear``,
+    and that feasibility result.
 
     The witness is substituted back into ``linear`` first: a coupling over
     its support, a certificate through ``best``.  A failure raises
@@ -193,8 +203,8 @@ def _decide(system: CCSystem, linear: LinearSystem | OutcomeSystem) -> Verdict:
     if result.feasible:
         masses = {linear.label(j): mass for j, mass in enumerate(result.solution) if mass}
         coupling = Distribution(_cell_sizes(system), masses)
-        return Verdict(False, coupling, None, result.pivots)
-    return Verdict(True, None, result.certificate, result.pivots)
+        return Verdict(False, coupling, None, result.pivots), result
+    return Verdict(True, None, result.certificate, result.pivots), result
 
 
 def _expanded_rows(
@@ -281,7 +291,8 @@ class MeasureResult:
     ``verdict`` is the feasibility verdict the measure starts from.  ``dual``
     is a vector ``y`` over the rows of ``M`` with ``-1 <= M^T y <= 0`` and
     ``y . P == measure / 2``; it is zero on a noncontextual system.
-    ``pivots`` counts the measure LP's pivots, 0 when none was solved.
+    ``pivots`` counts the measure LP's pivots after the verdict's: driving
+    out the artificials and phase 2; 0 when no LP was solved.
     """
 
     total_variation: Fraction
@@ -304,7 +315,9 @@ def contextuality_measure(
     a contextual system the nonlinear objective is linearized by splitting
     ``Q = Q1 - Q2`` with both halves nonnegative and minimizing ``sum Q2``
     over the widened system ``(M | -M)``, which shares the rows of ``M``
-    rather than copying them; at the optimum the halves never overlap, so
+    rather than copying them.  :func:`~.simplex.minimize` takes the basis
+    that the verdict's phase 1 ended in, so no second phase 1 is run.  At
+    the optimum the halves never overlap, so
     ``TV = 1 + 2 sum Q2``, an identity asserted against the reconstructed
     signed masses.  The LP's dual ``y`` maximizes ``y . P``
     subject to ``-1 <= M^T y <= 0``: for any quasi-coupling ``Q``,
@@ -314,10 +327,10 @@ def contextuality_measure(
     by substitution before returning; a failure raises :class:`SolverError`.
     """
     linear = build_associated_system(system, max_columns)
-    verdict = _decide(system, linear)
+    verdict, feasibility = _decide(system, linear)
     if verdict.contextual:
         n = linear.cols
-        result = minimize(linear.widened(), (ZERO,) * n + (ONE,) * n)
+        result = minimize(linear.widened(), (ZERO,) * n + (ONE,) * n, feasibility)
         # a basic solution never has both q[j] and q[n + j] nonzero
         masses = {
             linear.label(j % n): x if j < n else -x for j, x in enumerate(result.solution) if x

@@ -12,7 +12,6 @@ import argparse
 import io
 import json
 import sys
-import time
 from typing import Mapping
 
 from . import __version__
@@ -148,10 +147,6 @@ def _render_text(report: dict) -> str:
                 lines.append(f"  {outcome}: {mass}")
         if "dual" in measure:
             lines.append(f"dual rows: {measure['dual']}")
-    timings = report.get("timings")
-    if timings:
-        parts = ", ".join(f"{k} {v:.3f}s" for k, v in timings.items())
-        lines.append(f"timings: {parts}")
     return "\n".join(lines)
 
 
@@ -171,13 +166,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     system = parse_system(_read_input(args.system))
     report: dict = {"system": _system_summary(system)}
 
-    start = time.perf_counter()
     if args.measure:
         result = contextuality_measure(system, max_columns=args.max_columns)
         verdict = result.verdict
     else:
         verdict = decide_contextuality(system, max_columns=args.max_columns)
-    timings = {"measure" if args.measure else "decide": time.perf_counter() - start}
 
     report["verdict"] = {"contextual": verdict.contextual}
     if args.witness:
@@ -209,7 +202,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             report["measure"]["witness"] = _masses(result.witness.masses)
             if verdict.contextual:
                 report["measure"]["dual"] = [str(y) for y in result.dual]
-    report["timings"] = timings
     _emit(report, args.format)
     return EXIT_CONTEXTUAL if verdict.contextual else EXIT_NONCONTEXTUAL
 

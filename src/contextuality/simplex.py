@@ -45,6 +45,17 @@ the division is exact.  Both kinds take the same pivots to the same answers.
 The measure's ``(A | -A)`` stores ``A`` once in either kind: the negated
 half is priced from the same sums with the opposite sign and enters as the
 negated column of its partner.
+
+``(A | -A) Q = b`` has a solution whenever ``b`` is in the column space of
+``A``, and any basis of ``A`` with each basic column signed by its value is
+a feasible basis of it (Chvatal, ch. 8).  So :func:`minimize` runs phase 1
+of a widened system on ``A`` alone, or takes the basis that an infeasible
+:func:`solve_feasibility` on ``A`` already ended in.  The artificials,
+still above 0, are pivoted out on any nonzero entry, the redundant rows
+dropped (one left at a nonzero level shows ``b`` outside the column space),
+and each basic column at a negative value swapped for its partner in
+``-A``, which negates one row of ``det * B^-1`` and leaves ``det`` as it
+is; phase 2 runs from there.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -392,13 +403,17 @@ class FeasibilityResult:
     """Outcome of a feasibility solve, carrying its witness.
 
     Exactly one of ``solution`` (nonnegative, satisfying ``M Q = P``) and
-    ``certificate`` (Farkas vector over the rows) is present.
+    ``certificate`` (Farkas vector over the rows) is present.  An infeasible
+    result also keeps the basis its phase 1 ended in, ``m`` indices and the
+    ``m * (m + 1)`` integers of ``det * B^-1`` with its rhs column, for
+    :func:`minimize` to resume a widened system from.
     """
 
     status: str
     solution: tuple[Fraction, ...] | None
     certificate: tuple[Fraction, ...] | None
     pivots: int
+    _basis: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -462,13 +477,16 @@ class _Revised:
     ``inverse`` holds ``det * B^-1`` with ``det * B^-1 b`` as a last column:
     the artificial block and rhs of the dense tableau ``det * B^-1 X0``.
     Costs ``C`` (``weights``, over ``cost_scale``; unit on the artificials in
-    phase 1, the objective on the structural columns after :meth:`price`)
+    :meth:`phase1`, the objective on the structural columns after :meth:`price`)
     give the reduced costs ``det * C_j - pi . X0_j`` with
     ``pi = C_B . det * B^-1``.  How they are priced and kept across pivots
-    depends on the kind of system: ``pricing`` is a :class:`_CostRow` for a
-    :class:`LinearSystem` and a :class:`_PriceVector` for an
-    :class:`OutcomeSystem`.  For a widened system ``(A | -A)`` each column
-    of the negated half enters as the negated column of its partner.
+    depends on the kind of system: :meth:`pricing` makes a :class:`_CostRow`
+    for a :class:`LinearSystem` and a :class:`_PriceVector` for an
+    :class:`OutcomeSystem`, one per use, so the state holds no reference
+    cycle and its vectors go as soon as it does.  For a widened system
+    ``(A | -A)`` each column of the negated half enters as the negated
+    column of its partner; with ``on_a`` the state covers ``A`` alone until
+    :meth:`widen`.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -476,10 +494,10 @@ class _Revised:
     # the counter resets whenever the objective strictly improves.
     STALL_LIMIT = 24
 
-    def __init__(self, system: LinearSystem | OutcomeSystem):
-        self.n = n = system.cols
+    def __init__(self, system: LinearSystem | OutcomeSystem, on_a: bool = False):
         self.width = system.width
-        self.negated = system.negated
+        self.negated = system.negated and not on_a
+        self.n = n = 2 * self.width if self.negated else self.width
         self.system = system
         m = system.rows
         explicit = isinstance(system, LinearSystem)
@@ -494,17 +512,23 @@ class _Revised:
         ]
         self.basis = [n + i for i in range(m)]
         self.det = 1
-        # Phase 1 minimizes the sum of the artificials, all basic at the start.
-        self.weights = [0] * n + [1] * m
-        self.cost_scale = 1
         self.pivots = 0
         self.pivot_cap = math.comb(m + n + m, m)
-        self.pricing = (_CostRow if explicit else _PriceVector)(self)
+
+    def phase1(self) -> bool:
+        """Minimize the sum of the artificials, all basic at the start; True if it reaches 0."""
+        self.weights, self.cost_scale = [0] * self.n + [1] * len(self.basis), 1
+        self._run()
+        return self.objective_value() == 0
 
     def price(self, objective: Sequence[Fraction]) -> None:
         """Make ``objective``, scaled by ``cost_scale`` and ``structural_scale``, the costs."""
         scale = self.cost_scale = math.lcm(*(c.denominator for c in objective))
         self.weights = [c.numerator * (scale // c.denominator) * self.structural_scale for c in objective]
+
+    def pricing(self) -> _CostRow | _PriceVector:
+        """The pricing for this state's kind of system."""
+        return (_CostRow if isinstance(self.system, LinearSystem) else _PriceVector)(self)
 
     def _prices(self) -> list[int]:
         """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
@@ -570,7 +594,7 @@ class _Revised:
         before ``det * B^-1`` moves on.
         """
         stalled = 0
-        pricing = self.pricing
+        pricing = self.pricing()
         pricing.price()
         while True:
             entering = pricing.entering(stalled >= self.STALL_LIMIT)
@@ -613,24 +637,72 @@ class _Revised:
 
         A basic artificial's tableau row is ``rho . X0`` for its row ``rho``
         of ``det * B^-1``; on a negated half it is the negation, so its first
-        nonzero is in ``A``.  If it is zero, its original row is spanned by
-        the others: deleting ``rho`` keeps ``det`` valid for the rows that
-        remain, and no later pivot reads it.  The artificial's own column of
+        nonzero is in ``A``.  It leaves on that pivot whatever its level
+        (levels left negative are for :meth:`widen` to repair).  If the row
+        is zero, its original row is spanned by the others.  At level 0,
+        deleting ``rho`` keeps ``det`` valid for the rows that remain, and
+        no later pivot reads it.  The artificial's own column of
         ``det * B^-1`` is ``det`` in the row of ``rho`` and 0 elsewhere, so
         the deletion leaves it zero, pivots keep it zero, and
-        :meth:`multipliers` gives the original row ``y = 0``.
+        :meth:`multipliers` gives the original row ``y = 0``.  At a nonzero
+        level no signed ``Q`` solves the rows: ``rho``, unflipped and signed
+        to ``y . P > 0``, is a certificate with ``y^T A = 0``.
         """
-        i = 0
+        i, pricing = 0, self.pricing()
         while i < len(self.inverse):
             if self.basis[i] < self.n:
                 i += 1
                 continue
-            col = self.pricing.first_nonzero(self.inverse[i])
-            if col is None:
-                del self.inverse[i], self.basis[i]
-            else:
+            rho = self.inverse[i]
+            col = pricing.first_nonzero(rho)
+            if col is not None:
                 self._pivot(i, self._column(col), col)
                 i += 1
+            elif rho[-1]:
+                scale = self.det if rho[-1] > 0 else -self.det
+                raise InfeasibleError(
+                    "the right-hand side is outside the column space",
+                    certificate=tuple(Fraction(f * r, scale) for f, r in zip(self.flips, rho)),
+                )
+            else:
+                del self.inverse[i], self.basis[i]
+
+    def rows(self) -> tuple:
+        """The system's store of rows, which :meth:`widened` shares, and what else fixes ``X0``."""
+        system = self.system
+        store = system.sparse_rows if isinstance(system, LinearSystem) else system.patterns
+        return store, self.width, self.negated, system.rhs
+
+    def snapshot(self) -> tuple:
+        """The basis, ``det * B^-1`` and ``det`` for :meth:`resume`, not the whole solver."""
+        inverse = tuple(map(tuple, self.inverse))
+        return self.rows(), tuple(self.basis), inverse, self.det, self.pivots
+
+    def resume(self, snapshot: tuple) -> None:
+        """Take up a phase-1 basis of a widened system's ``A``, as if its pivots were made here."""
+        (store, *shape), basis, inverse, det, pivots = snapshot
+        mine, *own = self.rows()
+        if not self.system.negated or store is not mine or shape != own:
+            raise DimensionMismatchError("the basis is not of this widened system's A")
+        self.basis, self.inverse = list(basis), [list(row) for row in inverse]
+        self.det, self.pivots = det, pivots
+
+    def widen(self, system: LinearSystem | OutcomeSystem) -> None:
+        """Carry this state on ``A`` over to ``system``, its ``(A | -A)``, whose phase 1 it ran.
+
+        The artificials are driven out (:meth:`drop_artificials`), and each
+        basic column at a negative level is swapped for its partner in the
+        negated half.  That negates its row of ``det * B^-1`` and its level
+        and keeps ``det = |det B|``, so the basis becomes feasible.
+        """
+        self.drop_artificials()
+        for i, row in enumerate(self.inverse):
+            if row[-1] < 0:
+                row[:] = [-x for x in row]
+                self.basis[i] += self.width
+        self.system, self.negated, self.n = system, True, system.cols
+        m = len(self.flips)
+        self.pivot_cap = math.comb(m + self.n + m, m)
 
 
 class _CostRow:
@@ -766,18 +838,25 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     its final prices over ``det``, unflipped, are the Farkas certificate.
     """
     lp = _Revised(system)
-    lp._run()
-    if lp.objective_value() == 0:
+    if lp.phase1():
         return FeasibilityResult(FEASIBLE, lp.structural_solution(), None, lp.pivots)
-    return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots)
+    return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots, lp.snapshot())
 
 
-def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
+def minimize(
+    system: LinearSystem, objective: Sequence, start: FeasibilityResult | None = None
+) -> OptimizationResult:
     """Minimize ``objective . Q`` over ``{M Q = P, Q >= 0}``, exactly.
 
     Returns the unique optimal value, one optimal vertex and the dual of its
     basis, which certifies the value.  Phase 2 starts from phase 1's
-    ``det * B^-1`` once the artificials are out of the basis.  Raises
+    ``det * B^-1`` once the artificials are out of the basis.  A widened
+    ``system`` runs phase 1 on its ``A`` and then takes that basis over to
+    ``(A | -A)`` (see the module docstring).
+
+    ``start``, an infeasible :func:`solve_feasibility` result on the ``A``
+    of a widened ``system``, gives the basis its phase 1 ended in, so none
+    is run again, and ``pivots`` counts only the pivots after it.  Raises
     :class:`InfeasibleError` (with a Farkas certificate attached) on an
     infeasible system and :class:`UnboundedError` when unbounded below.
     """
@@ -786,14 +865,22 @@ def minimize(system: LinearSystem, objective: Sequence) -> OptimizationResult:
         raise DimensionMismatchError(
             f"objective has {len(objective)} entries for {system.cols} columns"
         )
-    lp = _Revised(system)
-    lp._run()
-    if lp.objective_value() != 0:
+    lp = _Revised(system, on_a=system.negated)
+    basis = None if start is None else start._basis
+    if basis is None:
+        before, feasible = 0, lp.phase1()
+    else:
+        lp.resume(basis)
+        before = lp.pivots
+    if system.negated:
+        lp.widen(system)
+    elif not feasible:
         raise InfeasibleError(certificate=lp.multipliers())
-    lp.drop_artificials()
+    else:
+        lp.drop_artificials()
     lp.price(objective)
     if not lp._run():
         raise UnboundedError("objective is unbounded below on the feasible region")
     return OptimizationResult(
-        lp.objective_value(), lp.structural_solution(), lp.pivots, lp.multipliers()
+        lp.objective_value(), lp.structural_solution(), lp.pivots - before, lp.multipliers()
     )

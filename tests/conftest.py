@@ -26,6 +26,11 @@ def rank3_contextual():
     return canonical_example("fig10")
 
 
+def outcomes(space):
+    """Every hidden outcome of ``space``, lexicographic with the first cell most significant."""
+    return itertools.product(*(range(k) for k in space.sizes))
+
+
 def s_odd_bruteforce(xs):
     """Max of ``sum sign_i * x_i`` over odd-parity sign vectors, by enumeration.
 

@@ -34,6 +34,7 @@ from contextuality import (
 )
 from contextuality.distribution import Distribution
 from conftest import (
+    outcomes,
     random_boundary_cyclic,
     random_cyclic_system,
     random_partition,
@@ -132,7 +133,7 @@ def test_criterion_6_constraint_matrix_shapes_and_known_solutions():
         for row, b in zip(matrix, rhs):
             assert sum(a * q for a, q in zip(row, QUASI_SOLUTION)) == b
     quasi = QuasiCoupling(
-        dict(zip(outcome_space(system).outcomes(), MINIMAL_TV_SOLUTION))
+        dict(zip(outcomes(outcome_space(system)), MINIMAL_TV_SOLUTION))
     )
     assert verify_quasi_coupling(system, quasi).all_passed
     assert quasi.total_variation == 2

@@ -20,11 +20,12 @@ from contextuality import (
     validate_system,
     verify_quasi_coupling,
 )
-from contextuality.analysis import _constraint_rows, _expanded_rows
+from contextuality.analysis import _check_dual, _constraint_rows, _expanded_rows
 from contextuality.errors import DimensionMismatchError, OutcomeSpaceTooLargeError
-from contextuality.simplex import LinearSystem, minimize, solve_feasibility
+from contextuality.simplex import FeasibilityResult, LinearSystem, minimize, solve_feasibility
 from conftest import (
     assert_dual_certifies,
+    outcomes,
     random_boundary_cyclic,
     random_cyclic_system,
     random_small_system,
@@ -375,7 +376,7 @@ class TestMeasure:
 class TestVerification:
     def test_minimal_tv_solution_verifies_with_tv_two(self, rank2_contextual):
         space = outcome_space(rank2_contextual)
-        quasi = QuasiCoupling(dict(zip(space.outcomes(), SOLUTION_B)))
+        quasi = QuasiCoupling(dict(zip(outcomes(space), SOLUTION_B)))
         assert quasi.total_mass == 1
         assert quasi.total_variation == 2
         report = verify_quasi_coupling(rank2_contextual, quasi)
@@ -388,7 +389,7 @@ class TestVerification:
 
     def test_wrong_bunch_mass_reported(self, rank2_contextual):
         space = outcome_space(rank2_contextual)
-        masses = dict(zip(space.outcomes(), SOLUTION_B))
+        masses = dict(zip(outcomes(space), SOLUTION_B))
         masses[(0, 0, 0, 0)] += F(1, 4)
         masses[(0, 0, 0, 1)] -= F(1, 4)
         report = verify_quasi_coupling(rank2_contextual, masses)
@@ -439,7 +440,8 @@ def _masses(masses):
 
 
 class TestPinnedSolverPaths:
-    """Exact answers on LPs of hundreds of columns, as the dense tableau gave them.
+    """Exact answers on LPs of hundreds of columns: the verdict as the dense
+    tableau gave it, the measure as phase 2 resumed from the verdict gives it.
 
     A vertex, a dual and a pivot count are all fixed by the pivot path, so a
     solver change that alters the path on an analysis-scale LP fails here.
@@ -460,31 +462,71 @@ class TestPinnedSolverPaths:
         result = contextuality_measure(contextual_triangle(2))
         assert result.verdict.contextual
         assert result.verdict.pivots == 24
-        assert result.pivots == 70
+        assert result.pivots == 41
         assert result.total_variation == F(3, 2)
         assert result.measure == HALF
         fifths = (-1, -2, -2, -1, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, 0, -1, -1, 0, -1, -1)
         assert result.dual == tuple(F(k, 5) for k in fifths + (1,) * 6)
         assert result.witness.masses == _masses({
-            "000000000": "1/8", "000001000": "1/16", "000010100": "1/16",
-            "000101001": "1/16", "000101101": "1/16", "001101001": "1/8",
-            "010111000": "-1/16", "011011100": "-1/16", "011101011": "1/8",
-            "100010100": "1/8", "100100110": "-1/16", "101000001": "-1/16",
-            "110010101": "1/16", "110010110": "1/16", "111010110": "1/8",
-            "111101010": "1/16", "111110010": "1/16", "111111111": "1/8",
+            "000000000": "1/8", "000000010": "1/40", "000001001": "1/40",
+            "000010000": "3/40", "000101001": "1/10", "001101011": "3/20",
+            "010100111": "-1/20", "010111110": "-1/40", "011101011": "3/40",
+            "100010100": "1/20", "100010101": "1/8", "100100011": "-1/40",
+            "101000011": "-3/40", "101011000": "-3/40", "110010100": "3/40",
+            "111010110": "3/20", "111101010": "3/40", "111101111": "3/40",
+            "111110010": "1/40", "111111111": "1/10",
         })
+
+
+RESUMED_CASES = {
+    **{
+        f"cycle-{rank}": lambda rank=rank: cyclic_system_from_correlations(
+            [F(-9, 10)] + [F(9, 10)] * (rank - 1)
+        )
+        for rank in range(3, 9)
+    },
+    "fig9": lambda: canonical_example("fig9"),
+    "fig10": lambda: canonical_example("fig10"),
+    "binary-triangle": lambda: contextual_triangle(2),
+    "ternary-triangle": lambda: contextual_triangle(3),
+}
+
+
+class TestResumedMeasure:
+    """The measure resumed from the verdict's phase 1 against a cold solve of ``(M | -M)``."""
+
+    @pytest.mark.parametrize("name", sorted(RESUMED_CASES))
+    def test_resumed_measure_matches_the_cold_solve(self, name):
+        system = RESUMED_CASES[name]()
+        linear = build_associated_system(system)
+        n = linear.cols
+        cold = minimize(linear.widened(), (F(0),) * n + (F(1),) * n)
+        result = contextuality_measure(system)
+        assert result.verdict.contextual
+        assert result.measure == 2 * cold.value
+        _check_dual(linear, result.dual, cold.value)
+        cycles = detect_cycles(system)
+        if isinstance(cycles, list):
+            crit = evaluate_criterion(cycles[0], system)
+            assert result.measure == crit.delta / (2 * (crit.rank - 1))
+        # the cold solve takes the same path: the verdict's phase 1, then the measure's pivots
+        assert cold.pivots == result.verdict.pivots + result.pivots
+        assert cold.dual == result.dual
+        if name == "cycle-8":
+            # a phase 1 over both halves of (M | -M) takes 392 pivots
+            assert result.pivots < 392
 
 
 def dense_system(system, rows):
     """The system of ``(fixed cells, rhs)`` patterns built densely, one 0/1 entry per outcome."""
     space = outcome_space(system)
-    outcomes = tuple(space.outcomes())
+    labels = tuple(outcomes(space))
     patterns = list(rows(system, space))
     matrix = [
-        [int(all(outcome[pos] == value for pos, value in fixed.items())) for outcome in outcomes]
+        [int(all(outcome[pos] == value for pos, value in fixed.items())) for outcome in labels]
         for *_, fixed, _ in patterns
     ]
-    return LinearSystem(matrix, [mass for *_, mass in patterns], outcomes)
+    return LinearSystem(matrix, [mass for *_, mass in patterns], labels)
 
 
 SPARSE_CASES = {
@@ -524,7 +566,17 @@ class TestSparseRows:
         assert shared.cols == dense.cols == 2 * linear.cols
         n = linear.cols
         objective = (F(0),) * n + (F(1),) * n
-        got, want = minimize(shared, objective), minimize(dense, objective)
+        got = minimize(shared, objective)
+        # the shared widening runs phase 1 on M, the dense one over both halves
+        assert got.value == minimize(dense, objective).value
+        assert FeasibilityResult("feasible", got.solution, None, 0).verify(dense)
+        assert all(
+            sum(y * a for y, a in zip(got.dual, column)) <= c
+            for column, c in zip(zip(*dense.matrix), objective)
+        )
+        assert sum(y * b for y, b in zip(got.dual, dense.rhs)) == got.value
+        # the widening of M built from dense rows takes the same pivots
+        rebuilt = minimize(LinearSystem(linear.matrix, linear.rhs).widened(), objective)
         assert (got.value, got.solution, got.dual, got.pivots) == (
-            want.value, want.solution, want.dual, want.pivots
+            rebuilt.value, rebuilt.solution, rebuilt.dual, rebuilt.pivots
         )

@@ -60,7 +60,7 @@ class TestAnalyze:
         )
         assert code == 1
         report = json.loads(out)
-        assert set(report) == {"system", "verdict", "cyclic", "measure", "timings"}
+        assert set(report) == {"system", "verdict", "cyclic", "measure"}
         assert report["verdict"]["contextual"] is True
         assert report["cyclic"]["cycles"][0]["delta"] == "2"
         assert report["measure"]["total_variation"] == "2"
@@ -76,8 +76,14 @@ class TestAnalyze:
             report = json.loads(out)
             assert code == expected
             assert report["verdict"]["contextual"] == (expected == 1)
-            assert set(report) == {"system", "verdict", "cyclic", "measure", "timings"}
+            assert set(report) == {"system", "verdict", "cyclic", "measure"}
             assert report["measure"] is None
+
+    def test_same_input_gives_the_same_bytes(self, capsys, rank2_file):
+        for fmt in ("json", "text"):
+            argv = ("analyze", rank2_file, "--measure", "--witness", "--format", fmt)
+            outputs = [run(capsys, *argv)[1] for _ in range(2)]
+            assert outputs[0] == outputs[1]
 
     def test_stdin_input(self, capsys, monkeypatch):
         text = serialize_system(canonical_example("fig9"))

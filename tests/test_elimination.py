@@ -148,7 +148,7 @@ def anti_cycle(rank, correlation=F(9, 10)):
 
 
 def drive_out_system():
-    """Two ternary pair contexts whose measure LP drives two artificials out."""
+    """Two ternary pair contexts whose measure LP drives six artificials out of phase 1's basis."""
     third = F(1, 3)
     return validate_system(
         [Content("q1", 3), Content("q2", 3)],
@@ -207,7 +207,7 @@ class TestPathIdentity:
         if name == "noncontextual-6":
             assert seen["bland"] > 0
         if name == "drive-out":
-            assert seen["drive-out"] == 2
+            assert seen["drive-out"] == 6
 
     def test_a_non_constant_half_is_rejected(self):
         outcome = outcome_system(rank2_family(F(1, 2)))

@@ -10,7 +10,7 @@ from contextuality.errors import (
     InfeasibleError,
     UnboundedError,
 )
-from contextuality.simplex import FeasibilityResult
+from contextuality.simplex import FeasibilityResult, OutcomeSystem
 from conftest import rational_rank
 
 F = Fraction
@@ -161,6 +161,79 @@ class TestSparseRows:
         assert result.verify(wide)
         assert not FeasibilityResult("infeasible", None, (F(1), F(-1)), 0).verify(wide)
         assert not FeasibilityResult("infeasible", None, (F(-1), F(0)), 0).verify(wide)
+
+
+class TestResume:
+    """``minimize`` over ``(A | -A)`` resumed from an infeasible phase 1 on ``A``."""
+
+    def test_resumed_solve_matches_the_cold_one(self):
+        # Q >= 0 cannot reach x2 = 2 with x1 + x2 = 1; a signed Q can
+        s = LinearSystem(((1, 1), (0, 1)), (F(1), F(2)))
+        start = solve_feasibility(s)
+        assert not start.feasible
+        objective = (0, 0, 1, 1)
+        got, want = minimize(s.widened(), objective, start), minimize(s.widened(), objective)
+        assert got.value == want.value == 1
+        assert got.dual == want.dual == (-1, 1)
+        assert got.solution == want.solution == (0, 2, 1, 0)
+        # the cold solve runs the same phase 1 on A first
+        assert (start.pivots, got.pivots, want.pivots) == (1, 1, 2)
+
+    def test_resuming_leaves_the_start_as_it_was(self):
+        s = LinearSystem(((1, 1), (0, 1)), (F(1), F(2)))
+        start = solve_feasibility(s)
+        first = minimize(s.widened(), (0, 0, 1, 1), start)
+        assert minimize(s.widened(), (0, 0, 1, 1), start) == first
+        assert first.pivots == 1
+        assert start == solve_feasibility(s)
+
+    def test_a_basis_of_other_rows_is_rejected(self):
+        s = LinearSystem(((1, 1), (0, 1)), (F(1), F(2)))
+        start = solve_feasibility(s)
+        assert start._basis is not None
+        others = [
+            LinearSystem(((1, 1), (0, 1)), (F(1), F(3))).widened(),
+            # the same width and rhs over other rows
+            LinearSystem(((1, 0), (0, 1)), (F(1), F(2))).widened(),
+            # the same rows and rhs, but not shared
+            LinearSystem(s.matrix, s.rhs).widened(),
+        ]
+        for other in others:
+            with pytest.raises(DimensionMismatchError):
+                minimize(other, (0, 0, 1, 1), start)
+        # A itself, not widened
+        with pytest.raises(DimensionMismatchError):
+            minimize(s, (0, 0), start)
+        # the phase 1 of (A | -A) itself, not of A
+        wide = LinearSystem(((1, 1), (1, 1)), (F(1), F(2))).widened()
+        with pytest.raises(DimensionMismatchError):
+            minimize(wide, (0, 0, 1, 1), solve_feasibility(wide))
+
+    def test_a_basis_of_the_other_kind_is_rejected(self):
+        # mass 2 on the first cell's 0 out of a total of 1: no coupling, but a signed one
+        outcome = OutcomeSystem((2, 2), [({}, F(1)), ({0: 0}, F(2))])
+        start = solve_feasibility(outcome.explicit)
+        assert not start.feasible
+        with pytest.raises(DimensionMismatchError):
+            minimize(outcome.widened(), (0,) * 4 + (1,) * 4, start)
+
+    @pytest.mark.parametrize(
+        "matrix, rhs",
+        [
+            (((1, 1), (1, 1)), (F(1), F(2))),
+            # driving out the first row's artificial leaves the second at level -1
+            (((-1,), (-1,)), (F(2), F(1))),
+        ],
+    )
+    def test_rhs_outside_the_column_space_raises_with_a_certificate(self, matrix, rhs):
+        # (A | -A) reaches only the range of A, which misses these rhs
+        s = LinearSystem(matrix, rhs)
+        wide = s.widened()
+        for start in (solve_feasibility(s), None):
+            with pytest.raises(InfeasibleError) as caught:
+                minimize(wide, (0,) * s.cols + (1,) * s.cols, start)
+            certificate = caught.value.certificate
+            assert FeasibilityResult("infeasible", None, certificate, 0).verify(wide)
 
 
 def boolean_entry(rng):

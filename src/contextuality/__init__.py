@@ -38,20 +38,20 @@ from .cyclic import (
 )
 from .distribution import Distribution, as_fraction, marginal, uniform
 from .errors import ContextualityError
-from .ingest import (
+from .generators import (
     EXAMPLE_NAMES,
     EprBResult,
-    TrialRow,
-    TrialTable,
     canonical_example,
     cyclic_system_from_correlations,
     dichotomize_matching,
-    estimate_system,
     generate_epr_b,
+    rank2_family,
+)
+from .ingest import (
+    estimate_system,
     parse_layout,
     parse_system,
     parse_trials,
-    rank2_family,
     serialize_system,
 )
 from .simplex import (
@@ -94,8 +94,6 @@ __all__ = [
     "OutcomeSpace",
     "QuasiCoupling",
     "QuasiCouplingReport",
-    "TrialRow",
-    "TrialTable",
     "Verdict",
     "as_fraction",
     "build_associated_system",

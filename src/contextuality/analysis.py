@@ -65,6 +65,7 @@ from .simplex import (
     OutcomeSystem,
     common_denominator,
     minimize,
+    satisfies,
     solve_feasibility,
 )
 from .systems import CCSystem, Connection
@@ -316,21 +317,24 @@ def contextuality_measure(
     ``Q = Q1 - Q2`` with both halves nonnegative and minimizing ``sum Q2``
     over the widened system ``(M | -M)``, which shares the rows of ``M``
     rather than copying them.  :func:`~.simplex.minimize` takes the basis
-    that the verdict's phase 1 ended in, so no second phase 1 is run.  At
-    the optimum the halves never overlap, so
-    ``TV = 1 + 2 sum Q2``, an identity asserted against the reconstructed
-    signed masses.  The LP's dual ``y`` maximizes ``y . P``
+    that the verdict's phase 1 ended in, so no second phase 1 is run.  The
+    vertex is substituted into ``(M | -M)``.  At the optimum the halves
+    never overlap, so ``TV = 1 + 2 sum Q2``, an identity asserted against
+    the reconstructed signed masses.  The LP's dual ``y`` maximizes ``y . P``
     subject to ``-1 <= M^T y <= 0``: for any quasi-coupling ``Q``,
     ``y . P = (M^T y) . Q <= (TV(Q) - 1) / 2``, so ``1 + 2 y . P`` bounds
     every TV from below, and ``M^T y <= 0 < y . P`` is a Farkas certificate
-    of the contextual verdict.  Both the identity and the dual are checked
-    by substitution before returning; a failure raises :class:`SolverError`.
+    of the contextual verdict.  The vertex, the identity and the dual are
+    checked before returning; a failure raises :class:`SolverError`.
     """
     linear = build_associated_system(system, max_columns)
     verdict, feasibility = _decide(system, linear)
     if verdict.contextual:
         n = linear.cols
-        result = minimize(linear.widened(), (ZERO,) * n + (ONE,) * n, feasibility)
+        wide = linear.widened()
+        result = minimize(wide, (ZERO,) * n + (ONE,) * n, feasibility)
+        if not satisfies(wide, result.solution):
+            raise SolverError("internal inconsistency: the measure's witness fails substitution")
         # a basic solution never has both q[j] and q[n + j] nonzero
         masses = {
             linear.label(j % n): x if j < n else -x for j, x in enumerate(result.solution) if x

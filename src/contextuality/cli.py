@@ -22,16 +22,8 @@ from .analysis import (
 )
 from .cyclic import NotCyclic, detect_cycles, evaluate_criterion
 from .errors import ContextualityError, SchemaError
-from .ingest import (
-    EXAMPLE_NAMES,
-    canonical_example,
-    estimate_system,
-    generate_epr_b,
-    parse_layout,
-    parse_system,
-    parse_trials,
-    serialize_system,
-)
+from .generators import EXAMPLE_NAMES, canonical_example, generate_epr_b
+from .ingest import estimate_system, parse_layout, parse_system, parse_trials, serialize_system
 from .systems import CCSystem, consistency_report
 
 EXIT_NONCONTEXTUAL = 0

@@ -1,10 +1,10 @@
-"""File formats, empirical estimation, and example generators.
+"""File formats and empirical estimation.
 
 System files are JSON documents (schema below); masses are exact decimal or
 fraction strings, never binary floats.  Trial logs are CSV with one row per
-co-occurrence unit.  Generators produce the bundled canonical examples, the
-two-particle spin system for four measurement axes, and dichotomized
-matching-experiment systems.
+co-occurrence unit, and :func:`estimate_system` turns trials into bunches of
+exact count fractions.  The generators of the paper's worked systems are in
+:mod:`.generators`.
 
 System document schema (version 1)::
 
@@ -31,10 +31,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .distribution import as_fraction
 from .errors import (
@@ -46,9 +44,6 @@ from .errors import (
 from .systems import CCSystem, Content, validate_system
 
 SCHEMA_VERSION = 1
-EXAMPLE_NAMES = ("fig1", "fig9", "fig10", "szlg")
-
-PLUS_MINUS = ("+1", "-1")
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +207,8 @@ def serialize_system(system: CCSystem, indent: int = 2) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Trial tables and estimation
+# Trials and estimation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialRow:
-    context: str
-    values: tuple[tuple[str, str], ...]  # (content label, value label), sorted
-
-    def value_map(self) -> dict[str, str]:
-        return dict(self.values)
-
-
-@dataclass(frozen=True)
-class TrialTable:
-    rows: tuple[TrialRow, ...]
 
 
 def _csv_records(text: str):
@@ -239,8 +220,8 @@ def _csv_records(text: str):
         raise SchemaError(str(exc), f"line {reader.line_num}") from None
 
 
-def parse_trials(text: str) -> TrialTable:
-    """Parse a trial CSV into rows of per-content observed value labels."""
+def parse_trials(text: str) -> list[tuple[str, dict[str, str]]]:
+    """Parse a trial CSV into ``(context, {content: value label})`` pairs, one per row."""
     reader = _csv_records(text)
     try:
         header = next(reader)
@@ -268,52 +249,49 @@ def parse_trials(text: str) -> TrialTable:
                 f"line {lineno}",
             )
         context = record[0].strip()
-        values = tuple(
-            sorted(
-                (content, cell.strip())
-                for content, cell in zip(columns, record[1:])
-                if cell.strip()
-            )
-        )
+        values = {
+            content: cell.strip() for content, cell in zip(columns, record[1:]) if cell.strip()
+        }
         if not values:
             raise SchemaError("row observes no contents", f"line {lineno}")
-        rows.append(TrialRow(context, values))
-    return TrialTable(tuple(rows))
+        rows.append((context, values))
+    return rows
 
 
 def estimate_system(
-    trials: TrialTable,
+    trials: Iterable[tuple[str, Mapping[str, str]]],
     contents: Sequence[Content],
     contexts: Mapping[str, Sequence[str]],
 ) -> CCSystem:
     """Estimate bunch distributions as exact count fractions.
 
-    Every declared context needs at least one trial; each trial row must
-    cover exactly the filled cells of its context.
+    ``trials`` are ``(context, {content: value label})`` pairs, as
+    :func:`parse_trials` returns them.  Every declared context needs at
+    least one trial; each trial must cover exactly the filled cells of its
+    context.
     """
     by_label = {c.label: c for c in contents}
     counts: dict[str, dict[tuple[int, ...], int]] = {str(c): {} for c in contexts}
     totals: dict[str, int] = {str(c): 0 for c in contexts}
     order = {str(c): [str(q) for q in qs] for c, qs in contexts.items()}
-    for row in trials.rows:
-        if row.context not in counts:
-            raise UnknownLabelError(f"trial row names undeclared context {row.context!r}")
-        expected = sorted(order[row.context])
-        observed = row.value_map()
+    for context, observed in trials:
+        if context not in counts:
+            raise UnknownLabelError(f"trial row names undeclared context {context!r}")
+        expected = sorted(order[context])
         if sorted(observed) != expected:
             raise UnknownLabelError(
-                f"trial row for {row.context!r} covers {sorted(observed)}, "
+                f"trial row for {context!r} covers {sorted(observed)}, "
                 f"its cells are {expected}"
             )
         value = []
-        for q in order[row.context]:
+        for q in order[context]:
             content = by_label.get(q)
             if content is None:
-                raise UnknownLabelError(f"context {row.context!r} references unknown content {q!r}")
+                raise UnknownLabelError(f"context {context!r} references unknown content {q!r}")
             value.append(content.value_index(observed[q]))
         key = tuple(value)
-        counts[row.context][key] = counts[row.context].get(key, 0) + 1
-        totals[row.context] += 1
+        counts[context][key] = counts[context].get(key, 0) + 1
+        totals[context] += 1
     empty = sorted(c for c, n in totals.items() if n == 0)
     if empty:
         raise EmptyContextError(f"no trials for contexts {empty}")
@@ -324,194 +302,3 @@ def estimate_system(
         for context, table in counts.items()
     }
     return validate_system(contents, contexts, bunches)
-
-
-# ---------------------------------------------------------------------------
-# Generators
-# ---------------------------------------------------------------------------
-
-
-def cyclic_system_from_correlations(correlations: Sequence) -> CCSystem:
-    """Consistently connected cyclic binary system with the given correlations.
-
-    ``correlations[i]`` is the exact product expectation (in ``[-1, 1]``) of
-    context ``c_(i+1)``, which pairs contents ``q_(i+1)`` and ``q_(i+2)``
-    cyclically; all marginals are uniform.  This is the entry path for
-    quantum-style systems whose correlations are irrational: approximate
-    them as Fractions first, then build the system exactly.
-    """
-    values = [as_fraction(e) for e in correlations]
-    n = len(values)
-    if n < 2:
-        raise ValidationError(f"a cycle needs at least 2 correlations, got {n}")
-    if any(not -1 <= e <= 1 for e in values):
-        raise ValidationError(f"correlations must lie in [-1, 1], got {values}")
-    contents = [Content(f"q{i}", 2, PLUS_MINUS, 0) for i in range(1, n + 1)]
-    contexts = {f"c{i}": [f"q{i}", f"q{i % n + 1}"] for i in range(1, n + 1)}
-    quarter = Fraction(1, 4)
-    bunches = {}
-    for i, e in enumerate(values, start=1):
-        agree = quarter * (1 + e)
-        disagree = quarter * (1 - e)
-        bunches[f"c{i}"] = {
-            value: mass
-            for value, mass in {
-                (0, 0): agree,
-                (0, 1): disagree,
-                (1, 0): disagree,
-                (1, 1): agree,
-            }.items()
-            if mass
-        }
-    return validate_system(contents, contexts, bunches)
-
-
-@dataclass(frozen=True)
-class CorrelationApproximation:
-    """How one context's target correlation was rationalized."""
-
-    context: str
-    target: float
-    value: Fraction
-    error: float
-
-
-@dataclass(frozen=True)
-class EprBResult:
-    system: CCSystem
-    approximations: tuple[CorrelationApproximation, ...]
-    denominator_bound: int
-
-    @property
-    def max_error(self) -> float:
-        return max(a.error for a in self.approximations)
-
-
-def generate_epr_b(angles: Sequence[float | str], denominator_bound: int = 10**6) -> EprBResult:
-    """Rank-4 cyclic system of two spin measurements in a singlet state.
-
-    Contents ``q1..q4`` are the four measurement axes (given as angles in
-    radians, as numbers or numeric strings); context ``c_i`` pairs axes ``q_i`` and ``q_(i+1)``.  Each bunch
-    has uniform marginals and product expectation ``-cos(theta)`` for the
-    angle ``theta`` between its two axes, rounded to the nearest fraction
-    with denominator at most ``denominator_bound``.  Marginals stay exactly
-    1/2 (the approximation only touches the correlation term), so the system
-    is consistently connected.
-    """
-    try:
-        angles = [float(a) for a in angles]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"need four finite angles, got {list(angles)!r}") from exc
-    if len(angles) != 4 or not all(math.isfinite(a) for a in angles):
-        raise ValidationError(f"need four finite angles, got {angles!r}")
-    if denominator_bound < 1:
-        raise ValidationError(f"denominator bound must be >= 1, got {denominator_bound}")
-    correlations = []
-    approximations = []
-    for i in range(1, 5):
-        theta = angles[i % 4] - angles[i - 1]
-        target = -math.cos(theta)
-        value = Fraction(target).limit_denominator(denominator_bound)
-        value = max(Fraction(-1), min(Fraction(1), value))
-        approximations.append(
-            CorrelationApproximation(f"c{i}", target, value, abs(float(value) - target))
-        )
-        correlations.append(value)
-    system = cyclic_system_from_correlations(correlations)
-    return EprBResult(system, tuple(approximations), denominator_bound)
-
-
-def dichotomize_matching(
-    observations: Sequence[Sequence[tuple[float, float]]],
-    rad1: float,
-    rad3: float,
-    ang2: float,
-    ang4: float,
-) -> CCSystem:
-    """Rank-4 cyclic binary system from paired (radius, angle) measurements.
-
-    ``observations[i-1]`` holds the trials of context ``c_i``, which pairs
-    contents ``q_i`` and ``q_(i+1)``; odd-numbered contents are radius
-    responses, even-numbered ones are angle responses.  A response codes +1
-    when the measurement strictly exceeds its content's threshold and -1
-    otherwise (ties fall to -1).
-    """
-    if len(observations) != 4:
-        raise ValidationError(f"need trials for four contexts, got {len(observations)}")
-    thresholds = {"q1": float(rad1), "q2": float(ang2), "q3": float(rad3), "q4": float(ang4)}
-    contents = [Content(f"q{i}", 2, PLUS_MINUS, 0) for i in range(1, 5)]
-    contexts = {f"c{i}": [f"q{i}", f"q{i % 4 + 1}"] for i in range(1, 5)}
-    empty = [f"c{i}" for i in range(1, 5) if not observations[i - 1]]
-    if empty:
-        raise EmptyContextError(f"no observations for contexts {empty}")
-    bunches: dict[str, dict[tuple[int, ...], Fraction]] = {}
-    for i in range(1, 5):
-        first, second = contexts[f"c{i}"]
-        counts: dict[tuple[int, ...], int] = {}
-        trials = observations[i - 1]
-        for radius, angle in trials:
-            by_content = {}
-            for q in (first, second):
-                measurement = radius if int(q[1:]) % 2 == 1 else angle
-                coded_plus = measurement > thresholds[q]
-                by_content[q] = 0 if coded_plus else 1
-            key = (by_content[first], by_content[second])
-            counts[key] = counts.get(key, 0) + 1
-        bunches[f"c{i}"] = {
-            value: Fraction(n, len(trials)) for value, n in counts.items()
-        }
-    return validate_system(contents, contexts, bunches)
-
-
-# ---------------------------------------------------------------------------
-# Canonical examples
-# ---------------------------------------------------------------------------
-
-
-def rank2_family(p) -> CCSystem:
-    """Two-context binary family: one perfectly correlated bunch, one tunable.
-
-    The first bunch is diagonal with masses 1/2; the second places ``p`` on
-    each agreeing pair and ``1/2 - p`` on each disagreeing pair.  At
-    ``p = 0`` the system is maximally contextual; at ``p = 1/2`` the bunches
-    coincide and it is trivially noncontextual.  Its minimum total variation
-    is ``2(1 - p)``.
-    """
-    p = as_fraction(p)
-    if not 0 <= p <= Fraction(1, 2):
-        raise ValidationError(f"p must lie in [0, 1/2], got {p}")
-    half = Fraction(1, 2)
-    contents = [Content("q1", 2, PLUS_MINUS, 0), Content("q2", 2, PLUS_MINUS, 0)]
-    contexts = {"c1": ["q1", "q2"], "c2": ["q1", "q2"]}
-    bunches = {
-        "c1": {(0, 0): half, (1, 1): half},
-        "c2": {(0, 0): p, (0, 1): half - p, (1, 0): half - p, (1, 1): p},
-    }
-    return validate_system(contents, contexts, bunches)
-
-
-def _szlg_example() -> CCSystem:
-    contents = [Content(f"q{i}", 2, PLUS_MINUS, 0) for i in (1, 2, 3)]
-    contexts = {"c1": ["q1", "q2"], "c2": ["q2", "q3"], "c3": ["q1", "q3"]}
-    p7, p3, p4 = Fraction(7, 10), Fraction(3, 10), Fraction(2, 5)
-    bunches = {
-        "c1": {(0, 0): p7, (1, 1): p3},
-        "c2": {(0, 0): p7, (1, 1): p3},
-        "c3": {(0, 0): p4, (0, 1): p3, (1, 0): p3},
-    }
-    return validate_system(contents, contexts, bunches)
-
-
-def canonical_example(name: str) -> CCSystem:
-    """One of the bundled example systems (names in ``EXAMPLE_NAMES``).
-
-    ``fig1``/``fig9``: the minimal contextual two-context binary system
-    (perfect correlation against perfect anticorrelation, uniform marginals).
-    ``fig10``/``szlg``: a contextual three-context system with identical
-    0.7/0.3 marginals everywhere.
-    """
-    if name in ("fig1", "fig9"):
-        return rank2_family(0)
-    if name in ("fig10", "szlg"):
-        return _szlg_example()
-    raise UnknownLabelError(f"unknown example {name!r}; choose one of {EXAMPLE_NAMES}")

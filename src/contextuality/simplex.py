@@ -398,6 +398,26 @@ def _table_strides(sizes: Sequence[int], cells: Sequence[int]) -> list[tuple[int
     return [(c, math.prod(sizes[d] for d in cells[i + 1 :])) for i, c in enumerate(cells)]
 
 
+def satisfies(system: LinearSystem | OutcomeSystem, q: Sequence[Fraction]) -> bool:
+    """Whether ``q`` is a nonnegative solution of ``system``, by exact substitution.
+
+    ``q`` has one entry per column; its support is scaled to integers over
+    its common denominator and substituted column by column.
+    """
+    if len(q) != system.cols:
+        return False
+    support = [j for j, x in enumerate(q) if x]
+    masses, scale = common_denominator([q[j] for j in support])
+    if any(x < 0 for x in masses):
+        return False
+    lhs = [0] * system.rows
+    for j, x in zip(support, masses):
+        for i, a in enumerate(system.column(j)):
+            if a:
+                lhs[i] += a * x
+    return all(v * b.denominator == b.numerator * scale for v, b in zip(lhs, system.rhs))
+
+
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Outcome of a feasibility solve, carrying its witness.
@@ -422,26 +442,13 @@ class FeasibilityResult:
     def verify(self, system: LinearSystem | OutcomeSystem) -> bool:
         """Re-check the witness against the system by exact substitution.
 
-        Both are scaled to integers over their common denominators first.  A
-        vertex solution is substituted column by column over its support.
-        For a certificate, ``y^T M <= 0`` is read from the largest
-        ``y . M_j`` that the system's :meth:`best` finds (on ``-y`` too for a
-        negated half).
+        A solution goes through :func:`satisfies`.  A certificate is scaled
+        to integers over its common denominator, and ``y^T M <= 0`` is read
+        from the largest ``y . M_j`` that the system's :meth:`best` finds (on
+        ``-y`` too for a negated half).
         """
         if self.feasible:
-            q = self.solution
-            if q is None or len(q) != system.cols:
-                return False
-            support = [j for j, x in enumerate(q) if x]
-            masses, scale = common_denominator([q[j] for j in support])
-            if any(x < 0 for x in masses):
-                return False
-            lhs = [0] * system.rows
-            for j, x in zip(support, masses):
-                for i, a in enumerate(system.column(j)):
-                    if a:
-                        lhs[i] += a * x
-            return all(v * b.denominator == b.numerator * scale for v, b in zip(lhs, system.rhs))
+            return self.solution is not None and satisfies(system, self.solution)
         y = self.certificate
         if y is None or len(y) != system.rows:
             return False

@@ -166,6 +166,31 @@ class TestAnalyze:
         assert out == ""
         assert err.startswith("error: internal inconsistency") and "witness fails substitution" in err
 
+    @pytest.mark.parametrize("name", ["fig9", "fig10"])
+    def test_a_measure_vertex_failing_substitution_exits_two(
+        self, capsys, monkeypatch, tmp_path, name
+    ):
+        import dataclasses
+
+        from contextuality import analysis
+
+        solve = analysis.minimize
+
+        def corrupted(*args):
+            result = solve(*args)
+            # move the first mass one column on
+            q = list(result.solution)
+            j = next(j for j, x in enumerate(q) if x)
+            q[j], q[j + 1] = ZERO, q[j + 1] + q[j]
+            return dataclasses.replace(result, solution=tuple(q))
+
+        monkeypatch.setattr(analysis, "minimize", corrupted)
+        path = write_system(tmp_path, "case.json", canonical_example(name))
+        code, out, err = run(capsys, "analyze", path, "--measure", "--witness", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: internal inconsistency") and "witness fails substitution" in err
+
     def test_column_cap_is_an_error(self, capsys, rank3_file):
         code, _, err = run(capsys, "analyze", rank3_file, "--max-columns", "4")
         assert code == 2

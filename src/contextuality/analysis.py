@@ -51,6 +51,7 @@ contextual system it is also a Farkas certificate for the verdict.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,10 +93,7 @@ class OutcomeSpace:
 
     @property
     def size(self) -> int:
-        n = 1
-        for k in self.sizes:
-            n *= k
-        return n
+        return math.prod(self.sizes)
 
     def cell_position(self, context: str, content: str) -> int:
         return self._positions[(context, content)]

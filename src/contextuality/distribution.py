@@ -135,10 +135,6 @@ class Distribution:
         return Distribution(sizes, out)
 
     @staticmethod
-    def point_mass(alphabet_sizes: Sequence[int], value: Sequence[int]) -> "Distribution":
-        return Distribution(tuple(alphabet_sizes), {tuple(value): ONE})
-
-    @staticmethod
     def from_rows(rows: Iterable[Iterable], arity_sizes: Sequence[int] | None = None) -> "Distribution":
         """Build an arity-2 distribution from a nested row table.
 

@@ -97,17 +97,19 @@ def common_denominator(values: Sequence) -> tuple[list[int], int]:
 class LinearSystem:
     """Constraint data for ``A Q = rhs`` with ``Q >= 0``, held as sparse rows.
 
-    ``LinearSystem(matrix, rhs, column_labels)`` takes dense rows, whose
-    entries may be ints or Fractions (the systems built here are 0/1 Boolean,
-    but general rationals are accepted), and converts them once.  Each row is
-    kept as ``(coefficient, column indices)`` groups, the indices ascending in
-    an ``array('i')``.  When ``negated`` is set the system is ``(A | -A)``
-    over ``2 * width`` columns and only ``A`` is stored: :meth:`widened`
-    makes one that shares this system's index arrays.  ``column_labels`` are
-    opaque identifiers carried through to solutions.
+    ``LinearSystem(matrix, rhs)`` takes dense rows, whose entries may be ints
+    or Fractions (the systems built here are 0/1 Boolean, but general
+    rationals are accepted), and converts them once.  Each row is kept as
+    ``(coefficient, column indices)`` groups, the indices ascending in an
+    ``array('i')``.  When ``negated`` is set the system is ``(A | -A)`` over
+    ``2 * width`` columns and only ``A`` is stored: :meth:`widened` makes one
+    that shares this system's index arrays.  Columns are known by index
+    alone; ``label``, when set, decodes column ``j`` of ``A`` (the rows of
+    an :class:`OutcomeSystem` pass its :meth:`~OutcomeSystem.label`), and it
+    is ``None`` for a system built from dense rows.
     """
 
-    def __init__(self, matrix, rhs, column_labels=None):
+    def __init__(self, matrix, rhs):
         matrix = [[_exact(x) for x in row] for row in matrix]
         if not matrix:
             raise DimensionMismatchError("constraint matrix has no rows")
@@ -130,35 +132,31 @@ class LinearSystem:
             raise DimensionMismatchError(
                 f"rhs has {len(rhs)} entries for {len(matrix)} rows"
             )
-        if column_labels is not None:
-            column_labels = tuple(column_labels)
-            if len(column_labels) != width:
-                raise DimensionMismatchError(
-                    f"{len(column_labels)} column labels for {width} columns"
-                )
         self.sparse_rows = tuple(sparse_rows)
         self.rhs = rhs
         self.width = width
-        self.column_labels = column_labels
         self.negated = False
+        self.label = None
 
     @classmethod
     def from_sparse(
         cls, sparse_rows: Sequence, rhs: Sequence[Fraction], width: int,
-        column_labels: tuple | None = None, negated: bool = False,
+        negated: bool = False, label=None,
     ) -> LinearSystem:
         """A system over rows already in sparse form, taken as they are, unchecked."""
         system = cls.__new__(cls)
         system.sparse_rows = tuple(sparse_rows)
         system.rhs = tuple(rhs)
         system.width = width
-        system.column_labels = column_labels
         system.negated = negated
+        system.label = label
         return system
 
     def widened(self) -> LinearSystem:
         """``(A | -A)`` over the same rows and rhs, sharing this system's index arrays."""
-        return LinearSystem.from_sparse(self.sparse_rows, self.rhs, self.width, negated=True)
+        return LinearSystem.from_sparse(
+            self.sparse_rows, self.rhs, self.width, negated=True, label=self.label
+        )
 
     @property
     def rows(self) -> int:
@@ -198,10 +196,6 @@ class LinearSystem:
             column.append(entry)
         return column
 
-    def label(self, j: int):
-        """The label of column ``j`` of ``A``."""
-        return self.column_labels[j]
-
     def best(self, weights: Sequence) -> tuple:
         """``(max_j weights . A_j, the lowest j attaining it)`` over the columns of ``A``."""
         combined = _scatter(weights, self.sparse_rows, [0] * self.width)
@@ -226,10 +220,13 @@ class OutcomeSystem:
     Column ``j`` assigns a value to every cell (of sizes ``sizes``),
     lexicographically with the first cell most significant, and row ``i``
     marks the columns that give each fixed cell of pattern ``i`` its value.
-    Rows fixing the same cells, a *scope*, share one table: each row is a
-    key ``(scope, entry)``.  ``negated`` and :meth:`widened` are as for
-    :class:`LinearSystem`.  :meth:`best` and :meth:`first_above` ask the
-    columns by variable elimination (see the module docstring).
+    No column is listed: :meth:`label` decodes ``j`` through the strides,
+    cell by cell as ``j // stride % size``, and :attr:`explicit` hands that
+    decoder to its rows.  Rows fixing the same cells, a *scope*, share one
+    table: each row is a key ``(scope, entry)``.  ``negated`` and
+    :meth:`widened` are as for :class:`LinearSystem`.  :meth:`best` and
+    :meth:`first_above` ask the columns by variable elimination (see the
+    module docstring).
     """
 
     def __init__(self, sizes: Sequence[int], patterns: Iterable, negated: bool = False):
@@ -256,20 +253,21 @@ class OutcomeSystem:
         """``(A | -A)``, sharing this system's patterns and elimination plan."""
         wide = copy.copy(self)
         wide.negated = True
-        wide.__dict__.pop("explicit", None)
         return wide
 
     rows = property(lambda self: len(self.patterns))
     cols = property(lambda self: 2 * self.width if self.negated else self.width)
     matrix = property(lambda self: self.explicit.matrix)
 
-    @cached_property
+    @property
     def explicit(self) -> LinearSystem:
         """The same rows as a :class:`LinearSystem`, each index array written from the strides.
 
         The fixed cells give a base index, each free cell before the last
         fixed one multiplies the starts, and the free cells after it make
-        each start a run of consecutive indices.
+        each start a run of consecutive indices.  The rows decode their
+        columns through :meth:`label`, so they hold this system: caching
+        them here would make a reference cycle.
         """
         rows = []
         for fixed in self.patterns:
@@ -283,11 +281,7 @@ class OutcomeSystem:
             for i in starts:
                 indices.extend(range(i, i + run))
             rows.append(((1, indices),))
-        return LinearSystem.from_sparse(rows, self.rhs, self.width, self.column_labels, self.negated)
-
-    @cached_property
-    def column_labels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(itertools.product(*map(range, self.sizes)))
+        return LinearSystem.from_sparse(rows, self.rhs, self.width, self.negated, self.label)
 
     def label(self, j: int) -> tuple[int, ...]:
         """Column ``j`` of ``A`` decoded through the strides: the value of each cell."""

@@ -146,8 +146,10 @@ class CCSystem:
 
     def variable_marginal(self, context: str, content: str) -> Distribution:
         """1-marginal of the variable at cell (context, content)."""
-        position = self.context_contents(context).index(content)
-        return self.bunches[context].marginal((position,))
+        contents = self.context_contents(context)
+        if content not in contents:
+            raise UnknownLabelError(f"unknown cell ({context!r}, {content!r})")
+        return self.bunches[context].marginal((contents.index(content),))
 
     @property
     def variable_count(self) -> int:
@@ -223,15 +225,7 @@ def validate_system(
         order = tuple(cols.index(q) for q in canonical)
         canonical_bunches[context] = dist.permuted(order)
 
-    system = CCSystem(content_objs, context_labels, frozenset(cells), canonical_bunches)
-    for context in context_labels:
-        expected = tuple(by_label[q].size for q in system.context_contents(context))
-        got = canonical_bunches[context].alphabet_sizes
-        if got != expected:
-            raise AlphabetMismatchError(
-                f"bunch for {context!r} has alphabets {got}, cells require {expected}"
-            )
-    return system
+    return CCSystem(content_objs, context_labels, frozenset(cells), canonical_bunches)
 
 
 @dataclass(frozen=True)

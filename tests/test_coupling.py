@@ -129,7 +129,7 @@ def test_two_member_coincidence_is_lp_optimal(marginals):
     for v in range(k):
         rows.append(tuple(1 if b == v else 0 for _, b in pairs))
         rhs.append(second.mass((v,)))
-    polytope = LinearSystem(tuple(rows), tuple(rhs), tuple(pairs))
+    polytope = LinearSystem(tuple(rows), tuple(rhs))
     objective = [-1 if a == b else 0 for a, b in pairs]
     result = minimize(polytope, objective)
     spec = maximal_coupling_diagonal(marginals)

@@ -27,6 +27,7 @@ from contextuality import simplex
 from contextuality.analysis import _constraint_rows
 from contextuality.distribution import ONE, ZERO
 from contextuality.simplex import LinearSystem, OutcomeSystem, minimize, solve_feasibility
+from conftest import outcomes
 
 F = Fraction
 
@@ -94,9 +95,10 @@ class TestOracle:
     def test_columns_decode_through_the_strides(self):
         linear = outcome_system(triangle(3, "contextual"))
         explicit = linear.explicit
+        every = list(outcomes(linear))
         for j in (0, 1, 17, 1000, linear.width - 1):
             assert linear.column(j) == explicit.column(j)
-            assert linear.label(j) == explicit.column_labels[j]
+            assert linear.label(j) == explicit.label(j) == every[j]
         wide = linear.widened()
         assert wide.cols == 2 * linear.width and wide.rows == linear.rows
         assert wide.column(linear.width + 5) == [-x for x in linear.column(5)]

@@ -129,21 +129,18 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             LinearSystem(((1, 0), (1,)), (F(1), F(1)))
 
-    def test_column_labels_length_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            LinearSystem(((1, 0),), (F(1),), ("a",))
-
 
 class TestSparseRows:
     def test_dense_rows_become_groups_of_ascending_indices(self):
-        s = LinearSystem(((0, 2, F(1, 2), 2), (1, 0, 0, 0)), (F(1), F(0)), "abcd")
+        s = LinearSystem(((0, 2, F(1, 2), 2), (1, 0, 0, 0)), (F(1), F(0)))
         assert s.sparse_rows == (
             ((2, array("i", [1, 3])), (HALF, array("i", [2]))),
             ((1, array("i", [0])),),
         )
         assert s.matrix == ((0, 2, HALF, 2), (1, 0, 0, 0))
         assert s.column(3) == [2, 0]
-        assert (s.rows, s.cols, s.column_labels) == (2, 4, tuple("abcd"))
+        assert (s.rows, s.cols) == (2, 4)
+        assert s.label is None
 
     def test_widened_shares_rows_and_negates_the_second_half(self):
         s = LinearSystem(((0, 2, F(1, 2)),), (F(1),))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from contextuality import (
+    canonical_example,
     consistency_report,
     is_consistently_connected,
     validate_system,
@@ -88,6 +89,14 @@ class TestValidation:
     def test_unknown_content_in_context(self):
         with pytest.raises(UnknownLabelError):
             validate_system({"q1": 2}, {"c1": ["q9"]}, {"c1": {(0,): F(1)}})
+
+    def test_marginal_of_an_unfilled_cell_names_the_cell(self):
+        system = canonical_example("fig10")
+        with pytest.raises(UnknownLabelError, match=r"unknown cell \('c1', 'q3'\)"):
+            system.variable_marginal("c1", "q3")
+        with pytest.raises(UnknownLabelError, match="unknown context 'c9'"):
+            system.variable_marginal("c9", "q1")
+        assert system.variable_marginal("c1", "q2") == system.bunches["c1"].marginal((1,))
 
     def test_mass_errors_propagate(self):
         with pytest.raises(MassSumError):

@@ -34,18 +34,19 @@ elimination on rank-5 cycles and the ternary triangle, at 14.6-14.9.  The
 answers do not depend on the choice.
 
 Dropping nonnegativity, real-valued solutions always exist; minimizing their
-total variation ``sum |Q|`` (via the split ``Q = Q1 - Q2``) yields the
-contextuality measure ``TV - 1``.  The all-ones row is a sum of one context's
-bunch rows, so every solution has ``sum Q = 1`` and ``TV >= |sum Q| = 1``,
-with equality exactly when ``Q >= 0``.  The measure is therefore 0 exactly on
-noncontextual systems, where the verdict's coupling attains it, and only a
-contextual system needs the second LP.  That LP over ``(M | -M)`` is always
-feasible, and it is not solved from scratch: its phase 2 resumes from the
-basis that the verdict's phase 1 on ``M`` ended in, once the artificials
-are pivoted out and each basic column is signed by its value.  Its dual
-``y`` satisfies ``-1 <= M^T y <= 0`` and ``y . P = (TV - 1) / 2``, so it
-bounds every quasi-coupling's TV from below by the one reported, and on a
-contextual system it is also a Farkas certificate for the verdict.
+total variation ``sum |Q|`` yields the contextuality measure ``TV - 1``.
+The all-ones row is a sum of one context's bunch rows, so every solution has
+``sum Q = 1`` and ``TV >= |sum Q| = 1``, with equality exactly when
+``Q >= 0``.  The measure is therefore 0 exactly on noncontextual systems,
+where the verdict's coupling attains it, and only a contextual system needs
+the second LP, the least negative mass of a signed ``Q``, which
+:func:`~.simplex.minimize` solves on ``M`` itself.  It is not solved from
+scratch: its phase 2 resumes from the basis that the verdict's phase 1 on
+``M`` ended in, once the artificials are pivoted out and each basic column
+is signed by its value.  Its dual ``y`` satisfies ``-1 <= M^T y <= 0`` and
+``y . P = (TV - 1) / 2``, so it bounds every quasi-coupling's TV from below
+by the one reported, and on a contextual system it is also a Farkas
+certificate for the verdict.
 """
 
 from __future__ import annotations
@@ -307,36 +308,30 @@ def contextuality_measure(
 ) -> MeasureResult:
     """Minimize ``sum |Q|`` subject to ``M Q = P`` and report ``TV - 1``.
 
-    ``M`` is built once and its feasibility decides the verdict first.  Every
-    solution has ``sum Q = 1`` (the bunch rows of one context sum to the
-    all-ones row), so ``TV >= 1``; a noncontextual system's coupling has
+    ``M`` is built once and its feasibility decides the verdict first.
+    Every solution has ``sum Q = 1`` (the bunch rows of one context sum to
+    the all-ones row), so ``TV >= 1``; a noncontextual system's coupling has
     ``TV = 1`` and is returned as the witness with measure 0 and dual 0.  On
-    a contextual system the nonlinear objective is linearized by splitting
-    ``Q = Q1 - Q2`` with both halves nonnegative and minimizing ``sum Q2``
-    over the widened system ``(M | -M)``, which shares the rows of ``M``
-    rather than copying them.  :func:`~.simplex.minimize` takes the basis
-    that the verdict's phase 1 ended in, so no second phase 1 is run.  The
-    vertex is substituted into ``(M | -M)``.  At the optimum the halves
-    never overlap, so ``TV = 1 + 2 sum Q2``, an identity asserted against
-    the reconstructed signed masses.  The LP's dual ``y`` maximizes ``y . P``
-    subject to ``-1 <= M^T y <= 0``: for any quasi-coupling ``Q``,
-    ``y . P = (M^T y) . Q <= (TV(Q) - 1) / 2``, so ``1 + 2 y . P`` bounds
-    every TV from below, and ``M^T y <= 0 < y . P`` is a Farkas certificate
-    of the contextual verdict.  The vertex, the identity and the dual are
-    checked before returning; a failure raises :class:`SolverError`.
+    a contextual system ``TV = sum Q + 2 sum Q- = 1 + 2 sum Q-``, so
+    :func:`~.simplex.minimize` finds the least negative mass ``sum Q-`` of a
+    signed ``Q`` with ``M Q = P``, resumed from the basis that the verdict's
+    phase 1 ended in, so no second phase 1 is run.  The signed vertex is
+    substituted into ``M`` and decoded column by column, and
+    ``TV = 1 + 2 sum Q-`` is asserted against it.  The LP's dual ``y``
+    maximizes ``y . P`` subject to ``-1 <= M^T y <= 0``: for any
+    quasi-coupling ``Q``, ``y . P = (M^T y) . Q <= (TV(Q) - 1) / 2``, so
+    ``1 + 2 y . P`` bounds every TV from below, and ``M^T y <= 0 < y . P``
+    is a Farkas certificate of the contextual verdict.  The vertex, the
+    identity and the dual are checked before returning; a failure raises
+    :class:`SolverError`.
     """
     linear = build_associated_system(system, max_columns)
     verdict, feasibility = _decide(system, linear)
     if verdict.contextual:
-        n = linear.cols
-        wide = linear.widened()
-        result = minimize(wide, (ZERO,) * n + (ONE,) * n, feasibility)
-        if not satisfies(wide, result.solution):
+        result = minimize(linear, feasibility)
+        if not satisfies(linear, result.solution):
             raise SolverError("internal inconsistency: the measure's witness fails substitution")
-        # a basic solution never has both q[j] and q[n + j] nonzero
-        masses = {
-            linear.label(j % n): x if j < n else -x for j, x in enumerate(result.solution) if x
-        }
+        masses = {linear.label(j): x for j, x in enumerate(result.solution) if x}
         value, dual, pivots = result.value, result.dual, result.pivots
     else:
         masses = verdict.coupling.masses

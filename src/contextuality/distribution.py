@@ -8,6 +8,7 @@ ranging over ``0 .. alphabet_sizes[j] - 1``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,6 +23,10 @@ from .errors import (
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+# The interpreter's default digit limit for int(): Fraction("1e<k>") builds
+# 10**k, which takes seconds from k in the millions.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def as_fraction(value) -> Fraction:
@@ -37,6 +42,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValidationError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

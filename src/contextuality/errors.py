@@ -61,15 +61,11 @@ class SolverError(ContextualityError):
 
 
 class InfeasibleError(SolverError):
-    """Optimization was requested on an infeasible system."""
+    """The measure's LP has no signed solution: the rhs is outside the column space."""
 
     def __init__(self, message: str = "system is infeasible", certificate=None):
         super().__init__(message)
         self.certificate = certificate
-
-
-class UnboundedError(SolverError):
-    """The objective is unbounded below on the feasible region."""
 
 
 class PivotLimitError(SolverError):

@@ -1,18 +1,18 @@
 """Exact linear programming over the rationals.
 
-Solves feasibility of ``{M Q = P, Q >= 0}`` and minimization of a linear
-objective over that polytope, with no floating point anywhere.  Two-phase
-simplex with a deterministic pivot rule: most-negative-reduced-cost entering
-(ties to the lowest index), Bland's smallest-index leaving, and a switch to
-Bland's entering rule whenever a run of degenerate pivots has made no
-progress.  Bland's rule cannot cycle, so termination is guaranteed and
-results are a pure function of the input.  Both witnesses over the rows are
-read from the final simplex multipliers ``pi = C_B . det * B^-1`` (Chvatal,
-*Linear Programming*, ch. 7-8).  An infeasible system comes back with a
-Farkas certificate: a row vector ``y`` with ``y^T M <= 0`` and
-``y^T P > 0``, checkable by plain substitution.  An optimum comes back with
-the dual of its final basis, the ``y`` with ``B^T y = c_B``, which is zero
-on the rows phase 1 dropped as redundant.
+Solves feasibility of ``{A Q = b, Q >= 0}`` and the contextuality measure's
+LP, the least negative mass ``sum Q-`` over signed ``Q = Q+ - Q-`` with
+``A Q = b``, with no floating point anywhere.  Two-phase simplex with a
+deterministic pivot rule: most-negative-reduced-cost entering (ties to the
+lowest index), Bland's smallest-index leaving, and a switch to Bland's
+entering rule whenever a run of degenerate pivots has made no progress.
+Bland's rule cannot cycle, so termination is guaranteed and results are a
+pure function of the input.  Both witnesses over the rows are read from the
+final simplex multipliers ``pi = C_B . det * B^-1`` (Chvatal, *Linear
+Programming*, ch. 7-8).  An infeasible system comes back with a Farkas
+certificate: a row vector ``y`` with ``y^T A <= 0`` and ``y^T b > 0``,
+checkable by plain substitution.  The measure comes back with the dual of
+its final basis, which is zero on the rows phase 1 dropped as redundant.
 
 The simplex is revised and fraction-free: of the basis ``B`` of the
 integer-scaled starting matrix it keeps only ``det * B^-1`` and
@@ -24,43 +24,42 @@ in inputs and read-outs.
 
 A system comes in one of two kinds, which differ only in how columns are
 priced.  A :class:`LinearSystem` holds explicit sparse rows; its reduced
-costs are priced once per phase and each pivot updates them as the dense
-tableau updated its cost row, from the leaving row of ``det * B^-1``
-scattered over the constraint rows where it is nonzero.  An
-:class:`OutcomeSystem` holds only the ``(fixed cells, rhs)`` patterns of
-0/1 rows over a product of cells, so its columns, one per assignment of
-values to the cells, are never listed.  Pricing one asks which column
-maximizes ``w . A_j``, a max-sum over the cells that variable elimination
-answers exactly: the cells are eliminated last first, each step summing the
-tables that hold its cell and keeping that sum, and a forward walk over the
-cells then picks, at each cell, the lowest value whose exact max-completion
-bound clears a threshold, which ends on the lowest column that clears it.
-The solver keeps only the price vector ``pi`` for this kind and updates it
-on a pivot as ``(a * pi + f * rho) // det``, with ``rho`` the leaving row of
-``det * B^-1``, ``a`` the pivot and ``f`` the entering reduced cost.  The
-reduced costs ``det * C - pi . X0`` update to ``(a * cost - f * rho . X0) /
-det``, which is ``a * C`` less that new ``pi`` times ``X0`` with ``a`` the
-new ``det``, and that ``pi`` is again the integer ``C_B . det * B^-1``, so
-the division is exact.  Both kinds take the same pivots to the same answers.
-The measure's ``(A | -A)`` stores ``A`` once in either kind: the negated
-half is priced from the same sums with the opposite sign and enters as the
-negated column of its partner.
+costs are priced once per phase and each pivot updates them from the
+leaving row of ``det * B^-1`` scattered over the constraint rows where it
+is nonzero.  An :class:`OutcomeSystem` holds only the ``(fixed cells,
+rhs)`` patterns of 0/1 rows over a product of cells, so its columns, one
+per assignment of values to the cells, are never listed.  Pricing one asks
+which column maximizes ``w . A_j``, a max-sum over the cells that variable
+elimination answers exactly: the cells are eliminated last first, each step
+summing the tables that hold its cell and keeping that sum, and a forward
+walk over the cells then picks, at each cell, the lowest value whose exact
+max-completion bound clears a threshold, which ends on the lowest column
+that clears it.  The solver keeps only the price vector ``pi`` for this
+kind and updates it on a pivot as ``(a * pi + f * rho) // det``, with
+``rho`` the leaving row of ``det * B^-1``, ``a`` the pivot and ``f`` the
+entering reduced cost.  The reduced costs ``det * C - pi . X0`` update to
+``(a * cost - f * rho . X0) / det``, which is ``a * C`` less that new ``pi``
+times ``X0`` with ``a`` the new ``det``, and that ``pi`` is again the
+integer ``C_B . det * B^-1``, so the division is exact.  Both kinds take
+the same pivots to the same answers.
 
-``(A | -A) Q = b`` has a solution whenever ``b`` is in the column space of
-``A``, and any basis of ``A`` with each basic column signed by its value is
-a feasible basis of it (Chvatal, ch. 8).  So :func:`minimize` runs phase 1
-of a widened system on ``A`` alone, or takes the basis that an infeasible
-:func:`solve_feasibility` on ``A`` already ended in.  The artificials,
-still above 0, are pivoted out on any nonzero entry, the redundant rows
-dropped (one left at a nonzero level shows ``b`` outside the column space),
-and each basic column at a negative value swapped for its partner in
-``-A``, which negates one row of ``det * B^-1`` and leaves ``det`` as it
-is; phase 2 runs from there.
+The measure's LP splits ``Q`` into ``(Q+, Q-)`` over ``(A | -A)``, and only
+the solver knows the split: a system is ``A`` alone.  ``(A | -A) Q = b``
+has a solution whenever ``b`` is in the column space of ``A``, and any basis
+of ``A`` with each basic column signed by its value is a feasible basis of
+it (Chvatal, ch. 8).  So :func:`minimize` runs phase 1 on ``A``, or takes
+the basis that an infeasible :func:`solve_feasibility` on ``A`` already
+ended in.  The artificials, still above 0, are pivoted out on any nonzero
+entry, the redundant rows dropped (one left at a nonzero level shows ``b``
+outside the column space), and each basic column at a negative value
+swapped for its partner in ``-A``, which negates one row of ``det * B^-1``
+and leaves ``det`` as it is.  Phase 2 runs from there over both halves:
+the column ``j`` of ``-A`` enters as the negated column ``j`` of ``A``,
+and the costs are one number per half.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import operator
@@ -76,7 +75,6 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleError,
     PivotLimitError,
-    UnboundedError,
 )
 
 FEASIBLE = "feasible"
@@ -95,18 +93,16 @@ def common_denominator(values: Sequence) -> tuple[list[int], int]:
 
 
 class LinearSystem:
-    """Constraint data for ``A Q = rhs`` with ``Q >= 0``, held as sparse rows.
+    """Constraint data for ``A Q = rhs``, held as sparse rows.
 
     ``LinearSystem(matrix, rhs)`` takes dense rows, whose entries may be ints
     or Fractions (the systems built here are 0/1 Boolean, but general
     rationals are accepted), and converts them once.  Each row is kept as
     ``(coefficient, column indices)`` groups, the indices ascending in an
-    ``array('i')``.  When ``negated`` is set the system is ``(A | -A)`` over
-    ``2 * width`` columns and only ``A`` is stored: :meth:`widened` makes one
-    that shares this system's index arrays.  Columns are known by index
-    alone; ``label``, when set, decodes column ``j`` of ``A`` (the rows of
-    an :class:`OutcomeSystem` pass its :meth:`~OutcomeSystem.label`), and it
-    is ``None`` for a system built from dense rows.
+    ``array('i')``.  Columns are known by index alone; ``label``, when set,
+    decodes column ``j`` (the rows of an :class:`OutcomeSystem` pass its
+    :meth:`~OutcomeSystem.label`), and it is ``None`` for a system built
+    from dense rows.
     """
 
     def __init__(self, matrix, rhs):
@@ -135,36 +131,22 @@ class LinearSystem:
         self.sparse_rows = tuple(sparse_rows)
         self.rhs = rhs
         self.width = width
-        self.negated = False
         self.label = None
 
     @classmethod
     def from_sparse(
-        cls, sparse_rows: Sequence, rhs: Sequence[Fraction], width: int,
-        negated: bool = False, label=None,
+        cls, sparse_rows: Sequence, rhs: Sequence[Fraction], width: int, label=None
     ) -> LinearSystem:
         """A system over rows already in sparse form, taken as they are, unchecked."""
         system = cls.__new__(cls)
         system.sparse_rows = tuple(sparse_rows)
         system.rhs = tuple(rhs)
         system.width = width
-        system.negated = negated
         system.label = label
         return system
 
-    def widened(self) -> LinearSystem:
-        """``(A | -A)`` over the same rows and rhs, sharing this system's index arrays."""
-        return LinearSystem.from_sparse(
-            self.sparse_rows, self.rhs, self.width, negated=True, label=self.label
-        )
-
-    @property
-    def rows(self) -> int:
-        return len(self.sparse_rows)
-
-    @property
-    def cols(self) -> int:
-        return 2 * self.width if self.negated else self.width
+    rows = property(lambda self: len(self.sparse_rows))
+    cols = property(lambda self: self.width)
 
     @cached_property
     def matrix(self) -> tuple[tuple, ...]:
@@ -175,23 +157,18 @@ class LinearSystem:
             for coefficient, indices in groups:
                 for j in indices:
                     row[j] = coefficient
-            if self.negated:
-                row += [-x for x in row]
             rows.append(tuple(row))
         return tuple(rows)
 
     def column(self, j: int) -> list:
         """Column ``j`` as one coefficient per row, found by bisection in each group."""
-        sign = 1
-        if j >= self.width:
-            j, sign = j - self.width, -1
         column = []
         for groups in self.sparse_rows:
             entry = 0
             for coefficient, indices in groups:
                 k = bisect_left(indices, j)
                 if k < len(indices) and indices[k] == j:
-                    entry = sign * coefficient
+                    entry = coefficient
                     break
             column.append(entry)
         return column
@@ -223,18 +200,16 @@ class OutcomeSystem:
     No column is listed: :meth:`label` decodes ``j`` through the strides,
     cell by cell as ``j // stride % size``, and :attr:`explicit` hands that
     decoder to its rows.  Rows fixing the same cells, a *scope*, share one
-    table: each row is a key ``(scope, entry)``.  ``negated`` and
-    :meth:`widened` are as for :class:`LinearSystem`.  :meth:`best` and
+    table: each row is a key ``(scope, entry)``.  :meth:`best` and
     :meth:`first_above` ask the columns by variable elimination (see the
     module docstring).
     """
 
-    def __init__(self, sizes: Sequence[int], patterns: Iterable, negated: bool = False):
+    def __init__(self, sizes: Sequence[int], patterns: Iterable):
         self.sizes = sizes = tuple(sizes)
         self.width = math.prod(sizes)
         self.strides = tuple(math.prod(sizes[p + 1 :]) for p in range(len(sizes)))
         self.patterns, self.rhs = zip(*patterns)
-        self.negated = negated
 
     @cached_property
     def _keys(self) -> tuple[list, list]:
@@ -249,14 +224,8 @@ class OutcomeSystem:
             keys.append((f, sum(fixed[c] * s for c, s in strides)))
         return [(scope, strides) for scope, (_, strides) in scopes.items()], keys
 
-    def widened(self) -> OutcomeSystem:
-        """``(A | -A)``, sharing this system's patterns and elimination plan."""
-        wide = copy.copy(self)
-        wide.negated = True
-        return wide
-
     rows = property(lambda self: len(self.patterns))
-    cols = property(lambda self: 2 * self.width if self.negated else self.width)
+    cols = property(lambda self: self.width)
     matrix = property(lambda self: self.explicit.matrix)
 
     @property
@@ -281,7 +250,7 @@ class OutcomeSystem:
             for i in starts:
                 indices.extend(range(i, i + run))
             rows.append(((1, indices),))
-        return LinearSystem.from_sparse(rows, self.rhs, self.width, self.negated, self.label)
+        return LinearSystem.from_sparse(rows, self.rhs, self.width, self.label)
 
     def label(self, j: int) -> tuple[int, ...]:
         """Column ``j`` of ``A`` decoded through the strides: the value of each cell."""
@@ -295,10 +264,9 @@ class OutcomeSystem:
 
     def column(self, j: int) -> list[int]:
         """Column ``j`` as one coefficient per row, from the rows its decoded values hit."""
-        sign = -1 if j >= self.width else 1
         column = [0] * self.rows
-        for i in self.rows_hit(self.label(j % self.width)):
-            column[i] = sign
+        for i in self.rows_hit(self.label(j)):
+            column[i] = 1
         return column
 
     @cached_property
@@ -393,17 +361,19 @@ def _table_strides(sizes: Sequence[int], cells: Sequence[int]) -> list[tuple[int
 
 
 def satisfies(system: LinearSystem | OutcomeSystem, q: Sequence[Fraction]) -> bool:
-    """Whether ``q`` is a nonnegative solution of ``system``, by exact substitution.
+    """Whether ``A q == b`` for ``q`` of any sign, by exact substitution.
 
     ``q`` has one entry per column; its support is scaled to integers over
     its common denominator and substituted column by column.
     """
-    if len(q) != system.cols:
-        return False
-    support = [j for j, x in enumerate(q) if x]
+    return len(q) == system.cols and _substitutes(system, q, [j for j, x in enumerate(q) if x])
+
+
+def _substitutes(
+    system: LinearSystem | OutcomeSystem, q: Sequence[Fraction], support: list[int]
+) -> bool:
+    """Whether ``A q == b`` for ``q`` nonzero only on ``support``."""
     masses, scale = common_denominator([q[j] for j in support])
-    if any(x < 0 for x in masses):
-        return False
     lhs = [0] * system.rows
     for j, x in zip(support, masses):
         for i, a in enumerate(system.column(j)):
@@ -416,11 +386,11 @@ def satisfies(system: LinearSystem | OutcomeSystem, q: Sequence[Fraction]) -> bo
 class FeasibilityResult:
     """Outcome of a feasibility solve, carrying its witness.
 
-    Exactly one of ``solution`` (nonnegative, satisfying ``M Q = P``) and
+    Exactly one of ``solution`` (nonnegative, satisfying ``A Q = b``) and
     ``certificate`` (Farkas vector over the rows) is present.  An infeasible
     result also keeps the basis its phase 1 ended in, ``m`` indices and the
     ``m * (m + 1)`` integers of ``det * B^-1`` with its rhs column, for
-    :func:`minimize` to resume a widened system from.
+    :func:`minimize` to resume from.
     """
 
     status: str
@@ -436,31 +406,36 @@ class FeasibilityResult:
     def verify(self, system: LinearSystem | OutcomeSystem) -> bool:
         """Re-check the witness against the system by exact substitution.
 
-        A solution goes through :func:`satisfies`.  A certificate is scaled
-        to integers over its common denominator, and ``y^T M <= 0`` is read
-        from the largest ``y . M_j`` that the system's :meth:`best` finds (on
-        ``-y`` too for a negated half).
+        A solution is scanned once for its support, which must be positive
+        and satisfy ``A Q = b``.  A certificate is scaled to integers over its
+        common denominator, and ``y^T A <= 0`` is read from the largest
+        ``y . A_j`` that the system's :meth:`best` finds.
         """
         if self.feasible:
-            return self.solution is not None and satisfies(system, self.solution)
+            q = self.solution
+            if q is None or len(q) != system.cols:
+                return False
+            support = [j for j, x in enumerate(q) if x]
+            return all(q[j] > 0 for j in support) and _substitutes(system, q, support)
         y = self.certificate
         if y is None or len(y) != system.rows:
             return False
         weights = common_denominator(y)[0]
-        if system.best(weights)[0] > 0 or system.negated and system.best([-w for w in weights])[0] > 0:
+        if system.best(weights)[0] > 0:
             return False
         return sum(map(operator.mul, weights, common_denominator(system.rhs)[0])) > 0
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Exact optimum of a linear objective with an attaining vertex and its dual.
+    """The measure's LP solved: the least negative mass of ``A Q = b``, exactly.
 
-    ``dual`` is the basic dual solution ``y`` over the rows of the system,
-    the final basis's simplex multipliers: ``M^T y <= objective``, with
-    equality on the basic columns, and ``y . rhs == value``, so by weak
-    duality no feasible point does better than ``value``.  Rows dropped as
-    redundant get ``y = 0``.
+    ``solution`` is a signed vertex ``Q``, one entry per column of ``A``, and
+    ``value`` its negative mass ``sum max(0, -Q_j)``.  ``dual`` is the final
+    basis's simplex multipliers ``y`` over the rows: ``-1 <= A^T y <= 0``,
+    with ``y . A_j`` at 0 where ``Q_j > 0`` and at -1 where ``Q_j < 0``, and
+    ``y . b == value``, so by weak duality no signed solution has less
+    negative mass.  Rows dropped as redundant get ``y = 0``.
     """
 
     value: Fraction
@@ -475,19 +450,21 @@ class _Revised:
     The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
     that ``b >= 0``; the structural block is scaled by ``structural_scale``
     and the rhs by ``rhs_scale``, the least integers that make both integral.
-    ``inverse`` holds ``det * B^-1`` with ``det * B^-1 b`` as a last column:
-    the artificial block and rhs of the dense tableau ``det * B^-1 X0``.
-    Costs ``C`` (``weights``, over ``cost_scale``; unit on the artificials in
-    :meth:`phase1`, the objective on the structural columns after :meth:`price`)
-    give the reduced costs ``det * C_j - pi . X0_j`` with
-    ``pi = C_B . det * B^-1``.  How they are priced and kept across pivots
-    depends on the kind of system: :meth:`pricing` makes a :class:`_CostRow`
-    for a :class:`LinearSystem` and a :class:`_PriceVector` for an
-    :class:`OutcomeSystem`, one per use, so the state holds no reference
-    cycle and its vectors go as soon as it does.  For a widened system
-    ``(A | -A)`` each column of the negated half enters as the negated
-    column of its partner; with ``on_a`` the state covers ``A`` alone until
-    :meth:`widen`.
+    ``inverse`` holds ``det * B^-1`` with ``det * B^-1 b`` as a last column.
+    Columns below ``n`` are structural and the artificials follow.  Phase 1
+    covers ``A`` alone, ``n = width``; :meth:`widen` carries the state over
+    to ``(A | -A)``, ``n = 2 * width``, whose column ``width + j`` is column
+    ``j`` negated, and the artificials are out for good.  The costs ``C`` are
+    one number per half: 0 on ``A``, and ``cost`` on every column past it,
+    which is 1 on the artificials in phase 1 and ``structural_scale`` on
+    ``-A`` after :meth:`widen`.  So phase 1 minimizes the sum of the
+    artificials and phase 2 the negative mass ``sum Q-``.  The reduced costs
+    are ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``.  How they
+    are priced and kept across pivots depends on the kind of system:
+    :meth:`pricing` makes a :class:`_CostRow` for a :class:`LinearSystem`
+    and a :class:`_PriceVector` for an :class:`OutcomeSystem`, one per use,
+    so the state holds no reference cycle and its vectors go as soon as it
+    does.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -495,10 +472,8 @@ class _Revised:
     # the counter resets whenever the objective strictly improves.
     STALL_LIMIT = 24
 
-    def __init__(self, system: LinearSystem | OutcomeSystem, on_a: bool = False):
-        self.width = system.width
-        self.negated = system.negated and not on_a
-        self.n = n = 2 * self.width if self.negated else self.width
+    def __init__(self, system: LinearSystem | OutcomeSystem):
+        self.width = self.n = n = system.width
         self.system = system
         m = system.rows
         explicit = isinstance(system, LinearSystem)
@@ -513,19 +488,16 @@ class _Revised:
         ]
         self.basis = [n + i for i in range(m)]
         self.det = 1
+        self.cost = 1
         self.pivots = 0
         self.pivot_cap = math.comb(m + n + m, m)
 
+    wide = property(lambda self: self.n > self.width)
+
     def phase1(self) -> bool:
         """Minimize the sum of the artificials, all basic at the start; True if it reaches 0."""
-        self.weights, self.cost_scale = [0] * self.n + [1] * len(self.basis), 1
         self._run()
         return self.objective_value() == 0
-
-    def price(self, objective: Sequence[Fraction]) -> None:
-        """Make ``objective``, scaled by ``cost_scale`` and ``structural_scale``, the costs."""
-        scale = self.cost_scale = math.lcm(*(c.denominator for c in objective))
-        self.weights = [c.numerator * (scale // c.denominator) * self.structural_scale for c in objective]
 
     def pricing(self) -> _CostRow | _PriceVector:
         """The pricing for this state's kind of system."""
@@ -533,17 +505,20 @@ class _Revised:
 
     def _prices(self) -> list[int]:
         """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
-        costs = [self.weights[var] for var in self.basis]
+        costs = [0 if var < self.width else self.cost for var in self.basis]
         return [sum(map(operator.mul, costs, column)) for column in zip(*self.inverse)]
 
     def _column(self, q: int) -> list[int]:
         """The entering column ``det * B^-1 X0_q``, summed over the nonzeros of ``X0_q``."""
         if q >= self.n:
             return [row[q - self.n] for row in self.inverse]
+        sign = 1
+        if q >= self.width:
+            q, sign = q - self.width, -1
         column = [0] * len(self.inverse)
         for k, (x, scale) in enumerate(zip(self.system.column(q), self.scales)):
             if x:
-                a = int(x * scale)
+                a = sign * int(x * scale)
                 column = [c + a * row[k] for c, row in zip(column, self.inverse)]
         return column
 
@@ -587,8 +562,8 @@ class _Revised:
                 best = i
         return best
 
-    def _run(self) -> bool:
-        """Pivot to optimality of the current costs; False if unbounded.
+    def _run(self) -> None:
+        """Pivot to optimality of the current costs, which are bounded below by 0.
 
         Each pivot hands the pricing its leaving row ``rho`` of
         ``det * B^-1``, the pivot ``a`` and the entering reduced cost ``f``
@@ -600,54 +575,53 @@ class _Revised:
         while True:
             entering = pricing.entering(stalled >= self.STALL_LIMIT)
             if entering is None:
-                return True
+                return
             col, f = entering
             column = self._column(col)
             row = self._leaving(column)
-            if row is None:
-                return False
             pivot = self.inverse[row]
             pricing.update(pivot, column[row], f)
             stalled = stalled + 1 if pivot[-1] == 0 else 0
             self._pivot(row, column, col)
 
     def objective_value(self) -> Fraction:
-        return Fraction(self._prices()[-1], self.det * self.cost_scale * self.rhs_scale)
+        return Fraction(self._prices()[-1], self.det * self.rhs_scale)
 
     def structural_solution(self) -> tuple[Fraction, ...]:
-        values = [ZERO] * self.n
+        """The signed vertex over the columns of ``A``: ``-A``'s basic columns count negative."""
+        values = [ZERO] * self.width
         scale = self.det * self.rhs_scale
         for var, row in zip(self.basis, self.inverse):
-            if var < self.n:
+            if var < self.width:
                 values[var] = Fraction(row[-1] * self.structural_scale, scale)
+            elif var < self.n:
+                values[var - self.width] = Fraction(-row[-1] * self.structural_scale, scale)
         return tuple(values)
 
     def multipliers(self) -> tuple[Fraction, ...]:
-        """The simplex multipliers ``y = flips * pi / (det * cost_scale)`` over the original rows.
+        """The simplex multipliers ``y = flips * pi / det`` over the original rows.
 
-        ``pi / (det * cost_scale)`` solves ``B^T y = C_B`` on the sign-fixed
-        rows, and ``structural_scale`` cancels between ``B`` and ``C_B``, so
-        unflipping gives ``y`` in the rows' own signs.  After phase 1 it is
-        the Farkas certificate; after phase 2, the dual of the final basis.
+        ``pi / det`` solves ``B^T y = C_B`` on the sign-fixed rows, and
+        ``structural_scale`` cancels between ``B`` and ``C_B``, so unflipping
+        gives ``y`` in the rows' own signs.  After phase 1 it is the Farkas
+        certificate; after phase 2, the dual of the final basis.
         """
-        scale = self.det * self.cost_scale
-        return tuple(sign * Fraction(p, scale) for sign, p in zip(self.flips, self._prices()))
+        return tuple(sign * Fraction(p, self.det) for sign, p in zip(self.flips, self._prices()))
 
     def drop_artificials(self) -> None:
         """Pivot remaining artificials out of the basis; drop redundant rows.
 
         A basic artificial's tableau row is ``rho . X0`` for its row ``rho``
-        of ``det * B^-1``; on a negated half it is the negation, so its first
-        nonzero is in ``A``.  It leaves on that pivot whatever its level
-        (levels left negative are for :meth:`widen` to repair).  If the row
-        is zero, its original row is spanned by the others.  At level 0,
-        deleting ``rho`` keeps ``det`` valid for the rows that remain, and
-        no later pivot reads it.  The artificial's own column of
-        ``det * B^-1`` is ``det`` in the row of ``rho`` and 0 elsewhere, so
-        the deletion leaves it zero, pivots keep it zero, and
+        of ``det * B^-1``, and it leaves on the first nonzero of ``rho . A``
+        whatever its level (levels left negative are for :meth:`widen` to
+        repair).  If ``rho . A`` is zero, its original row is spanned by the
+        others.  At level 0, deleting ``rho`` keeps ``det`` valid for the
+        rows that remain, and no later pivot reads it.  The artificial's own
+        column of ``det * B^-1`` is ``det`` in the row of ``rho`` and 0
+        elsewhere, so the deletion leaves it zero, pivots keep it zero, and
         :meth:`multipliers` gives the original row ``y = 0``.  At a nonzero
         level no signed ``Q`` solves the rows: ``rho``, unflipped and signed
-        to ``y . P > 0``, is a certificate with ``y^T A = 0``.
+        to ``y . b > 0``, is a certificate with ``y^T A = 0``.
         """
         i, pricing = 0, self.pricing()
         while i < len(self.inverse):
@@ -669,10 +643,10 @@ class _Revised:
                 del self.inverse[i], self.basis[i]
 
     def rows(self) -> tuple:
-        """The system's store of rows, which :meth:`widened` shares, and what else fixes ``X0``."""
+        """The system's store of rows and what else fixes ``X0``."""
         system = self.system
         store = system.sparse_rows if isinstance(system, LinearSystem) else system.patterns
-        return store, self.width, self.negated, system.rhs
+        return store, self.width, system.rhs
 
     def snapshot(self) -> tuple:
         """The basis, ``det * B^-1`` and ``det`` for :meth:`resume`, not the whole solver."""
@@ -680,28 +654,28 @@ class _Revised:
         return self.rows(), tuple(self.basis), inverse, self.det, self.pivots
 
     def resume(self, snapshot: tuple) -> None:
-        """Take up a phase-1 basis of a widened system's ``A``, as if its pivots were made here."""
+        """Take up a phase-1 basis of this system's rows, as if its pivots were made here."""
         (store, *shape), basis, inverse, det, pivots = snapshot
         mine, *own = self.rows()
-        if not self.system.negated or store is not mine or shape != own:
-            raise DimensionMismatchError("the basis is not of this widened system's A")
+        if store is not mine or shape != own:
+            raise DimensionMismatchError("the basis is not of this system's rows")
         self.basis, self.inverse = list(basis), [list(row) for row in inverse]
         self.det, self.pivots = det, pivots
 
-    def widen(self, system: LinearSystem | OutcomeSystem) -> None:
-        """Carry this state on ``A`` over to ``system``, its ``(A | -A)``, whose phase 1 it ran.
+    def widen(self) -> None:
+        """Carry this state on ``A`` over to ``(A | -A)``, priced by ``sum Q-``.
 
         The artificials are driven out (:meth:`drop_artificials`), and each
-        basic column at a negative level is swapped for its partner in the
-        negated half.  That negates its row of ``det * B^-1`` and its level
-        and keeps ``det = |det B|``, so the basis becomes feasible.
+        basic column at a negative level is swapped for its partner in
+        ``-A``.  That negates its row of ``det * B^-1`` and its level and
+        keeps ``det = |det B|``, so the basis becomes feasible.
         """
         self.drop_artificials()
         for i, row in enumerate(self.inverse):
             if row[-1] < 0:
                 row[:] = [-x for x in row]
                 self.basis[i] += self.width
-        self.system, self.negated, self.n = system, True, system.cols
+        self.n, self.cost = 2 * self.width, self.structural_scale
         m = len(self.flips)
         self.pivot_cap = math.comb(m + self.n + m, m)
 
@@ -711,17 +685,16 @@ class _CostRow:
 
     ``sparse`` holds each row of ``A`` as ``(coefficient, column indices)``
     groups scaled to the sign-fixed integer rows of ``X0``, sharing the
-    system's index arrays; a widened system's negated half is priced from
-    the same scatter with the opposite sign.  The reduced costs are priced
-    from ``pi`` once per phase and then updated on each pivot from the
-    leaving row ``rho`` of ``det * B^-1`` alone, as the dense tableau's cost
-    row was (Chvatal, *Linear Programming*, ch. 7-8): a pivot on ``a`` with
-    entering cost ``f`` makes it ``(a * cost - f * rho . X0) / det``, exact
-    because the result is again that tableau's integer cost row (Sylvester's
-    identity).  ``rho . X0`` is a scatter over the nonzeros of ``rho`` only:
-    ``rho . A`` on the structural columns, its negation on a negated half,
-    ``rho`` on the artificials.  When ``a == det``, a cost whose
-    ``rho . X0`` entry is zero is unchanged.
+    system's index arrays.  The reduced costs are priced from ``pi`` once per
+    phase and then updated on each pivot from the leaving row ``rho`` of
+    ``det * B^-1`` alone (Chvatal, *Linear Programming*, ch. 7-8): a pivot on
+    ``a`` with entering cost ``f`` makes each ``(a * cost - f * rho . X0) /
+    det``, exact because the result is again the integer reduced cost of the
+    new basis (Sylvester's identity).  ``rho . X0`` is a scatter over the
+    nonzeros of ``rho`` only: ``rho . A`` on ``A``, then its negation on
+    ``-A`` or ``rho`` on the artificials, so ``-A`` is priced from the same
+    scatter as ``A``.  When ``a == det``, a cost whose ``rho . X0`` entry is
+    zero is unchanged.
     """
 
     def __init__(self, lp: _Revised):
@@ -732,14 +705,11 @@ class _CostRow:
         ]
 
     def price(self) -> None:
-        """The reduced costs ``det * C_j - pi . X0_j``, with the artificials' last in phase 1."""
+        """The reduced costs ``det * C_j - pi . X0_j``, of ``-A`` or of the artificials last."""
         lp = self.lp
-        pi, det, w = lp._prices(), lp.det, lp.weights
+        pi, c = lp._prices()[:-1], lp.det * lp.cost
         s = _scatter(pi, self.sparse, [0] * lp.width)
-        cost = [det * c - x for c, x in zip(w, s)]
-        if lp.negated:
-            cost += [det * c + x for c, x in zip(w[lp.width :], s)]
-        self.cost = cost + [det * c - p for c, p in zip(w[lp.n :], pi)]
+        self.cost = [-x for x in s] + ([c + x for x in s] if lp.wide else [c - p for p in pi])
 
     def entering(self, bland: bool) -> tuple[int, int] | None:
         """Bland's lowest-index negative cost, or the most negative (lowest index on ties).
@@ -763,9 +733,7 @@ class _CostRow:
         lp = self.lp
         det, cost = lp.det, self.cost
         s = _scatter(rho, self.sparse, [0] * lp.width)
-        if lp.negated:
-            s += [-x for x in s]
-        s += rho[: len(cost) - lp.n]
+        s += [-x for x in s] if lp.wide else rho[:-1]
         if a == det:
             self.cost = [x - f * y // det if y else x for x, y in zip(cost, s)]
         else:
@@ -780,31 +748,29 @@ class _CostRow:
 class _PriceVector:
     """Pricing over an :class:`OutcomeSystem`: only ``pi`` is kept, and the columns are asked.
 
-    The costs are constant on each half, ``c``; the structural reduced costs
-    are ``det * c - w . A_j`` with ``w = pi * flips`` (``-w`` on a negated
-    half), as ``structural_scale`` is 1.  Dantzig's column is ``best(w)``
-    and Bland's ``first_above(w, det * c)``.  On a pivot ``pi`` becomes
-    ``(a * pi + f * rho) // det``, exactly (see the module docstring).
+    With ``w = pi * flips`` (``structural_scale`` is 1), the reduced cost of
+    column ``j`` of ``A`` is ``-w . A_j``, of its partner in ``-A`` it is
+    ``det * cost + w . A_j``, and of artificial ``i`` it is
+    ``det * cost - pi_i``.  Dantzig's column on a half is ``best`` of ``w``
+    or of ``-w``, and Bland's is ``first_above`` of the same at the half's
+    ``det * C``.  On a pivot ``pi`` becomes ``(a * pi + f * rho) // det``,
+    exactly (see the module docstring).
     """
 
     def __init__(self, lp: _Revised):
         self.lp = lp
 
     def price(self) -> None:
-        lp = self.lp
-        halves = [lp.weights[h : h + lp.width] for h in range(0, lp.n, lp.width)]
-        if any(half.count(half[0]) != lp.width for half in halves):
-            raise DimensionMismatchError("an outcome-space system needs one cost per half")
-        self.costs = [half[0] for half in halves]
-        self.pi = lp._prices()[:-1]
+        self.pi = self.lp._prices()[:-1]
 
     def entering(self, bland: bool) -> tuple[int, int] | None:
         lp = self.lp
-        system, u = lp.system, list(map(operator.mul, self.pi, lp.flips))
-        halves = [(0, lp.det * self.costs[0], u)]
-        if lp.negated:
-            halves.append((lp.width, lp.det * self.costs[1], [-x for x in u]))
-        artificials = [lp.det * c - p for c, p in zip(lp.weights[lp.n :], self.pi)]
+        system, u, cost = lp.system, list(map(operator.mul, self.pi, lp.flips)), lp.det * lp.cost
+        halves, artificials = [(0, 0, u)], []
+        if lp.wide:
+            halves.append((lp.width, cost, [-x for x in u]))
+        else:
+            artificials = [cost - p for p in self.pi]
         if bland:
             for offset, c, w in halves:
                 found = system.first_above(w, c)
@@ -845,43 +811,32 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
 
 
 def minimize(
-    system: LinearSystem, objective: Sequence, start: FeasibilityResult | None = None
+    system: LinearSystem | OutcomeSystem, start: FeasibilityResult | None = None
 ) -> OptimizationResult:
-    """Minimize ``objective . Q`` over ``{M Q = P, Q >= 0}``, exactly.
+    """The least negative mass ``sum Q-`` over signed ``Q`` with ``A Q = b``, exactly.
 
-    Returns the unique optimal value, one optimal vertex and the dual of its
-    basis, which certifies the value.  Phase 2 starts from phase 1's
-    ``det * B^-1`` once the artificials are out of the basis.  A widened
-    ``system`` runs phase 1 on its ``A`` and then takes that basis over to
-    ``(A | -A)`` (see the module docstring).
+    This is the contextuality measure's LP, not a general one: the solver
+    splits ``Q = Q+ - Q-`` over ``(A | -A)`` itself (see the module
+    docstring).  Returns the value, the signed vertex ``Q`` over the columns
+    of ``A`` and the dual ``y`` of its basis, ``-1 <= A^T y <= 0`` with
+    ``y . b == value``, which certifies the value.
 
-    ``start``, an infeasible :func:`solve_feasibility` result on the ``A``
-    of a widened ``system``, gives the basis its phase 1 ended in, so none
-    is run again, and ``pivots`` counts only the pivots after it.  Raises
-    :class:`InfeasibleError` (with a Farkas certificate attached) on an
-    infeasible system and :class:`UnboundedError` when unbounded below.
+    ``start``, an infeasible :func:`solve_feasibility` result on ``system``,
+    gives the basis its phase 1 ended in, so none is run again, and
+    ``pivots`` counts only the pivots after it.  Raises
+    :class:`InfeasibleError` when ``b`` is outside the column space of
+    ``A``, with a certificate ``y``: ``y^T A = 0`` and ``y . b > 0``.
     """
-    objective = tuple(as_fraction(x) for x in objective)
-    if len(objective) != system.cols:
-        raise DimensionMismatchError(
-            f"objective has {len(objective)} entries for {system.cols} columns"
-        )
-    lp = _Revised(system, on_a=system.negated)
+    lp = _Revised(system)
     basis = None if start is None else start._basis
+    before = 0
     if basis is None:
-        before, feasible = 0, lp.phase1()
+        lp.phase1()
     else:
         lp.resume(basis)
         before = lp.pivots
-    if system.negated:
-        lp.widen(system)
-    elif not feasible:
-        raise InfeasibleError(certificate=lp.multipliers())
-    else:
-        lp.drop_artificials()
-    lp.price(objective)
-    if not lp._run():
-        raise UnboundedError("objective is unbounded below on the feasible region")
+    lp.widen()
+    lp._run()
     return OptimizationResult(
         lp.objective_value(), lp.structural_solution(), lp.pivots - before, lp.multipliers()
     )

@@ -494,14 +494,13 @@ RESUMED_CASES = {
 
 
 class TestResumedMeasure:
-    """The measure resumed from the verdict's phase 1 against a cold solve of ``(M | -M)``."""
+    """The measure resumed from the verdict's phase 1 against a cold solve of its LP."""
 
     @pytest.mark.parametrize("name", sorted(RESUMED_CASES))
     def test_resumed_measure_matches_the_cold_solve(self, name):
         system = RESUMED_CASES[name]()
         linear = build_associated_system(system)
-        n = linear.cols
-        cold = minimize(linear.widened(), (F(0),) * n + (F(1),) * n)
+        cold = minimize(linear)
         result = contextuality_measure(system)
         assert result.verdict.contextual
         assert result.measure == 2 * cold.value
@@ -539,7 +538,7 @@ SPARSE_CASES = {
 
 
 class TestSparseRows:
-    """The pattern-built rows and the shared ``(M | -M)`` against dense construction."""
+    """The pattern-built rows and the measure's ``(M | -M)`` against dense construction."""
 
     @pytest.mark.parametrize("name", sorted(SPARSE_CASES))
     def test_pattern_rows_match_dense_construction(self, name):
@@ -562,23 +561,21 @@ class TestSparseRows:
     )
     def test_shared_negated_half_matches_dense_widening(self, system):
         linear = build_associated_system(system)
-        shared = linear.widened()
         dense = LinearSystem(tuple(row + tuple(-x for x in row) for row in linear.matrix), linear.rhs)
-        assert shared.matrix == dense.matrix
-        assert shared.cols == dense.cols == 2 * linear.cols
         n = linear.cols
         objective = (F(0),) * n + (F(1),) * n
-        got = minimize(shared, objective)
-        # the shared widening runs phase 1 on M, the dense one over both halves
-        assert got.value == minimize(dense, objective).value
-        assert FeasibilityResult("feasible", got.solution, None, 0).verify(dense)
+        got = minimize(linear)
+        # the signed vertex, split into its halves, solves the dense (M | -M)
+        split = tuple(max(x, 0) for x in got.solution) + tuple(max(-x, 0) for x in got.solution)
+        assert FeasibilityResult("feasible", split, None, 0).verify(dense)
+        assert sum(split[n:]) == got.value
         assert all(
             sum(y * a for y, a in zip(got.dual, column)) <= c
             for column, c in zip(zip(*dense.matrix), objective)
         )
         assert sum(y * b for y, b in zip(got.dual, dense.rhs)) == got.value
-        # the widening of M built from dense rows takes the same pivots
-        rebuilt = minimize(LinearSystem(linear.matrix, linear.rhs).widened(), objective)
+        # M built from dense rows takes the same pivots
+        rebuilt = minimize(LinearSystem(linear.matrix, linear.rhs))
         assert (got.value, got.solution, got.dual, got.pivots) == (
             rebuilt.value, rebuilt.solution, rebuilt.dual, rebuilt.pivots
         )

@@ -214,6 +214,24 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: byte 14: not utf-8")
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # json.loads raises a plain ValueError on an integer over the interpreter's digit limit
+            ('"schema_version": 1', '"schema_version": 1' + "0" * 4999),
+            # a sum of 10**4300 is past the limit of str(), which the mass-sum message formats
+            ('"mass": "1/2"', '"mass": "1e4300"'),
+        ],
+        ids=["5000-digit-integer", "mass-1e4300"],
+    )
+    def test_a_value_error_exits_two(self, capsys, tmp_path, old, new):
+        text = serialize_system(canonical_example("fig9"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
     def test_too_deeply_nested_json_exit_two(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000)

@@ -10,7 +10,7 @@ from contextuality import (
     LinearSystem,
     maximal_coupling_diagonal,
     maximal_coupling_full,
-    minimize,
+    solve_feasibility,
 )
 from contextuality.errors import AlphabetMismatchError, EmptyInputError
 
@@ -117,7 +117,8 @@ def test_completion_properties(marginals):
 @given(marginal_lists().filter(lambda ms: len(ms) == 2 and ms[0].alphabet_sizes[0] <= 3))
 @settings(max_examples=60, deadline=None)
 def test_two_member_coincidence_is_lp_optimal(marginals):
-    """Independent check: maximize Pr[equal] over the full coupling polytope."""
+    """Independent check: the coupling polytope with ``sum_v x_vv`` fixed at the spec's
+    coincidence is feasible, and with it fixed any higher it is infeasible."""
     first, second = marginals
     k = first.alphabet_sizes[0]
     pairs = list(itertools.product(range(k), repeat=2))
@@ -129,9 +130,10 @@ def test_two_member_coincidence_is_lp_optimal(marginals):
     for v in range(k):
         rows.append(tuple(1 if b == v else 0 for _, b in pairs))
         rhs.append(second.mass((v,)))
-    polytope = LinearSystem(tuple(rows), tuple(rhs))
-    objective = [-1 if a == b else 0 for a, b in pairs]
-    result = minimize(polytope, objective)
-    spec = maximal_coupling_diagonal(marginals)
-    assert -result.value == spec.coincidence_probability
-
+    rows.append(tuple(1 if a == b else 0 for a, b in pairs))
+    coincidence = maximal_coupling_diagonal(marginals).coincidence_probability
+    for excess, feasible in ((0, True), (F(1, 10**9), False), (F(1, 2), False)):
+        polytope = LinearSystem(tuple(rows), tuple(rhs) + (coincidence + excess,))
+        result = solve_feasibility(polytope)
+        assert result.feasible == feasible
+        assert result.verify(polytope)

@@ -136,3 +136,14 @@ def test_as_fraction_accepts_exact_forms_only():
         as_fraction(0.3)
     with pytest.raises(ValidationError):
         as_fraction("three tenths")
+
+
+def test_as_fraction_bounds_the_exponent():
+    # Fraction("1e<k>") builds 10**k: seconds for k in the millions
+    assert as_fraction("3e-1") == F(3, 10)
+    assert as_fraction("1e-3") == F(1, 1000)
+    assert as_fraction("1e4300") == 10**4300
+    assert as_fraction("1E-4300") == F(1, 10**4300)
+    for text in ("1e4301", "1e-4301", "1e10000000", "1e" + "9" * 5000):
+        with pytest.raises(ValidationError, match="exponent"):
+            as_fraction(text)

@@ -25,7 +25,6 @@ from contextuality import (
 )
 from contextuality import simplex
 from contextuality.analysis import _constraint_rows
-from contextuality.distribution import ONE, ZERO
 from contextuality.simplex import LinearSystem, OutcomeSystem, minimize, solve_feasibility
 from conftest import outcomes
 
@@ -99,10 +98,6 @@ class TestOracle:
         for j in (0, 1, 17, 1000, linear.width - 1):
             assert linear.column(j) == explicit.column(j)
             assert linear.label(j) == explicit.label(j) == every[j]
-        wide = linear.widened()
-        assert wide.cols == 2 * linear.width and wide.rows == linear.rows
-        assert wide.column(linear.width + 5) == [-x for x in linear.column(5)]
-        assert not linear.negated
 
     def test_verify_rejects_a_certificate_positive_on_some_column(self):
         # a unit vector on a row with positive rhs has y . P > 0, but y . A_j = 1
@@ -179,19 +174,25 @@ class TestPathIdentity:
 
     @pytest.mark.parametrize("name", sorted(PATH_CASES))
     def test_both_kinds_solve_identically(self, name, monkeypatch):
-        entering, first_nonzero = simplex._PriceVector.entering, simplex._PriceVector.first_nonzero
-        seen = {"bland": 0, "drive-out": 0}
+        first_nonzero = simplex._PriceVector.first_nonzero
+        seen = {"bland": 0, "explicit bland": 0, "drive-out": 0}
 
-        def spy_entering(self, bland):
-            seen["bland"] += bland
-            return entering(self, bland)
+        def spy_entering(pricing, key):
+            entering = pricing.entering
+
+            def spy(self, bland):
+                seen[key] += bland
+                return entering(self, bland)
+
+            monkeypatch.setattr(pricing, "entering", spy)
 
         def spy_first_nonzero(self, rho):
             j = first_nonzero(self, rho)
             seen["drive-out"] += j is not None
             return j
 
-        monkeypatch.setattr(simplex._PriceVector, "entering", spy_entering)
+        spy_entering(simplex._PriceVector, "bland")
+        spy_entering(simplex._CostRow, "explicit bland")
         monkeypatch.setattr(simplex._PriceVector, "first_nonzero", spy_first_nonzero)
         outcome = outcome_system(PATH_CASES[name]())
         explicit = outcome.explicit
@@ -200,21 +201,14 @@ class TestPathIdentity:
         assert got == want
         assert got.verify(outcome) and want.verify(explicit)
         if not got.feasible:
-            n = outcome.width
-            objective = (ZERO,) * n + (ONE,) * n
-            got, want = minimize(outcome.widened(), objective), minimize(explicit.widened(), objective)
+            got, want = minimize(outcome), minimize(explicit)
             assert (got.value, got.solution, got.dual, got.pivots) == (
                 want.value, want.solution, want.dual, want.pivots
             )
         if name == "noncontextual-6":
-            assert seen["bland"] > 0
+            assert seen["bland"] == seen["explicit bland"] == 10
         if name == "drive-out":
             assert seen["drive-out"] == 6
-
-    def test_a_non_constant_half_is_rejected(self):
-        outcome = outcome_system(rank2_family(F(1, 2)))
-        with pytest.raises(ValueError):
-            minimize(outcome, (ONE,) + (ZERO,) * (outcome.width - 1))
 
     def test_cost_rule_picks_elimination_only_for_large_spaces(self):
         assert isinstance(build_associated_system(flat_cycle(4)), LinearSystem)

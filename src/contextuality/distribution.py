@@ -29,6 +29,11 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
+def _quoted(text: str, limit: int = 40) -> str:
+    """``text`` quoted for a message: whole, or its first ``limit`` characters and its length."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 def as_fraction(value) -> Fraction:
     """Coerce an exact scalar (Fraction, int, or numeric string) to Fraction.
 
@@ -45,11 +50,13 @@ def as_fraction(value) -> Fraction:
         exponent = _EXPONENT.search(value)
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
-            raise ValidationError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
+            raise ValidationError(
+                f"exponent of {_quoted(value)} exceeds {MAX_EXPONENT} in magnitude"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse {value!r} as an exact number: {exc}") from exc
+            raise ValidationError(f"cannot parse {_quoted(value)} as an exact number") from exc
     if isinstance(value, float):
         raise ValidationError(
             f"binary float {value!r} is not exact; pass a string such as '0.3' or '3/10'"

@@ -105,6 +105,8 @@ def _decode(text: str) -> dict:
         raise SchemaError(str(exc), f"line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:
         raise SchemaError("nested too deeply to parse", "document") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise SchemaError(str(exc), "document") from exc
     return _expect(doc, dict, "document")
 
 
@@ -169,7 +171,9 @@ def parse_system(text: str) -> CCSystem:
         bunches[context] = masses
     try:
         return validate_system(contents, contexts, bunches)
-    except ValidationError as exc:
+    except SchemaError:
+        raise
+    except ValueError as exc:  # a ValidationError, or a sum past the digit limit to print
         raise SchemaError(str(exc), "bunches") from exc
 
 

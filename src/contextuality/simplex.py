@@ -22,38 +22,39 @@ sign, a minor of the starting matrix (Cramer's rule), so every pivot divides
 exactly (Sylvester's identity); nothing is reduced, and ``Fraction`` is only
 in inputs and read-outs.
 
-A system comes in one of two kinds, which differ only in how columns are
-priced.  A :class:`LinearSystem` holds explicit sparse rows; its reduced
-costs are priced once per phase and each pivot updates them from the
-leaving row of ``det * B^-1`` scattered over the constraint rows where it
-is nonzero.  An :class:`OutcomeSystem` holds only the ``(fixed cells,
-rhs)`` patterns of 0/1 rows over a product of cells, so its columns, one
-per assignment of values to the cells, are never listed.  Pricing one asks
-which column maximizes ``w . A_j``, a max-sum over the cells that variable
+Each phase is priced from the multipliers ``pi`` alone, kept across its
+pivots: a pivot on ``a`` with entering reduced cost ``f`` and leaving row
+``rho`` of ``det * B^-1`` makes them ``(a * pi + f * rho) // det``.  The
+reduced costs ``det * C - pi . X0`` would update to ``(a * cost - f * rho .
+X0) / det``, which is ``a * C`` less that new ``pi`` times ``X0`` with ``a``
+the new ``det``, and that ``pi`` is again the integer ``C_B . det * B^-1``,
+so the division is exact.  A system comes in one of two kinds, which
+answer the same two column questions: the largest ``w . A_j`` (``best``)
+and the lowest ``j`` whose ``w . A_j`` clears a threshold
+(``first_above``).  A :class:`LinearSystem` holds explicit sparse rows and
+answers by a scatter, then a scan; the solver also keeps ``pi . X0_j`` over
+its columns, priced once per phase and updated the same way from ``rho``
+scattered over the rows where it is nonzero.  An :class:`OutcomeSystem`
+holds only the ``(fixed cells, rhs)`` patterns of 0/1 rows over a product
+of cells, so its columns, one per assignment of values to the cells, are
+never listed.  Its questions are a max-sum over the cells that variable
 elimination answers exactly: the cells are eliminated last first, each step
 summing the tables that hold its cell and keeping that sum, and a forward
 walk over the cells then picks, at each cell, the lowest value whose exact
 max-completion bound clears a threshold, which ends on the lowest column
-that clears it.  The solver keeps only the price vector ``pi`` for this
-kind and updates it on a pivot as ``(a * pi + f * rho) // det``, with
-``rho`` the leaving row of ``det * B^-1``, ``a`` the pivot and ``f`` the
-entering reduced cost.  The reduced costs ``det * C - pi . X0`` update to
-``(a * cost - f * rho . X0) / det``, which is ``a * C`` less that new ``pi``
-times ``X0`` with ``a`` the new ``det``, and that ``pi`` is again the
-integer ``C_B . det * B^-1``, so the division is exact.  Both kinds take
-the same pivots to the same answers.
+that clears it.  Both kinds take the same pivots to the same answers.
 
 The measure's LP splits ``Q`` into ``(Q+, Q-)`` over ``(A | -A)``, and only
 the solver knows the split: a system is ``A`` alone.  ``(A | -A) Q = b``
 has a solution whenever ``b`` is in the column space of ``A``, and any basis
 of ``A`` with each basic column signed by its value is a feasible basis of
-it (Chvatal, ch. 8).  So :func:`minimize` runs phase 1 on ``A``, or takes
-the basis that an infeasible :func:`solve_feasibility` on ``A`` already
-ended in.  The artificials, still above 0, are pivoted out on any nonzero
-entry, the redundant rows dropped (one left at a nonzero level shows ``b``
-outside the column space), and each basic column at a negative value
-swapped for its partner in ``-A``, which negates one row of ``det * B^-1``
-and leaves ``det`` as it is.  Phase 2 runs from there over both halves:
+it (Chvatal, ch. 8).  So :func:`minimize` runs phase 1 on ``A``, or
+continues a copy of the solver that an infeasible :func:`solve_feasibility`
+on ``A`` kept.  The artificials, still above 0, are pivoted out on any
+nonzero entry, the redundant rows dropped (one left at a nonzero level
+shows ``b`` outside the column space), and each basic column at a negative
+value swapped for its partner in ``-A``, which negates one row of
+``det * B^-1`` and leaves ``det`` as it is.  Phase 2 runs from there over both halves:
 the column ``j`` of ``-A`` enters as the negated column ``j`` of ``A``,
 and the costs are one number per half.
 """
@@ -178,6 +179,11 @@ class LinearSystem:
         combined = _scatter(weights, self.sparse_rows, [0] * self.width)
         top = max(combined)
         return top, combined.index(top)
+
+    def first_above(self, weights: Sequence, threshold) -> tuple | None:
+        """``(weights . A_j, j)`` for the lowest ``j`` above ``threshold``, or None."""
+        combined = _scatter(weights, self.sparse_rows, [0] * self.width)
+        return next(((x, j) for j, x in enumerate(combined) if x > threshold), None)
 
 
 def _scatter(weights: Sequence, sparse_rows: Sequence, out: list) -> list:
@@ -388,16 +394,15 @@ class FeasibilityResult:
 
     Exactly one of ``solution`` (nonnegative, satisfying ``A Q = b``) and
     ``certificate`` (Farkas vector over the rows) is present.  An infeasible
-    result also keeps the basis its phase 1 ended in, ``m`` indices and the
-    ``m * (m + 1)`` integers of ``det * B^-1`` with its rhs column, for
-    :func:`minimize` to resume from.
+    result also keeps the solver as its phase 1 left it, for
+    :func:`minimize` to continue a copy of.
     """
 
     status: str
     solution: tuple[Fraction, ...] | None
     certificate: tuple[Fraction, ...] | None
     pivots: int
-    _basis: tuple | None = field(default=None, compare=False, repr=False)
+    _solver: _Revised | None = field(default=None, compare=False, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -459,12 +464,9 @@ class _Revised:
     which is 1 on the artificials in phase 1 and ``structural_scale`` on
     ``-A`` after :meth:`widen`.  So phase 1 minimizes the sum of the
     artificials and phase 2 the negative mass ``sum Q-``.  The reduced costs
-    are ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``.  How they
-    are priced and kept across pivots depends on the kind of system:
-    :meth:`pricing` makes a :class:`_CostRow` for a :class:`LinearSystem`
-    and a :class:`_PriceVector` for an :class:`OutcomeSystem`, one per use,
-    so the state holds no reference cycle and its vectors go as soon as it
-    does.
+    are ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``; each run
+    to optimality prices them through one :class:`_Pricing`, which the state
+    does not hold, so it holds no reference cycle and is cheap to copy.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -476,10 +478,9 @@ class _Revised:
         self.width = self.n = n = system.width
         self.system = system
         m = system.rows
-        explicit = isinstance(system, LinearSystem)
         self.structural_scale = math.lcm(
             *{x.denominator for groups in system.sparse_rows for x, _ in groups}
-        ) if explicit else 1
+        ) if isinstance(system, LinearSystem) else 1
         rhs, self.rhs_scale = common_denominator(system.rhs)
         self.flips = [1 if b >= 0 else -1 for b in rhs]
         self.scales = [sign * self.structural_scale for sign in self.flips]
@@ -492,16 +493,10 @@ class _Revised:
         self.pivots = 0
         self.pivot_cap = math.comb(m + n + m, m)
 
-    wide = property(lambda self: self.n > self.width)
-
     def phase1(self) -> bool:
         """Minimize the sum of the artificials, all basic at the start; True if it reaches 0."""
         self._run()
         return self.objective_value() == 0
-
-    def pricing(self) -> _CostRow | _PriceVector:
-        """The pricing for this state's kind of system."""
-        return (_CostRow if isinstance(self.system, LinearSystem) else _PriceVector)(self)
 
     def _prices(self) -> list[int]:
         """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
@@ -570,8 +565,7 @@ class _Revised:
         before ``det * B^-1`` moves on.
         """
         stalled = 0
-        pricing = self.pricing()
-        pricing.price()
+        pricing = _Pricing(self)
         while True:
             entering = pricing.entering(stalled >= self.STALL_LIMIT)
             if entering is None:
@@ -623,13 +617,13 @@ class _Revised:
         level no signed ``Q`` solves the rows: ``rho``, unflipped and signed
         to ``y . b > 0``, is a certificate with ``y^T A = 0``.
         """
-        i, pricing = 0, self.pricing()
+        i = 0
         while i < len(self.inverse):
             if self.basis[i] < self.n:
                 i += 1
                 continue
             rho = self.inverse[i]
-            col = pricing.first_nonzero(rho)
+            col = self.replacement(rho)
             if col is not None:
                 self._pivot(i, self._column(col), col)
                 i += 1
@@ -642,25 +636,17 @@ class _Revised:
             else:
                 del self.inverse[i], self.basis[i]
 
-    def rows(self) -> tuple:
-        """The system's store of rows and what else fixes ``X0``."""
-        system = self.system
-        store = system.sparse_rows if isinstance(system, LinearSystem) else system.patterns
-        return store, self.width, system.rhs
+    def replacement(self, rho: list[int]) -> int | None:
+        """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
+        u = list(map(operator.mul, rho, self.flips))
+        found = (self.system.first_above(w, 0) for w in (u, [-x for x in u]))
+        return min((j for _, j in filter(None, found)), default=None)
 
-    def snapshot(self) -> tuple:
-        """The basis, ``det * B^-1`` and ``det`` for :meth:`resume`, not the whole solver."""
-        inverse = tuple(map(tuple, self.inverse))
-        return self.rows(), tuple(self.basis), inverse, self.det, self.pivots
-
-    def resume(self, snapshot: tuple) -> None:
-        """Take up a phase-1 basis of this system's rows, as if its pivots were made here."""
-        (store, *shape), basis, inverse, det, pivots = snapshot
-        mine, *own = self.rows()
-        if store is not mine or shape != own:
-            raise DimensionMismatchError("the basis is not of this system's rows")
-        self.basis, self.inverse = list(basis), [list(row) for row in inverse]
-        self.det, self.pivots = det, pivots
+    def copy(self) -> _Revised:
+        """This state, with a basis and ``det * B^-1`` of its own to pivot."""
+        lp = object.__new__(_Revised)
+        lp.__dict__.update(vars(self), basis=self.basis[:], inverse=[r[:] for r in self.inverse])
+        return lp
 
     def widen(self) -> None:
         """Carry this state on ``A`` over to ``(A | -A)``, priced by ``sum Q-``.
@@ -680,122 +666,87 @@ class _Revised:
         self.pivot_cap = math.comb(m + self.n + m, m)
 
 
-class _CostRow:
-    """Pricing over explicit sparse rows: every reduced cost, kept across pivots.
+class _Pricing:
+    """One phase's multipliers ``pi``, kept across its pivots, and the reduced costs they give.
 
-    ``sparse`` holds each row of ``A`` as ``(coefficient, column indices)``
-    groups scaled to the sign-fixed integer rows of ``X0``, sharing the
-    system's index arrays.  The reduced costs are priced from ``pi`` once per
-    phase and then updated on each pivot from the leaving row ``rho`` of
-    ``det * B^-1`` alone (Chvatal, *Linear Programming*, ch. 7-8): a pivot on
-    ``a`` with entering cost ``f`` makes each ``(a * cost - f * rho . X0) /
-    det``, exact because the result is again the integer reduced cost of the
-    new basis (Sylvester's identity).  ``rho . X0`` is a scatter over the
-    nonzeros of ``rho`` only: ``rho . A`` on ``A``, then its negation on
-    ``-A`` or ``rho`` on the artificials, so ``-A`` is priced from the same
-    scatter as ``A``.  When ``a == det``, a cost whose ``rho . X0`` entry is
-    zero is unchanged.
+    ``pi = C_B . det * B^-1`` is priced once and updated on each pivot (see
+    the module docstring).  With ``v_j = pi . X0_j`` on the columns of ``A``,
+    the reduced costs are ``-v_j`` on ``A``, ``det * cost + v_j`` on ``-A``
+    and ``det * cost - pi_i`` on the artificials; none is stored.  Over a
+    :class:`LinearSystem` ``v`` is kept too: a scatter of ``pi`` over
+    ``sparse``, the rows of ``A`` scaled to those of ``X0``, updated like
+    ``pi`` from the scatter of ``rho``, and unchanged where that is zero when
+    ``a == det``.  Over an :class:`OutcomeSystem` the system's ``best`` and
+    ``first_above`` of ``pi * flips`` answer for ``v``.
     """
 
     def __init__(self, lp: _Revised):
         self.lp = lp
-        self.sparse = [
-            [(int(x * scale), indices) for x, indices in groups]
-            for groups, scale in zip(lp.system.sparse_rows, lp.scales)
-        ]
+        self.pi = lp._prices()[:-1]
+        self.v = None
+        if isinstance(lp.system, LinearSystem):
+            self.sparse = [
+                [(int(x * scale), indices) for x, indices in groups]
+                for groups, scale in zip(lp.system.sparse_rows, lp.scales)
+            ]
+            self.v = _scatter(self.pi, self.sparse, [0] * lp.width)
 
-    def price(self) -> None:
-        """The reduced costs ``det * C_j - pi . X0_j``, of ``-A`` or of the artificials last."""
-        lp = self.lp
-        pi, c = lp._prices()[:-1], lp.det * lp.cost
-        s = _scatter(pi, self.sparse, [0] * lp.width)
-        self.cost = [-x for x in s] + ([c + x for x in s] if lp.wide else [c - p for p in pi])
+    def _weights(self, sign: int) -> list[int]:
+        """``sign * pi * flips``, whose product with ``A_j`` is ``sign * v_j``."""
+        return [sign * p * s for p, s in zip(self.pi, self.lp.flips)]
+
+    def _best(self, sign: int) -> tuple[int, int]:
+        """``(max_j sign * v_j, the lowest j attaining it)``."""
+        if self.v is None:
+            return self.lp.system.best(self._weights(sign))
+        top = max(self.v) if sign > 0 else -min(self.v)
+        return top, self.v.index(sign * top)
+
+    def _first_above(self, sign: int, threshold: int) -> tuple[int, int] | None:
+        """``(sign * v_j, j)`` for the lowest ``j`` with ``sign * v_j > threshold``, or None."""
+        if self.v is None:
+            return self.lp.system.first_above(self._weights(sign), threshold)
+        return next(((sign * x, j) for j, x in enumerate(self.v) if sign * x > threshold), None)
 
     def entering(self, bland: bool) -> tuple[int, int] | None:
-        """Bland's lowest-index negative cost, or the most negative (lowest index on ties).
+        """Bland's lowest-index negative reduced cost, or the most negative (lowest index on ties).
 
-        Dantzig's rule weighs the artificials by ``structural_scale``, which
-        scales only the structural columns, to compare true reduced costs.
+        The columns go ``A``, then ``-A`` or the artificials.  Dantzig's rule
+        weighs the artificials by ``structural_scale``, which scales only the
+        structural columns, to compare true reduced costs.
         """
-        cost, n = self.cost, self.lp.n
-        if bland:
-            col = next((j for j, c in enumerate(cost) if c < 0), None)
-            return None if col is None else (col, cost[col])
-        best_col = min(range(n), key=cost.__getitem__)
-        best = cost[best_col]
-        if len(cost) > n:
-            art = min(range(n, len(cost)), key=cost.__getitem__)
-            if cost[art] * self.lp.structural_scale < best:
-                best_col, best = art, cost[art]
-        return (best_col, best) if best < 0 else None
-
-    def update(self, rho: list[int], a: int, f: int) -> None:
         lp = self.lp
-        det, cost = lp.det, self.cost
-        s = _scatter(rho, self.sparse, [0] * lp.width)
-        s += [-x for x in s] if lp.wide else rho[:-1]
-        if a == det:
-            self.cost = [x - f * y // det if y else x for x, y in zip(cost, s)]
-        else:
-            self.cost = [(a * x - f * y) // det if y else a * x // det for x, y in zip(cost, s)]
-
-    def first_nonzero(self, rho: list[int]) -> int | None:
-        """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
-        row = _scatter(rho, self.sparse, [0] * self.lp.width)
-        return next((j for j, x in enumerate(row) if x), None)
-
-
-class _PriceVector:
-    """Pricing over an :class:`OutcomeSystem`: only ``pi`` is kept, and the columns are asked.
-
-    With ``w = pi * flips`` (``structural_scale`` is 1), the reduced cost of
-    column ``j`` of ``A`` is ``-w . A_j``, of its partner in ``-A`` it is
-    ``det * cost + w . A_j``, and of artificial ``i`` it is
-    ``det * cost - pi_i``.  Dantzig's column on a half is ``best`` of ``w``
-    or of ``-w``, and Bland's is ``first_above`` of the same at the half's
-    ``det * C``.  On a pivot ``pi`` becomes ``(a * pi + f * rho) // det``,
-    exactly (see the module docstring).
-    """
-
-    def __init__(self, lp: _Revised):
-        self.lp = lp
-
-    def price(self) -> None:
-        self.pi = self.lp._prices()[:-1]
-
-    def entering(self, bland: bool) -> tuple[int, int] | None:
-        lp = self.lp
-        system, u, cost = lp.system, list(map(operator.mul, self.pi, lp.flips)), lp.det * lp.cost
-        halves, artificials = [(0, 0, u)], []
-        if lp.wide:
-            halves.append((lp.width, cost, [-x for x in u]))
-        else:
-            artificials = [cost - p for p in self.pi]
+        c = lp.det * lp.cost
+        wide = lp.n > lp.width
+        halves = [(0, 0, 1), (lp.width, c, -1)] if wide else [(0, 0, 1)]
+        artificials = [] if wide else [c - p for p in self.pi]
         if bland:
-            for offset, c, w in halves:
-                found = system.first_above(w, c)
+            for offset, t, sign in halves:
+                found = self._first_above(sign, t)
                 if found is not None:
-                    value, j = found
-                    return offset + j, c - value
+                    return offset + found[1], t - found[0]
             i = next((i for i, x in enumerate(artificials) if x < 0), None)
             return None if i is None else (lp.n + i, artificials[i])
         best = None
-        for offset, c, w in halves:
-            top, j = system.best(w)
-            if best is None or c - top < best[1]:
-                best = offset + j, c - top
-        if artificials and min(artificials) < best[1]:
-            best = lp.n + artificials.index(min(artificials)), min(artificials)
+        for offset, t, sign in halves:
+            top, j = self._best(sign)
+            if best is None or t - top < best[1]:
+                best = offset + j, t - top
+        if artificials and (low := min(artificials)) * lp.structural_scale < best[1]:
+            best = lp.n + artificials.index(low), low
         return best if best[1] < 0 else None
 
     def update(self, rho: list[int], a: int, f: int) -> None:
-        self.pi = [(a * p + f * r) // self.lp.det for p, r in zip(self.pi, rho)]
-
-    def first_nonzero(self, rho: list[int]) -> int | None:
-        """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
-        u = list(map(operator.mul, rho, self.lp.flips))
-        found = (self.lp.system.first_above(w, 0) for w in (u, [-x for x in u]))
-        return min((j for _, j in filter(None, found)), default=None)
+        """Carry ``pi``, and ``v`` if kept, past a pivot on ``a`` with entering cost ``f``."""
+        det = self.lp.det
+        self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
+        if self.v is None:
+            return
+        s = _scatter(rho, self.sparse, [0] * self.lp.width)
+        if a == det:
+            self.v = [x + f * y // det if y else x for x, y in zip(self.v, s)]
+        else:
+            self.v = [(a * x + f * y) // det if y else a * x // det for x, y in zip(self.v, s)]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
@@ -807,7 +758,7 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     lp = _Revised(system)
     if lp.phase1():
         return FeasibilityResult(FEASIBLE, lp.structural_solution(), None, lp.pivots)
-    return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots, lp.snapshot())
+    return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots, lp)
 
 
 def minimize(
@@ -821,20 +772,22 @@ def minimize(
     of ``A`` and the dual ``y`` of its basis, ``-1 <= A^T y <= 0`` with
     ``y . b == value``, which certifies the value.
 
-    ``start``, an infeasible :func:`solve_feasibility` result on ``system``,
-    gives the basis its phase 1 ended in, so none is run again, and
-    ``pivots`` counts only the pivots after it.  Raises
-    :class:`InfeasibleError` when ``b`` is outside the column space of
-    ``A``, with a certificate ``y``: ``y^T A = 0`` and ``y . b > 0``.
+    ``start``, an infeasible :func:`solve_feasibility` result on this very
+    ``system``, holds the solver its phase 1 left, and a copy of it goes on:
+    ``pivots`` counts only the pivots after it.  Another infeasible
+    ``start`` raises :class:`DimensionMismatchError`; a feasible or absent
+    one means a cold solve.  Raises :class:`InfeasibleError` when ``b`` is
+    outside the column space of ``A``, with a certificate ``y``:
+    ``y^T A = 0`` and ``y . b > 0``.
     """
-    lp = _Revised(system)
-    basis = None if start is None else start._basis
-    before = 0
-    if basis is None:
+    solver = None if start is None else start._solver
+    if solver is None:
+        lp, before = _Revised(system), 0
         lp.phase1()
+    elif solver.system is not system:
+        raise DimensionMismatchError("the basis is not of this system's rows")
     else:
-        lp.resume(basis)
-        before = lp.pivots
+        lp, before = solver.copy(), solver.pivots
     lp.widen()
     lp._run()
     return OptimizationResult(

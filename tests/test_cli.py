@@ -215,22 +215,24 @@ class TestAnalyze:
         assert err.startswith("error: byte 14: not utf-8")
 
     @pytest.mark.parametrize(
-        "old, new",
+        "old, new, layer",
         [
             # json.loads raises a plain ValueError on an integer over the interpreter's digit limit
-            ('"schema_version": 1', '"schema_version": 1' + "0" * 4999),
+            ('"schema_version": 1', '"schema_version": 1' + "0" * 4999, "document"),
             # a sum of 10**4300 is past the limit of str(), which the mass-sum message formats
-            ('"mass": "1/2"', '"mass": "1e4300"'),
+            ('"mass": "1/2"', '"mass": "1e4300"', "bunches"),
+            # and so is a sum with a denominator of 10**4300
+            ('"mass": "1/2"', '"mass": "1e-4300"', "bunches"),
         ],
-        ids=["5000-digit-integer", "mass-1e4300"],
+        ids=["5000-digit-integer", "mass-1e4300", "mass-1e-4300"],
     )
-    def test_a_value_error_exits_two(self, capsys, tmp_path, old, new):
+    def test_a_value_error_exits_two(self, capsys, tmp_path, old, new, layer):
         text = serialize_system(canonical_example("fig9"))
         bad = tmp_path / "bad.json"
         bad.write_text(text.replace(old, new, 1))
         code, out, err = run(capsys, "analyze", str(bad))
         assert code == 2
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith(f"error: {layer}: ")
 
     def test_too_deeply_nested_json_exit_two(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"

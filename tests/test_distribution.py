@@ -147,3 +147,12 @@ def test_as_fraction_bounds_the_exponent():
     for text in ("1e4301", "1e-4301", "1e10000000", "1e" + "9" * 5000):
         with pytest.raises(ValidationError, match="exponent"):
             as_fraction(text)
+
+
+def test_as_fraction_quotes_a_long_input_cut_short():
+    for text in ("x" * 5000, "1e" + "9" * 5000, "1/" + "0" * 5000):
+        with pytest.raises(ValidationError) as caught:
+            as_fraction(text)
+        message = str(caught.value)
+        assert len(message) < 200
+        assert f"({len(text)} characters)" in message

@@ -68,7 +68,7 @@ def scan(linear, weights):
 
 
 class TestOracle:
-    """``best`` and ``first_above`` against a scan of the explicit ``M``."""
+    """``best`` and ``first_above`` of both kinds against a scan of the explicit ``M``."""
 
     @settings(max_examples=150, deadline=None)
     @given(shape=small_systems(), data=st.data())
@@ -86,10 +86,11 @@ class TestOracle:
         for weights in weight_sets:
             values = scan(linear, weights)
             top = max(values)
-            assert linear.best(weights) == (top, values.index(top))
-            for t in thresholds + [top, top - 1]:
-                want = next(((v, j) for j, v in enumerate(values) if v > t), None)
-                assert linear.first_above(weights, t) == want
+            for system in (linear, linear.explicit):
+                assert system.best(weights) == (top, values.index(top))
+                for t in thresholds + [top, top - 1]:
+                    want = next(((v, j) for j, v in enumerate(values) if v > t), None)
+                    assert system.first_above(weights, t) == want
 
     def test_columns_decode_through_the_strides(self):
         linear = outcome_system(triangle(3, "contextual"))
@@ -174,26 +175,22 @@ class TestPathIdentity:
 
     @pytest.mark.parametrize("name", sorted(PATH_CASES))
     def test_both_kinds_solve_identically(self, name, monkeypatch):
-        first_nonzero = simplex._PriceVector.first_nonzero
+        replacement = simplex._Revised.replacement
+        entering = simplex._Pricing.entering
         seen = {"bland": 0, "explicit bland": 0, "drive-out": 0}
 
-        def spy_entering(pricing, key):
-            entering = pricing.entering
+        def spy_entering(self, bland):
+            explicit = isinstance(self.lp.system, LinearSystem)
+            seen["explicit bland" if explicit else "bland"] += bland
+            return entering(self, bland)
 
-            def spy(self, bland):
-                seen[key] += bland
-                return entering(self, bland)
-
-            monkeypatch.setattr(pricing, "entering", spy)
-
-        def spy_first_nonzero(self, rho):
-            j = first_nonzero(self, rho)
-            seen["drive-out"] += j is not None
+        def spy_replacement(self, rho):
+            j = replacement(self, rho)
+            seen["drive-out"] += j is not None and isinstance(self.system, OutcomeSystem)
             return j
 
-        spy_entering(simplex._PriceVector, "bland")
-        spy_entering(simplex._CostRow, "explicit bland")
-        monkeypatch.setattr(simplex._PriceVector, "first_nonzero", spy_first_nonzero)
+        monkeypatch.setattr(simplex._Pricing, "entering", spy_entering)
+        monkeypatch.setattr(simplex._Revised, "replacement", spy_replacement)
         outcome = outcome_system(PATH_CASES[name]())
         explicit = outcome.explicit
         assert isinstance(explicit, LinearSystem)

@@ -151,7 +151,7 @@ class TestResume:
     def test_a_basis_of_other_rows_is_rejected(self):
         s = LinearSystem(((1, 1), (0, 1)), (F(1), F(2)))
         start = solve_feasibility(s)
-        assert start._basis is not None
+        assert start._solver is not None
         others = [
             LinearSystem(((1, 1), (0, 1)), (F(1), F(3))),
             # the same width and rhs over other rows

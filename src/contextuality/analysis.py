@@ -201,7 +201,7 @@ def _decide(
             f"internal inconsistency: the {result.status} verdict's witness fails substitution"
         )
     if result.feasible:
-        masses = {linear.label(j): mass for j, mass in enumerate(result.solution) if mass}
+        masses = {linear.label(j): x for j, x in zip(result.support, result.solution)}
         coupling = Distribution(_cell_sizes(system), masses)
         return Verdict(False, coupling, None, result.pivots), result
     return Verdict(True, None, result.certificate, result.pivots), result
@@ -316,7 +316,7 @@ def contextuality_measure(
     :func:`~.simplex.minimize` finds the least negative mass ``sum Q-`` of a
     signed ``Q`` with ``M Q = P``, resumed from the basis that the verdict's
     phase 1 ended in, so no second phase 1 is run.  The signed vertex is
-    substituted into ``M`` and decoded column by column, and
+    substituted into ``M`` and decoded over its support, and
     ``TV = 1 + 2 sum Q-`` is asserted against it.  The LP's dual ``y``
     maximizes ``y . P`` subject to ``-1 <= M^T y <= 0``: for any
     quasi-coupling ``Q``, ``y . P = (M^T y) . Q <= (TV(Q) - 1) / 2``, so
@@ -329,9 +329,9 @@ def contextuality_measure(
     verdict, feasibility = _decide(system, linear)
     if verdict.contextual:
         result = minimize(linear, feasibility)
-        if not satisfies(linear, result.solution):
+        if not satisfies(linear, result.support, result.solution):
             raise SolverError("internal inconsistency: the measure's witness fails substitution")
-        masses = {linear.label(j): x for j, x in enumerate(result.solution) if x}
+        masses = {linear.label(j): x for j, x in zip(result.support, result.solution)}
         value, dual, pivots = result.value, result.dual, result.pivots
     else:
         masses = verdict.coupling.masses

@@ -7,12 +7,14 @@ deterministic pivot rule: most-negative-reduced-cost entering (ties to the
 lowest index), Bland's smallest-index leaving, and a switch to Bland's
 entering rule whenever a run of degenerate pivots has made no progress.
 Bland's rule cannot cycle, so termination is guaranteed and results are a
-pure function of the input.  Both witnesses over the rows are read from the
-final simplex multipliers ``pi = C_B . det * B^-1`` (Chvatal, *Linear
-Programming*, ch. 7-8).  An infeasible system comes back with a Farkas
-certificate: a row vector ``y`` with ``y^T A <= 0`` and ``y^T b > 0``,
-checkable by plain substitution.  The measure comes back with the dual of
-its final basis, which is zero on the rows phase 1 dropped as redundant.
+pure function of the input.  A solution comes back as its support, the
+ascending columns that are basic at a nonzero level, and its values there.
+Both witnesses over the rows are read from the final simplex multipliers
+``pi = C_B . det * B^-1`` (Chvatal, *Linear Programming*, ch. 3 and 7-8).
+An infeasible system comes back with a Farkas certificate: a row vector
+``y`` with ``y^T A <= 0`` and ``y^T b > 0``, checkable by plain
+substitution.  The measure comes back with the dual of its final basis,
+which is zero on the rows phase 1 dropped as redundant.
 
 The simplex is revised and fraction-free: of the basis ``B`` of the
 integer-scaled starting matrix it keeps only ``det * B^-1`` and
@@ -30,8 +32,8 @@ X0) / det``, which is ``a * C`` less that new ``pi`` times ``X0`` with ``a``
 the new ``det``, and that ``pi`` is again the integer ``C_B . det * B^-1``,
 so the division is exact.  A system comes in one of two kinds, which
 answer the same two column questions: the largest ``w . A_j`` (``best``)
-and the lowest ``j`` whose ``w . A_j`` clears a threshold
-(``first_above``).  A :class:`LinearSystem` holds explicit sparse rows and
+and the lowest ``j`` with ``w . A_j`` nonzero (``first_nonzero``, which
+drive-out asks).  A :class:`LinearSystem` holds explicit sparse rows and
 answers by a scatter, then a scan; the solver also keeps ``pi . X0_j`` over
 its columns, priced once per phase and updated the same way from ``rho``
 scattered over the rows where it is nonzero.  An :class:`OutcomeSystem`
@@ -41,8 +43,9 @@ never listed.  Its questions are a max-sum over the cells that variable
 elimination answers exactly: the cells are eliminated last first, each step
 summing the tables that hold its cell and keeping that sum, and a forward
 walk over the cells then picks, at each cell, the lowest value whose exact
-max-completion bound clears a threshold, which ends on the lowest column
-that clears it.  Both kinds take the same pivots to the same answers.
+max-completion bound clears a threshold (``first_above``, which Bland's
+rule asks), which ends on the lowest column that clears it.  Both kinds
+take the same pivots to the same answers.
 
 The measure's LP splits ``Q`` into ``(Q+, Q-)`` over ``(A | -A)``, and only
 the solver knows the split: a system is ``A`` alone.  ``(A | -A) Q = b``
@@ -71,7 +74,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .distribution import ZERO, as_fraction
+from .distribution import as_fraction
 from .errors import (
     DimensionMismatchError,
     InfeasibleError,
@@ -180,10 +183,10 @@ class LinearSystem:
         top = max(combined)
         return top, combined.index(top)
 
-    def first_above(self, weights: Sequence, threshold) -> tuple | None:
-        """``(weights . A_j, j)`` for the lowest ``j`` above ``threshold``, or None."""
+    def first_nonzero(self, weights: Sequence) -> int | None:
+        """The lowest ``j`` with ``weights . A_j`` nonzero, or None."""
         combined = _scatter(weights, self.sparse_rows, [0] * self.width)
-        return next(((x, j) for j, x in enumerate(combined) if x > threshold), None)
+        return next((j for j, x in enumerate(combined) if x), None)
 
 
 def _scatter(weights: Sequence, sparse_rows: Sequence, out: list) -> list:
@@ -206,9 +209,8 @@ class OutcomeSystem:
     No column is listed: :meth:`label` decodes ``j`` through the strides,
     cell by cell as ``j // stride % size``, and :attr:`explicit` hands that
     decoder to its rows.  Rows fixing the same cells, a *scope*, share one
-    table: each row is a key ``(scope, entry)``.  :meth:`best` and
-    :meth:`first_above` ask the columns by variable elimination (see the
-    module docstring).
+    table: each row is a key ``(scope, entry)``.  The column questions are
+    asked by variable elimination (see the module docstring).
     """
 
     def __init__(self, sizes: Sequence[int], patterns: Iterable):
@@ -360,26 +362,31 @@ class OutcomeSystem:
         """``(weights . A_j, j)`` for the lowest ``j`` above ``threshold``, or None."""
         return self._walk(*self._eliminate(weights), threshold)
 
+    def first_nonzero(self, weights: Sequence[int]) -> int | None:
+        """The lowest ``j`` with ``weights . A_j`` nonzero, or None."""
+        found = (self.first_above(w, 0) for w in (weights, [-x for x in weights]))
+        return min((j for _, j in filter(None, found)), default=None)
+
 
 def _table_strides(sizes: Sequence[int], cells: Sequence[int]) -> list[tuple[int, int]]:
     """Each of ``cells`` with its stride in a table over them, the last least significant."""
     return [(c, math.prod(sizes[d] for d in cells[i + 1 :])) for i, c in enumerate(cells)]
 
 
-def satisfies(system: LinearSystem | OutcomeSystem, q: Sequence[Fraction]) -> bool:
+def satisfies(
+    system: LinearSystem | OutcomeSystem, support: Sequence[int], values: Sequence[Fraction]
+) -> bool:
     """Whether ``A q == b`` for ``q`` of any sign, by exact substitution.
 
-    ``q`` has one entry per column; its support is scaled to integers over
-    its common denominator and substituted column by column.
+    ``q`` is ``values`` on ``support``, strictly ascending columns, and 0
+    elsewhere; no value may be 0.  The values are scaled to integers over
+    their common denominator and substituted column by column.
     """
-    return len(q) == system.cols and _substitutes(system, q, [j for j, x in enumerate(q) if x])
-
-
-def _substitutes(
-    system: LinearSystem | OutcomeSystem, q: Sequence[Fraction], support: list[int]
-) -> bool:
-    """Whether ``A q == b`` for ``q`` nonzero only on ``support``."""
-    masses, scale = common_denominator([q[j] for j in support])
+    bounds = (-1, *support, system.cols)
+    ascending = all(map(operator.lt, bounds, bounds[1:]))
+    if not ascending or len(support) != len(values) or not all(values):
+        return False
+    masses, scale = common_denominator(values)
     lhs = [0] * system.rows
     for j, x in zip(support, masses):
         for i, a in enumerate(system.column(j)):
@@ -392,16 +399,17 @@ def _substitutes(
 class FeasibilityResult:
     """Outcome of a feasibility solve, carrying its witness.
 
-    Exactly one of ``solution`` (nonnegative, satisfying ``A Q = b``) and
-    ``certificate`` (Farkas vector over the rows) is present.  An infeasible
-    result also keeps the solver as its phase 1 left it, for
-    :func:`minimize` to continue a copy of.
+    Exactly one of ``solution`` (positive values on the ascending columns
+    ``support``, satisfying ``A Q = b``) and ``certificate`` (Farkas vector
+    over the rows) is present.  An infeasible result also keeps the solver
+    as its phase 1 left it, for :func:`minimize` to continue a copy of.
     """
 
     status: str
     solution: tuple[Fraction, ...] | None
     certificate: tuple[Fraction, ...] | None
     pivots: int
+    support: tuple[int, ...] = ()
     _solver: _Revised | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -411,17 +419,14 @@ class FeasibilityResult:
     def verify(self, system: LinearSystem | OutcomeSystem) -> bool:
         """Re-check the witness against the system by exact substitution.
 
-        A solution is scanned once for its support, which must be positive
-        and satisfy ``A Q = b``.  A certificate is scaled to integers over its
-        common denominator, and ``y^T A <= 0`` is read from the largest
-        ``y . A_j`` that the system's :meth:`best` finds.
+        A solution's values must be positive and :func:`satisfies` must accept
+        it.  A certificate is scaled to integers over its common denominator,
+        and ``y^T A <= 0`` is read from the largest ``y . A_j`` that the
+        system's :meth:`best` finds.
         """
         if self.feasible:
             q = self.solution
-            if q is None or len(q) != system.cols:
-                return False
-            support = [j for j, x in enumerate(q) if x]
-            return all(q[j] > 0 for j in support) and _substitutes(system, q, support)
+            return q is not None and all(x > 0 for x in q) and satisfies(system, self.support, q)
         y = self.certificate
         if y is None or len(y) != system.rows:
             return False
@@ -435,10 +440,11 @@ class FeasibilityResult:
 class OptimizationResult:
     """The measure's LP solved: the least negative mass of ``A Q = b``, exactly.
 
-    ``solution`` is a signed vertex ``Q``, one entry per column of ``A``, and
-    ``value`` its negative mass ``sum max(0, -Q_j)``.  ``dual`` is the final
-    basis's simplex multipliers ``y`` over the rows: ``-1 <= A^T y <= 0``,
-    with ``y . A_j`` at 0 where ``Q_j > 0`` and at -1 where ``Q_j < 0``, and
+    The signed vertex ``Q`` is nonzero on the ascending columns ``support``
+    of ``A`` and takes the values ``solution`` there; ``value`` is its
+    negative mass ``sum max(0, -Q_j)``.  ``dual`` is the final basis's
+    simplex multipliers ``y`` over the rows: ``-1 <= A^T y <= 0``, with
+    ``y . A_j`` at 0 where ``Q_j > 0`` and at -1 where ``Q_j < 0``, and
     ``y . b == value``, so by weak duality no signed solution has less
     negative mass.  Rows dropped as redundant get ``y = 0``.
     """
@@ -447,6 +453,7 @@ class OptimizationResult:
     solution: tuple[Fraction, ...]
     pivots: int
     dual: tuple[Fraction, ...]
+    support: tuple[int, ...]
 
 
 class _Revised:
@@ -581,16 +588,16 @@ class _Revised:
     def objective_value(self) -> Fraction:
         return Fraction(self._prices()[-1], self.det * self.rhs_scale)
 
-    def structural_solution(self) -> tuple[Fraction, ...]:
-        """The signed vertex over the columns of ``A``: ``-A``'s basic columns count negative."""
-        values = [ZERO] * self.width
+    def structural_solution(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+        """The signed vertex's support over ``A`` and its values; ``-A``'s count negative."""
         scale = self.det * self.rhs_scale
+        values = {}
         for var, row in zip(self.basis, self.inverse):
-            if var < self.width:
-                values[var] = Fraction(row[-1] * self.structural_scale, scale)
-            elif var < self.n:
-                values[var - self.width] = Fraction(-row[-1] * self.structural_scale, scale)
-        return tuple(values)
+            if var < self.n and row[-1]:
+                j, x = (var, row[-1]) if var < self.width else (var - self.width, -row[-1])
+                values[j] = Fraction(x * self.structural_scale, scale)
+        support = tuple(sorted(values))
+        return support, tuple(map(values.__getitem__, support))
 
     def multipliers(self) -> tuple[Fraction, ...]:
         """The simplex multipliers ``y = flips * pi / det`` over the original rows.
@@ -638,9 +645,7 @@ class _Revised:
 
     def replacement(self, rho: list[int]) -> int | None:
         """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
-        u = list(map(operator.mul, rho, self.flips))
-        found = (self.system.first_above(w, 0) for w in (u, [-x for x in u]))
-        return min((j for _, j in filter(None, found)), default=None)
+        return self.system.first_nonzero(list(map(operator.mul, rho, self.flips)))
 
     def copy(self) -> _Revised:
         """This state, with a basis and ``det * B^-1`` of its own to pivot."""
@@ -757,8 +762,9 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     """
     lp = _Revised(system)
     if lp.phase1():
-        return FeasibilityResult(FEASIBLE, lp.structural_solution(), None, lp.pivots)
-    return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots, lp)
+        support, values = lp.structural_solution()
+        return FeasibilityResult(FEASIBLE, values, None, lp.pivots, support)
+    return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots, _solver=lp)
 
 
 def minimize(
@@ -768,8 +774,8 @@ def minimize(
 
     This is the contextuality measure's LP, not a general one: the solver
     splits ``Q = Q+ - Q-`` over ``(A | -A)`` itself (see the module
-    docstring).  Returns the value, the signed vertex ``Q`` over the columns
-    of ``A`` and the dual ``y`` of its basis, ``-1 <= A^T y <= 0`` with
+    docstring).  Returns the value, the signed vertex ``Q`` on its support
+    and the dual ``y`` of its basis, ``-1 <= A^T y <= 0`` with
     ``y . b == value``, which certifies the value.
 
     ``start``, an infeasible :func:`solve_feasibility` result on this very
@@ -790,6 +796,7 @@ def minimize(
         lp, before = solver.copy(), solver.pivots
     lp.widen()
     lp._run()
+    support, values = lp.structural_solution()
     return OptimizationResult(
-        lp.objective_value(), lp.structural_solution(), lp.pivots - before, lp.multipliers()
+        lp.objective_value(), values, lp.pivots - before, lp.multipliers(), support
     )

@@ -65,6 +65,20 @@ def assert_dual_certifies(system, result):
         assert not any(y)
 
 
+def expand(result, width):
+    """A result's solution written out with one value per column, 0 off its support.
+
+    The support must ascend strictly and carry a nonzero value at each index.
+    """
+    support, values = result.support, result.solution
+    assert len(support) == len(values) and all(values)
+    assert all(i < j for i, j in zip(support, support[1:]))
+    q = [Fraction(0)] * width
+    for j, x in zip(support, values):
+        q[j] = x
+    return tuple(q)
+
+
 def rational_rank(matrix):
     """Rank of a rational matrix by exact Gaussian elimination.
 

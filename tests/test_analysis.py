@@ -25,6 +25,7 @@ from contextuality.errors import DimensionMismatchError, OutcomeSpaceTooLargeErr
 from contextuality.simplex import FeasibilityResult, LinearSystem, minimize, solve_feasibility
 from conftest import (
     assert_dual_certifies,
+    expand,
     outcomes,
     random_boundary_cyclic,
     random_cyclic_system,
@@ -373,6 +374,23 @@ class TestMeasure:
                     contextual += crit.contextual
         assert 0 < contextual < 72
 
+    def test_rank12_measure_lists_no_hidden_outcome(self):
+        # 4^12 hidden outcomes: a vector over them would take hundreds of MiB,
+        # while the witness is read from the basis, at most one mass per row
+        import tracemalloc
+
+        rank = 12
+        system = cyclic_system_from_correlations([F(-9, 10)] + [F(9, 10)] * (rank - 1))
+        crit = evaluate_criterion(detect_cycles(system)[0], system)
+        tracemalloc.start()
+        try:
+            result = contextuality_measure(system, max_columns=4**rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.measure == (crit.lhs - crit.rhs) / (2 * (rank - 1)) == F(2, 55)
+        assert peak < 4 << 20
+
 
 class TestVerification:
     def test_minimal_tv_solution_verifies_with_tv_two(self, rank2_contextual):
@@ -566,8 +584,11 @@ class TestSparseRows:
         objective = (F(0),) * n + (F(1),) * n
         got = minimize(linear)
         # the signed vertex, split into its halves, solves the dense (M | -M)
-        split = tuple(max(x, 0) for x in got.solution) + tuple(max(-x, 0) for x in got.solution)
-        assert FeasibilityResult("feasible", split, None, 0).verify(dense)
+        q = expand(got, n)
+        split = tuple(max(x, 0) for x in q) + tuple(max(-x, 0) for x in q)
+        support = tuple(j for j, x in enumerate(split) if x)
+        values = tuple(split[j] for j in support)
+        assert FeasibilityResult("feasible", values, None, 0, support).verify(dense)
         assert sum(split[n:]) == got.value
         assert all(
             sum(y * a for y, a in zip(got.dual, column)) <= c
@@ -576,6 +597,6 @@ class TestSparseRows:
         assert sum(y * b for y, b in zip(got.dual, dense.rhs)) == got.value
         # M built from dense rows takes the same pivots
         rebuilt = minimize(LinearSystem(linear.matrix, linear.rhs))
-        assert (got.value, got.solution, got.dual, got.pivots) == (
-            rebuilt.value, rebuilt.solution, rebuilt.dual, rebuilt.pivots
+        assert (got.value, got.support, got.solution, got.dual, got.pivots) == (
+            rebuilt.value, rebuilt.support, rebuilt.solution, rebuilt.dual, rebuilt.pivots
         )

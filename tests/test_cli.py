@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from contextuality import canonical_example, parse_system, rank2_family, serialize_system
-from contextuality.distribution import ZERO
 from contextuality.cli import main
 
 F = Fraction
@@ -22,6 +21,14 @@ def write_system(tmp_path, name, system):
     path = tmp_path / name
     path.write_text(serialize_system(system))
     return str(path)
+
+
+def moved_on(support, values):
+    """A sparse solution with its first mass moved one column on, merged there if taken."""
+    j, x = support[0], values[0]
+    if support[1:2] == (j + 1,):
+        return support[1:], (values[1] + x, *values[2:])
+    return (j + 1, *support[1:]), values
 
 
 @pytest.fixture
@@ -150,11 +157,8 @@ class TestAnalyze:
         def corrupted(linear):
             result = solve_feasibility(linear)
             if result.feasible:
-                # move the first mass one column on
-                q = list(result.solution)
-                j = next(j for j, x in enumerate(q) if x)
-                q[j], q[j + 1] = ZERO, q[j + 1] + q[j]
-                return FeasibilityResult(result.status, tuple(q), None, result.pivots)
+                support, values = moved_on(result.support, result.solution)
+                return FeasibilityResult(result.status, values, None, result.pivots, support)
             certificate = tuple(-y for y in result.certificate)
             return FeasibilityResult(result.status, None, certificate, result.pivots)
 
@@ -178,11 +182,8 @@ class TestAnalyze:
 
         def corrupted(*args):
             result = solve(*args)
-            # move the first mass one column on
-            q = list(result.solution)
-            j = next(j for j, x in enumerate(q) if x)
-            q[j], q[j + 1] = ZERO, q[j + 1] + q[j]
-            return dataclasses.replace(result, solution=tuple(q))
+            support, values = moved_on(result.support, result.solution)
+            return dataclasses.replace(result, support=support, solution=values)
 
         monkeypatch.setattr(analysis, "minimize", corrupted)
         path = write_system(tmp_path, "case.json", canonical_example(name))

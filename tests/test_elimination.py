@@ -68,7 +68,8 @@ def scan(linear, weights):
 
 
 class TestOracle:
-    """``best`` and ``first_above`` of both kinds against a scan of the explicit ``M``."""
+    """``best`` and ``first_nonzero`` of both kinds, and the ``OutcomeSystem``'s
+    ``first_above``, against a scan of the explicit ``M``."""
 
     @settings(max_examples=150, deadline=None)
     @given(shape=small_systems(), data=st.data())
@@ -86,11 +87,13 @@ class TestOracle:
         for weights in weight_sets:
             values = scan(linear, weights)
             top = max(values)
+            nonzero = next((j for j, v in enumerate(values) if v), None)
             for system in (linear, linear.explicit):
                 assert system.best(weights) == (top, values.index(top))
-                for t in thresholds + [top, top - 1]:
-                    want = next(((v, j) for j, v in enumerate(values) if v > t), None)
-                    assert system.first_above(weights, t) == want
+                assert system.first_nonzero(weights) == nonzero
+            for t in thresholds + [top, top - 1]:
+                want = next(((v, j) for j, v in enumerate(values) if v > t), None)
+                assert linear.first_above(weights, t) == want
 
     def test_columns_decode_through_the_strides(self):
         linear = outcome_system(triangle(3, "contextual"))

@@ -6,8 +6,8 @@ import pytest
 
 from contextuality import LinearSystem, minimize, solve_feasibility
 from contextuality.errors import DimensionMismatchError, InfeasibleError
-from contextuality.simplex import OutcomeSystem
-from conftest import rational_rank
+from contextuality.simplex import FEASIBLE, FeasibilityResult, OutcomeSystem, satisfies
+from conftest import expand, rational_rank
 
 F = Fraction
 HALF = F(1, 2)
@@ -18,7 +18,7 @@ class TestFeasibility:
         s = LinearSystem(((1, 0), (0, 1)), (F(1, 2), F(1, 2)))
         r = solve_feasibility(s)
         assert r.feasible
-        assert r.solution == (F(1, 2), F(1, 2))
+        assert (r.support, r.solution) == ((0, 1), (F(1, 2), F(1, 2)))
         assert r.verify(s)
 
     def test_negative_rhs_certificate(self):
@@ -43,7 +43,7 @@ class TestFeasibility:
 def assert_least_negative_mass(system, result):
     """``A q = b``, and the dual ``y`` proves ``sum q-`` least: ``-1 <= A^T y <= 0``,
     ``y . A_j`` at 0 where ``q_j > 0`` and at -1 where ``q_j < 0``, and ``y . b == sum q-``."""
-    q, y = result.solution, result.dual
+    q, y = expand(result, system.cols), result.dual
     assert len(q) == system.cols and len(y) == system.rows
     for row, b in zip(system.matrix, system.rhs):
         assert sum(a * x for a, x in zip(row, q)) == b
@@ -66,7 +66,7 @@ class TestMinimize:
         s = LinearSystem(((1, 1, 1, 0), (1, 0, 0, 1), (2, 1, 1, 1)), (F(-1), HALF, -HALF))
         r = minimize(s)
         assert r.value == 1
-        assert r.solution == (F(0), F(-1), F(0), HALF)
+        assert (r.support, r.solution) == ((1, 3), (F(-1), HALF))
         assert r.pivots == 3
         # the dropped third row gets y = 0
         assert r.dual == (F(-1), F(0), F(0))
@@ -79,7 +79,7 @@ class TestMinimize:
         s = LinearSystem(((-1, 0, -1, -1), (0, 0, 0, -1), (1, 2, 0, 0)), (F(-2), F(0), F(1)))
         r = minimize(s)
         assert r.value == 0
-        assert r.solution == (F(1), F(0), F(1), F(0))
+        assert (r.support, r.solution) == ((0, 2), (F(1), F(1)))
         assert r.dual == (F(0), F(0), F(0))
         assert r.pivots == 3
         assert_least_negative_mass(s, r)
@@ -92,10 +92,48 @@ class TestMinimize:
         s = LinearSystem(((F(2, 3), F(1, 3), F(3, 2)), (2, HALF, HALF)), (-HALF, F(3, 4)))
         r = minimize(s)
         assert r.value == F(9, 16)
-        assert r.solution == (F(33, 64), F(0), F(-9, 16))
+        assert (r.support, r.solution) == ((0, 2), (F(33, 64), F(-9, 16)))
         assert r.dual == (F(-3, 4), F(1, 4))
         assert r.pivots == 3
         assert_least_negative_mass(s, r)
+
+
+class TestSparseWitness:
+    """A solution is a strictly ascending support within the columns and one nonzero
+    value per index.  Over an ``OutcomeSystem`` a column index decodes modulo
+    the outcomes, so index 2 here reads as column 0 and -1 as column 1: each
+    malformed witness below would pass a substitution that did not check its
+    shape."""
+
+    # one binary cell, one row: the masses sum to 1
+    OUTCOME = OutcomeSystem((2,), [({}, F(1))])
+
+    def test_a_well_formed_witness_passes(self):
+        for system in (self.OUTCOME, self.OUTCOME.explicit):
+            assert satisfies(system, (0, 1), (HALF, HALF))
+            assert FeasibilityResult(FEASIBLE, (HALF, HALF), None, 0, (0, 1)).verify(system)
+
+    @pytest.mark.parametrize(
+        "support, values, signed_solution",
+        [
+            ((1, 2), (HALF, HALF), False),
+            ((-1,), (F(1),), False),
+            ((0, 0), (HALF, HALF), False),
+            ((1, 0), (HALF, HALF), False),
+            ((0, 1), (F(1),), False),
+            ((0, 1), (F(1), F(0)), False),
+            # a signed solution, as the measure's vertex may be, but no coupling
+            ((0, 1), (F(2), F(-1)), True),
+        ],
+        ids=[
+            "index-equal-to-cols", "negative-index", "repeated-index", "unsorted",
+            "lengths-differ", "zero-mass", "negative-mass",
+        ],
+    )
+    def test_a_malformed_witness_is_rejected(self, support, values, signed_solution):
+        for system in (self.OUTCOME, self.OUTCOME.explicit):
+            assert satisfies(system, support, values) == signed_solution
+            assert not FeasibilityResult(FEASIBLE, values, None, 0, support).verify(system)
 
 
 class TestValidation:
@@ -136,7 +174,7 @@ class TestResume:
         got, want = minimize(s, start), minimize(s)
         assert got.value == want.value == 1
         assert got.dual == want.dual == (-1, 1)
-        assert got.solution == want.solution == (-1, 2)
+        assert (got.support, got.solution) == (want.support, want.solution) == ((0, 1), (-1, 2))
         # the cold solve runs the same phase 1 on A first
         assert (start.pivots, got.pivots, want.pivots) == (1, 1, 2)
 
@@ -262,9 +300,9 @@ class TestRandomizedSelfChecks:
                     assert (result.value == 0) == start.feasible
                     if not start.feasible:
                         resumed = minimize(s, start)
-                        assert (resumed.value, resumed.solution, resumed.dual) == (
-                            result.value, result.solution, result.dual
-                        )
+                        assert (
+                            resumed.value, resumed.support, resumed.solution, resumed.dual
+                        ) == (result.value, result.support, result.solution, result.dual)
                         assert start.pivots + resumed.pivots == result.pivots
                     redundant_optima += s is not system
         assert redundant_optima
@@ -307,7 +345,7 @@ class TestDegeneracy:
         system = LinearSystem(((1, 1, 0), (0, 1, 1)), (F(0), F(0)))
         result = solve_feasibility(system)
         assert result.feasible
-        assert result.solution == (F(0), F(0), F(0))
+        assert (result.support, result.solution) == ((), ())
 
 
 class TestRank:

@@ -46,14 +46,15 @@ scratch: its phase 2 resumes from the basis that the verdict's phase 1 on
 is signed by its value.  Its dual ``y`` satisfies ``-1 <= M^T y <= 0`` and
 ``y . P = (TV - 1) / 2``, so it bounds every quasi-coupling's TV from below
 by the one reported, and on a contextual system it is also a Farkas
-certificate for the verdict.
+certificate for the verdict.  Both LP answers are checked where they are
+made, by the results' own ``verify``; this module only decodes them and
+asserts the TV identity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -65,9 +66,7 @@ from .simplex import (
     FeasibilityResult,
     LinearSystem,
     OutcomeSystem,
-    common_denominator,
     minimize,
-    satisfies,
     solve_feasibility,
 )
 from .systems import CCSystem, Connection
@@ -275,7 +274,8 @@ class QuasiCoupling:
     total_variation: Fraction = field(init=False)
 
     def __post_init__(self):
-        clean = {tuple(k): as_fraction(v) for k, v in self.masses.items() if v}
+        clean = {tuple(k): as_fraction(v) for k, v in self.masses.items()}
+        clean = {k: v for k, v in clean.items() if v}
         object.__setattr__(self, "masses", clean)
         object.__setattr__(self, "total_variation", sum((abs(v) for v in clean.values()), ZERO))
 
@@ -315,22 +315,26 @@ def contextuality_measure(
     a contextual system ``TV = sum Q + 2 sum Q- = 1 + 2 sum Q-``, so
     :func:`~.simplex.minimize` finds the least negative mass ``sum Q-`` of a
     signed ``Q`` with ``M Q = P``, resumed from the basis that the verdict's
-    phase 1 ended in, so no second phase 1 is run.  The signed vertex is
-    substituted into ``M`` and decoded over its support, and
-    ``TV = 1 + 2 sum Q-`` is asserted against it.  The LP's dual ``y``
+    phase 1 ended in, so no second phase 1 is run.  The LP's dual ``y``
     maximizes ``y . P`` subject to ``-1 <= M^T y <= 0``: for any
     quasi-coupling ``Q``, ``y . P = (M^T y) . Q <= (TV(Q) - 1) / 2``, so
     ``1 + 2 y . P`` bounds every TV from below, and ``M^T y <= 0 < y . P``
-    is a Farkas certificate of the contextual verdict.  The vertex, the
-    identity and the dual are checked before returning; a failure raises
+    is a Farkas certificate of the contextual verdict.  One
+    :meth:`~.simplex.OptimizationResult.verify` checks the signed vertex by
+    substitution into ``M``, and the dual's bounds and ``y . P`` against the
+    value; the vertex is then decoded over its support, and
+    ``TV = 1 + 2 sum Q-`` is asserted against it.  A failure raises
     :class:`SolverError`.
     """
     linear = build_associated_system(system, max_columns)
     verdict, feasibility = _decide(system, linear)
     if verdict.contextual:
         result = minimize(linear, feasibility)
-        if not satisfies(linear, result.support, result.solution):
-            raise SolverError("internal inconsistency: the measure's witness fails substitution")
+        if not result.verify(linear):
+            raise SolverError(
+                "internal inconsistency: the measure's witness fails substitution "
+                "(its vertex, value or dual)"
+            )
         masses = {linear.label(j): x for j, x in zip(result.support, result.solution)}
         value, dual, pivots = result.value, result.dual, result.pivots
     else:
@@ -342,27 +346,9 @@ def contextuality_measure(
             "internal inconsistency: total variation "
             f"{witness.total_variation} != 1 + 2*{value}"
         )
-    _check_dual(linear, dual, value)
     return MeasureResult(
         witness.total_variation, witness.total_variation - ONE, witness, verdict, dual, pivots
     )
-
-
-def _check_dual(
-    linear: LinearSystem | OutcomeSystem, dual: Sequence[Fraction], value: Fraction
-) -> None:
-    """Raise :class:`SolverError` unless ``-1 <= M^T y <= 0`` and ``y . P == value``.
-
-    ``y`` is scaled to integers over its common denominator, and the extremes
-    of ``M^T y`` are the system's :meth:`best` of ``y`` and of ``-y``.
-    """
-    weights, scale = common_denominator(dual)
-    if linear.best(weights)[0] > 0 or linear.best([-w for w in weights])[0] > scale:
-        raise SolverError("internal inconsistency: the measure's dual violates -1 <= M^T y <= 0")
-    rhs, rhs_scale = common_denominator(linear.rhs)
-    bound = Fraction(sum(map(operator.mul, weights, rhs)), scale * rhs_scale)
-    if bound != value:
-        raise SolverError(f"internal inconsistency: the measure's dual bound {bound} != {value}")
 
 
 @dataclass(frozen=True)

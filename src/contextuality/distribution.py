@@ -151,22 +151,21 @@ class Distribution:
         return Distribution(sizes, out)
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable], arity_sizes: Sequence[int] | None = None) -> "Distribution":
+    def from_rows(rows: Iterable[Iterable]) -> "Distribution":
         """Build an arity-2 distribution from a nested row table.
 
-        ``rows[i][j]`` is the mass of value ``(i, j)``; entries may be
-        Fractions, ints, or exact strings.
+        ``rows[i][j]`` is the mass of value ``(i, j)``, and the alphabet sizes
+        are the table's; entries may be Fractions, ints, or exact strings.
         """
         table = [list(r) for r in rows]
         if not table or not table[0]:
             raise AlphabetMismatchError("empty table")
-        sizes = arity_sizes or (len(table), len(table[0]))
         masses = {
             (i, j): as_fraction(cell)
             for i, row in enumerate(table)
             for j, cell in enumerate(row)
         }
-        return Distribution(tuple(sizes), masses)
+        return Distribution((len(table), len(table[0])), masses)
 
 
 def uniform(alphabet_size: int) -> Distribution:

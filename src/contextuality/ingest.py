@@ -177,7 +177,7 @@ def parse_system(text: str) -> CCSystem:
         raise SchemaError(str(exc), "bunches") from exc
 
 
-def serialize_system(system: CCSystem, indent: int = 2) -> str:
+def serialize_system(system: CCSystem) -> str:
     """Serialize a system to the canonical document form (round-trip exact)."""
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -207,7 +207,7 @@ def serialize_system(system: CCSystem, indent: int = 2) -> str:
             for context in system.contexts
         },
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------

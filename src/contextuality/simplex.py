@@ -14,7 +14,10 @@ Both witnesses over the rows are read from the final simplex multipliers
 An infeasible system comes back with a Farkas certificate: a row vector
 ``y`` with ``y^T A <= 0`` and ``y^T b > 0``, checkable by plain
 substitution.  The measure comes back with the dual of its final basis,
-which is zero on the rows phase 1 dropped as redundant.
+which is zero on the rows phase 1 dropped as redundant.  Each result checks
+its own witness: :meth:`FeasibilityResult.verify` the coupling or the
+certificate, and :meth:`OptimizationResult.verify` the vertex, its value and
+the dual's bounds, which by weak duality prove the value least.
 
 The simplex is revised and fraction-free: of the basis ``B`` of the
 integer-scaled starting matrix it keeps only ``det * B^-1`` and
@@ -395,6 +398,15 @@ def satisfies(
     return all(v * b.denominator == b.numerator * scale for v, b in zip(lhs, system.rhs))
 
 
+def _scaled(
+    y: Sequence[Fraction], system: LinearSystem | OutcomeSystem
+) -> tuple[list[int], int, Fraction]:
+    """``y`` as integers over their common denominator, that denominator, and ``y . b``."""
+    weights, scale = common_denominator(y)
+    rhs, rhs_scale = common_denominator(system.rhs)
+    return weights, scale, Fraction(sum(map(operator.mul, weights, rhs)), scale * rhs_scale)
+
+
 @dataclass(frozen=True)
 class FeasibilityResult:
     """Outcome of a feasibility solve, carrying its witness.
@@ -420,9 +432,8 @@ class FeasibilityResult:
         """Re-check the witness against the system by exact substitution.
 
         A solution's values must be positive and :func:`satisfies` must accept
-        it.  A certificate is scaled to integers over its common denominator,
-        and ``y^T A <= 0`` is read from the largest ``y . A_j`` that the
-        system's :meth:`best` finds.
+        it.  A certificate must have ``y . b > 0``, and ``y^T A <= 0`` is read
+        from the largest ``y . A_j`` that the system's :meth:`best` finds.
         """
         if self.feasible:
             q = self.solution
@@ -430,10 +441,8 @@ class FeasibilityResult:
         y = self.certificate
         if y is None or len(y) != system.rows:
             return False
-        weights = common_denominator(y)[0]
-        if system.best(weights)[0] > 0:
-            return False
-        return sum(map(operator.mul, weights, common_denominator(system.rhs)[0])) > 0
+        weights, _, bound = _scaled(y, system)
+        return system.best(weights)[0] <= 0 and bound > 0
 
 
 @dataclass(frozen=True)
@@ -455,6 +464,21 @@ class OptimizationResult:
     dual: tuple[Fraction, ...]
     support: tuple[int, ...]
 
+    def verify(self, system: LinearSystem | OutcomeSystem) -> bool:
+        """Re-check the vertex by :func:`satisfies`, its negative mass against
+        ``value`` and ``y . b``, and ``-1 <= A^T y <= 0`` by the system's
+        :meth:`best` of ``y`` and ``-y``; together they prove ``value`` least.
+        """
+        y = self.dual
+        if len(y) != system.rows or not satisfies(system, self.support, self.solution):
+            return False
+        weights, scale, bound = _scaled(y, system)
+        return (
+            bound == self.value == -sum(x for x in self.solution if x < 0)
+            and system.best(weights)[0] <= 0
+            and system.best([-w for w in weights])[0] <= scale
+        )
+
 
 class _Revised:
     """Two-phase revised simplex state, fraction-free over one denominator.
@@ -470,10 +494,18 @@ class _Revised:
     one number per half: 0 on ``A``, and ``cost`` on every column past it,
     which is 1 on the artificials in phase 1 and ``structural_scale`` on
     ``-A`` after :meth:`widen`.  So phase 1 minimizes the sum of the
-    artificials and phase 2 the negative mass ``sum Q-``.  The reduced costs
-    are ``det * C_j - pi . X0_j`` with ``pi = C_B . det * B^-1``; each run
-    to optimality prices them through one :class:`_Pricing`, which the state
-    does not hold, so it holds no reference cycle and is cheap to copy.
+    artificials and phase 2 the negative mass ``sum Q-``.
+
+    The reduced costs are ``det * C_j - pi . X0_j`` with ``pi = C_B . det *
+    B^-1``, which each run to optimality prices once and carries past its
+    pivots (see the module docstring).  With ``v_j = pi . X0_j`` on the
+    columns of ``A``, they are ``-v_j`` on ``A``, ``det * cost + v_j`` on
+    ``-A`` and ``det * cost - pi_i`` on the artificials; none is stored.
+    Over a :class:`LinearSystem` ``v`` is kept too: a scatter of ``pi`` over
+    ``sparse``, the rows of ``A`` scaled to those of ``X0``, updated like
+    ``pi`` from the scatter of ``rho``, and unchanged where that is zero
+    when ``a == det``.  Over an :class:`OutcomeSystem` both are None, and
+    its ``best`` and ``first_above`` of ``pi * flips`` answer for ``v``.
     """
 
     # Degenerate-pivot run length that triggers the Bland fallback.  Any
@@ -491,6 +523,10 @@ class _Revised:
         rhs, self.rhs_scale = common_denominator(system.rhs)
         self.flips = [1 if b >= 0 else -1 for b in rhs]
         self.scales = [sign * self.structural_scale for sign in self.flips]
+        self.sparse = [
+            [(int(x * scale), indices) for x, indices in groups]
+            for groups, scale in zip(system.sparse_rows, self.scales)
+        ] if isinstance(system, LinearSystem) else None
         self.inverse = [
             [0] * i + [1] + [0] * (m - 1 - i) + [abs(b)] for i, b in enumerate(rhs)
         ]
@@ -567,23 +603,80 @@ class _Revised:
     def _run(self) -> None:
         """Pivot to optimality of the current costs, which are bounded below by 0.
 
-        Each pivot hands the pricing its leaving row ``rho`` of
-        ``det * B^-1``, the pivot ``a`` and the entering reduced cost ``f``
-        before ``det * B^-1`` moves on.
+        ``pi``, and ``v`` if kept, are priced here, and each pivot reprices
+        them from its leaving row ``rho`` of ``det * B^-1``, the pivot ``a``
+        and the entering reduced cost ``f`` before ``det * B^-1`` moves on.
         """
         stalled = 0
-        pricing = _Pricing(self)
+        self.pi = self._prices()[:-1]
+        self.v = None if self.sparse is None else _scatter(self.pi, self.sparse, [0] * self.width)
         while True:
-            entering = pricing.entering(stalled >= self.STALL_LIMIT)
+            entering = self.entering(stalled >= self.STALL_LIMIT)
             if entering is None:
                 return
             col, f = entering
             column = self._column(col)
             row = self._leaving(column)
             pivot = self.inverse[row]
-            pricing.update(pivot, column[row], f)
+            self._reprice(pivot, column[row], f)
             stalled = stalled + 1 if pivot[-1] == 0 else 0
             self._pivot(row, column, col)
+
+    def _weights(self, sign: int) -> list[int]:
+        """``sign * pi * flips``, whose product with ``A_j`` is ``sign * v_j``."""
+        return [sign * p * s for p, s in zip(self.pi, self.flips)]
+
+    def _best(self, sign: int) -> tuple[int, int]:
+        """``(max_j sign * v_j, the lowest j attaining it)``."""
+        if self.v is None:
+            return self.system.best(self._weights(sign))
+        top = max(self.v) if sign > 0 else -min(self.v)
+        return top, self.v.index(sign * top)
+
+    def _first_above(self, sign: int, threshold: int) -> tuple[int, int] | None:
+        """``(sign * v_j, j)`` for the lowest ``j`` with ``sign * v_j > threshold``, or None."""
+        if self.v is None:
+            return self.system.first_above(self._weights(sign), threshold)
+        return next(((sign * x, j) for j, x in enumerate(self.v) if sign * x > threshold), None)
+
+    def entering(self, bland: bool) -> tuple[int, int] | None:
+        """Bland's lowest-index negative reduced cost, or the most negative (lowest index on ties).
+
+        The columns go ``A``, then ``-A`` or the artificials.  Dantzig's rule
+        weighs the artificials by ``structural_scale``, which scales only the
+        structural columns, to compare true reduced costs.
+        """
+        c = self.det * self.cost
+        wide = self.n > self.width
+        halves = [(0, 0, 1), (self.width, c, -1)] if wide else [(0, 0, 1)]
+        artificials = [] if wide else [c - p for p in self.pi]
+        if bland:
+            for offset, t, sign in halves:
+                found = self._first_above(sign, t)
+                if found is not None:
+                    return offset + found[1], t - found[0]
+            i = next((i for i, x in enumerate(artificials) if x < 0), None)
+            return None if i is None else (self.n + i, artificials[i])
+        best = None
+        for offset, t, sign in halves:
+            top, j = self._best(sign)
+            if best is None or t - top < best[1]:
+                best = offset + j, t - top
+        if artificials and (low := min(artificials)) * self.structural_scale < best[1]:
+            best = self.n + artificials.index(low), low
+        return best if best[1] < 0 else None
+
+    def _reprice(self, rho: list[int], a: int, f: int) -> None:
+        """Carry ``pi``, and ``v`` if kept, past a pivot on ``a`` with entering cost ``f``."""
+        det = self.det
+        self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
+        if self.v is None:
+            return
+        s = _scatter(rho, self.sparse, [0] * self.width)
+        if a == det:
+            self.v = [x + f * y // det if y else x for x, y in zip(self.v, s)]
+        else:
+            self.v = [(a * x + f * y) // det if y else a * x // det for x, y in zip(self.v, s)]
 
     def objective_value(self) -> Fraction:
         return Fraction(self._prices()[-1], self.det * self.rhs_scale)
@@ -669,89 +762,6 @@ class _Revised:
         self.n, self.cost = 2 * self.width, self.structural_scale
         m = len(self.flips)
         self.pivot_cap = math.comb(m + self.n + m, m)
-
-
-class _Pricing:
-    """One phase's multipliers ``pi``, kept across its pivots, and the reduced costs they give.
-
-    ``pi = C_B . det * B^-1`` is priced once and updated on each pivot (see
-    the module docstring).  With ``v_j = pi . X0_j`` on the columns of ``A``,
-    the reduced costs are ``-v_j`` on ``A``, ``det * cost + v_j`` on ``-A``
-    and ``det * cost - pi_i`` on the artificials; none is stored.  Over a
-    :class:`LinearSystem` ``v`` is kept too: a scatter of ``pi`` over
-    ``sparse``, the rows of ``A`` scaled to those of ``X0``, updated like
-    ``pi`` from the scatter of ``rho``, and unchanged where that is zero when
-    ``a == det``.  Over an :class:`OutcomeSystem` the system's ``best`` and
-    ``first_above`` of ``pi * flips`` answer for ``v``.
-    """
-
-    def __init__(self, lp: _Revised):
-        self.lp = lp
-        self.pi = lp._prices()[:-1]
-        self.v = None
-        if isinstance(lp.system, LinearSystem):
-            self.sparse = [
-                [(int(x * scale), indices) for x, indices in groups]
-                for groups, scale in zip(lp.system.sparse_rows, lp.scales)
-            ]
-            self.v = _scatter(self.pi, self.sparse, [0] * lp.width)
-
-    def _weights(self, sign: int) -> list[int]:
-        """``sign * pi * flips``, whose product with ``A_j`` is ``sign * v_j``."""
-        return [sign * p * s for p, s in zip(self.pi, self.lp.flips)]
-
-    def _best(self, sign: int) -> tuple[int, int]:
-        """``(max_j sign * v_j, the lowest j attaining it)``."""
-        if self.v is None:
-            return self.lp.system.best(self._weights(sign))
-        top = max(self.v) if sign > 0 else -min(self.v)
-        return top, self.v.index(sign * top)
-
-    def _first_above(self, sign: int, threshold: int) -> tuple[int, int] | None:
-        """``(sign * v_j, j)`` for the lowest ``j`` with ``sign * v_j > threshold``, or None."""
-        if self.v is None:
-            return self.lp.system.first_above(self._weights(sign), threshold)
-        return next(((sign * x, j) for j, x in enumerate(self.v) if sign * x > threshold), None)
-
-    def entering(self, bland: bool) -> tuple[int, int] | None:
-        """Bland's lowest-index negative reduced cost, or the most negative (lowest index on ties).
-
-        The columns go ``A``, then ``-A`` or the artificials.  Dantzig's rule
-        weighs the artificials by ``structural_scale``, which scales only the
-        structural columns, to compare true reduced costs.
-        """
-        lp = self.lp
-        c = lp.det * lp.cost
-        wide = lp.n > lp.width
-        halves = [(0, 0, 1), (lp.width, c, -1)] if wide else [(0, 0, 1)]
-        artificials = [] if wide else [c - p for p in self.pi]
-        if bland:
-            for offset, t, sign in halves:
-                found = self._first_above(sign, t)
-                if found is not None:
-                    return offset + found[1], t - found[0]
-            i = next((i for i, x in enumerate(artificials) if x < 0), None)
-            return None if i is None else (lp.n + i, artificials[i])
-        best = None
-        for offset, t, sign in halves:
-            top, j = self._best(sign)
-            if best is None or t - top < best[1]:
-                best = offset + j, t - top
-        if artificials and (low := min(artificials)) * lp.structural_scale < best[1]:
-            best = lp.n + artificials.index(low), low
-        return best if best[1] < 0 else None
-
-    def update(self, rho: list[int], a: int, f: int) -> None:
-        """Carry ``pi``, and ``v`` if kept, past a pivot on ``a`` with entering cost ``f``."""
-        det = self.lp.det
-        self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
-        if self.v is None:
-            return
-        s = _scatter(rho, self.sparse, [0] * self.lp.width)
-        if a == det:
-            self.v = [x + f * y // det if y else x for x, y in zip(self.v, s)]
-        else:
-            self.v = [(a * x + f * y) // det if y else a * x // det for x, y in zip(self.v, s)]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:

@@ -187,3 +187,11 @@ def random_small_system(rng: random.Random, max_denominator: int = 12):
         bunches[context] = table
     contents = [Content(q, sizes[q]) for q in labels]
     return validate_system(contents, contexts, bunches)
+
+
+def moved_on(support, values):
+    """A sparse solution with its first mass moved one column on, merged there if taken."""
+    j, x = support[0], values[0]
+    if support[1:2] == (j + 1,):
+        return support[1:], (values[1] + x, *values[2:])
+    return (j + 1, *support[1:]), values

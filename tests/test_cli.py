@@ -7,6 +7,7 @@ import pytest
 
 from contextuality import canonical_example, parse_system, rank2_family, serialize_system
 from contextuality.cli import main
+from conftest import moved_on
 
 F = Fraction
 
@@ -21,14 +22,6 @@ def write_system(tmp_path, name, system):
     path = tmp_path / name
     path.write_text(serialize_system(system))
     return str(path)
-
-
-def moved_on(support, values):
-    """A sparse solution with its first mass moved one column on, merged there if taken."""
-    j, x = support[0], values[0]
-    if support[1:2] == (j + 1,):
-        return support[1:], (values[1] + x, *values[2:])
-    return (j + 1, *support[1:]), values
 
 
 @pytest.fixture

@@ -179,11 +179,11 @@ class TestPathIdentity:
     @pytest.mark.parametrize("name", sorted(PATH_CASES))
     def test_both_kinds_solve_identically(self, name, monkeypatch):
         replacement = simplex._Revised.replacement
-        entering = simplex._Pricing.entering
+        entering = simplex._Revised.entering
         seen = {"bland": 0, "explicit bland": 0, "drive-out": 0}
 
         def spy_entering(self, bland):
-            explicit = isinstance(self.lp.system, LinearSystem)
+            explicit = isinstance(self.system, LinearSystem)
             seen["explicit bland" if explicit else "bland"] += bland
             return entering(self, bland)
 
@@ -192,7 +192,7 @@ class TestPathIdentity:
             seen["drive-out"] += j is not None and isinstance(self.system, OutcomeSystem)
             return j
 
-        monkeypatch.setattr(simplex._Pricing, "entering", spy_entering)
+        monkeypatch.setattr(simplex._Revised, "entering", spy_entering)
         monkeypatch.setattr(simplex._Revised, "replacement", spy_replacement)
         outcome = outcome_system(PATH_CASES[name]())
         explicit = outcome.explicit

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from array import array
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from contextuality import LinearSystem, minimize, solve_feasibility
 from contextuality.errors import DimensionMismatchError, InfeasibleError
 from contextuality.simplex import FEASIBLE, FeasibilityResult, OutcomeSystem, satisfies
-from conftest import expand, rational_rank
+from conftest import expand, moved_on, rational_rank
 
 F = Fraction
 HALF = F(1, 2)
@@ -98,6 +99,12 @@ class TestMinimize:
         assert_least_negative_mass(s, r)
 
 
+def shifted_on_a_zero_row(dual, by):
+    """``dual`` with ``by`` added on the cycle's second row, whose rhs is 0, so ``y . b``
+    is kept and every ``y . A_j`` in that row leaves ``[-1, 0]``."""
+    return (dual[0], dual[1] + by, *dual[2:])
+
+
 class TestSparseWitness:
     """A solution is a strictly ascending support within the columns and one nonzero
     value per index.  Over an ``OutcomeSystem`` a column index decodes modulo
@@ -134,6 +141,45 @@ class TestSparseWitness:
         for system in (self.OUTCOME, self.OUTCOME.explicit):
             assert satisfies(system, support, values) == signed_solution
             assert not FeasibilityResult(FEASIBLE, values, None, 0, support).verify(system)
+
+    # the measure's LP on the rank-2 cycle: cells 0 and 1 perfectly correlated
+    # in one context, 2 and 3 anticorrelated in the other, and each content's
+    # two cells (0 and 2, 1 and 3) coupled to agree; the least negative mass is 1/2
+    CYCLE = OutcomeSystem(
+        (2, 2, 2, 2),
+        [({0: a, 1: b}, HALF * (a == b)) for a in (0, 1) for b in (0, 1)]
+        + [({2: a, 3: b}, HALF * (a != b)) for a in (0, 1) for b in (0, 1)]
+        + [({p: v, p + 2: v}, HALF) for p in (0, 1) for v in (0, 1)],
+    )
+
+    def test_the_measure_vertex_and_dual_pass(self):
+        for system in (self.CYCLE, self.CYCLE.explicit):
+            result = minimize(system)
+            assert result.value == HALF
+            assert result.verify(system)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda r: dict(zip(("support", "solution"), moved_on(r.support, r.solution))),
+            lambda r: {"dual": tuple(2 * y for y in r.dual)},
+            lambda r: {"dual": tuple(-y for y in r.dual)},
+            lambda r: {"value": r.value + 1},
+            # each below fails one check alone: that the vertex attains the
+            # value, then A^T y <= 0, then -1 <= A^T y
+            lambda r: {"dual": tuple(y / 2 for y in r.dual), "value": r.value / 2},
+            lambda r: {"dual": shifted_on_a_zero_row(r.dual, 2)},
+            lambda r: {"dual": shifted_on_a_zero_row(r.dual, -2)},
+        ],
+        ids=[
+            "vertex-moved-on", "dual-doubled", "dual-negated", "value-plus-one",
+            "dual-and-value-halved", "dual-raised", "dual-lowered",
+        ],
+    )
+    def test_a_corrupted_measure_result_is_rejected(self, corrupt):
+        for system in (self.CYCLE, self.CYCLE.explicit):
+            result = minimize(system)
+            assert not dataclasses.replace(result, **corrupt(result)).verify(system)
 
 
 class TestValidation:

@@ -10,7 +10,6 @@ quasi-couplings.
 from .analysis import (
     DEFAULT_COLUMN_CAP,
     MeasureResult,
-    OutcomeSpace,
     QuasiCoupling,
     QuasiCouplingReport,
     Verdict,
@@ -91,7 +90,6 @@ __all__ = [
     "MeasureResult",
     "NotCyclic",
     "OptimizationResult",
-    "OutcomeSpace",
     "QuasiCoupling",
     "QuasiCouplingReport",
     "Verdict",

@@ -18,7 +18,8 @@ the right-hand side.  The rows of ``M`` are:
 
 Column order is lexicographic over the canonical cell order (contexts sorted
 by label, contents sorted within a context), value index ascending, first
-cell most significant.
+cell most significant.  The system derives its cells, their positions and
+sizes, and each variable's 1-marginal once; this module reads them there.
 
 The patterns make an :class:`~.simplex.OutcomeSystem`, which prices columns
 by variable elimination over the cells in reverse canonical order and never
@@ -76,42 +77,16 @@ DEFAULT_COLUMN_CAP = 1 << 20
 ELIMINATION_COST = 8
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
-    """Canonically ordered hidden-outcome space of a system.
-
-    Cells are (context, content) pairs in canonical order; outcome index is
-    lexicographic with the first cell most significant.
-    """
-
-    cells: tuple[tuple[str, str], ...]
-    sizes: tuple[int, ...]
-    _positions: dict[tuple[str, str], int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_positions", {cell: i for i, cell in enumerate(self.cells)})
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.sizes)
-
-    def cell_position(self, context: str, content: str) -> int:
-        return self._positions[(context, content)]
-
-
-def _cell_sizes(system: CCSystem) -> tuple[int, ...]:
-    return tuple(system.content(q).size for _, q in system.cells_in_order())
-
-
-def outcome_space(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> OutcomeSpace:
-    """The system's hidden-outcome space, guarded by the column cap."""
-    space = OutcomeSpace(system.cells_in_order(), _cell_sizes(system))
-    if space.size > max_columns:
+def outcome_space(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> tuple[int, ...]:
+    """The cells' sizes in canonical order, guarded by the column cap on their product."""
+    sizes = system.cell_sizes()
+    columns = math.prod(sizes)
+    if columns > max_columns:
         raise OutcomeSpaceTooLargeError(
-            f"hidden-outcome space has {space.size} columns, cap is {max_columns}; "
+            f"hidden-outcome space has {columns} columns, cap is {max_columns}; "
             "raise max_columns to proceed"
         )
-    return space
+    return sizes
 
 
 def _value_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -120,26 +95,24 @@ def _value_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def _diagonal(system: CCSystem, connection: Connection) -> MaximalCouplingSpec:
     """The coincidence-maximizing coupling spec of one connection's 1-marginals."""
-    marginals = [system.bunches[ctx].marginal((pos,)) for ctx, pos in connection.members]
+    marginals = [system.variable_marginal(ctx, connection.content) for ctx, _ in connection.members]
     return maximal_coupling_diagonal(marginals)
 
 
-def _constraint_rows(
-    system: CCSystem, space: OutcomeSpace
-) -> Iterator[tuple[str, dict[int, int], Fraction]]:
+def _constraint_rows(system: CCSystem) -> Iterator[tuple[str, dict[int, int], Fraction]]:
     """Each row of ``M``, in the order documented above, as ``(kind, fixed cells, rhs)``.
 
     ``kind`` is ``"bunch"`` or ``"connection"``; ``fixed`` maps cell
-    positions of ``space`` to the values an outcome must take to count in
-    the row.
+    positions in ``system.cells_in_order()`` to the values an outcome must
+    take to count in the row.
     """
     for context in system.contexts:
-        positions = [space.cell_position(context, q) for q in system.context_contents(context)]
+        positions = [system.cell_position(context, q) for q in system.context_contents(context)]
         bunch = system.bunches[context]
         for value in _value_tuples(bunch.alphabet_sizes):
             yield "bunch", dict(zip(positions, value)), bunch.mass(value)
     for connection in system.connections():
-        positions = [space.cell_position(ctx, connection.content) for ctx, _ in connection.members]
+        positions = [system.cell_position(ctx, connection.content) for ctx, _ in connection.members]
         for l, mass in enumerate(_diagonal(system, connection).diagonal_masses):
             yield "connection", {pos: l for pos in positions}, mass
 
@@ -153,14 +126,12 @@ def build_associated_system(
     fewer than one table entry per ``ELIMINATION_COST`` hidden outcomes, else
     the same rows written out as a :class:`LinearSystem`.
     """
-    space = outcome_space(system, max_columns)
-    linear = OutcomeSystem(
-        space.sizes, ((fixed, mass) for _, fixed, mass in _constraint_rows(system, space))
-    )
+    sizes = outcome_space(system, max_columns)
+    linear = OutcomeSystem(sizes, ((fixed, mass) for _, fixed, mass in _constraint_rows(system)))
     # terms >= sum(sizes), as each step's table spans its own cell, so most
     # small spaces are decided before the plan is made
     bound = linear.width / ELIMINATION_COST
-    return linear if sum(space.sizes) < bound and linear.terms < bound else linear.explicit
+    return linear if sum(sizes) < bound and linear.terms < bound else linear.explicit
 
 
 @dataclass(frozen=True)
@@ -201,14 +172,12 @@ def _decide(
         )
     if result.feasible:
         masses = {linear.label(j): x for j, x in zip(result.support, result.solution)}
-        coupling = Distribution(_cell_sizes(system), masses)
+        coupling = Distribution(system.cell_sizes(), masses)
         return Verdict(False, coupling, None, result.pivots), result
     return Verdict(True, None, result.certificate, result.pivots), result
 
 
-def _expanded_rows(
-    system: CCSystem, space: OutcomeSpace
-) -> Iterator[tuple[dict[int, int], Fraction]]:
+def _expanded_rows(system: CCSystem) -> Iterator[tuple[dict[int, int], Fraction]]:
     """Each row of ``M*``, in the order documented at :func:`build_expanded_system`."""
     yield {}, ONE
     max_bunch_arity = max(len(system.context_contents(c)) for c in system.contexts)
@@ -223,7 +192,7 @@ def _expanded_rows(
                 if any(k == 0 for k in reduced):
                     continue
                 sub_marginal = bunch.marginal(subset)
-                positions = [space.cell_position(context, contents[i]) for i in subset]
+                positions = [system.cell_position(context, contents[i]) for i in subset]
                 for value in _value_tuples(reduced):
                     yield dict(zip(positions, value)), sub_marginal.mass(value)
 
@@ -238,7 +207,7 @@ def _expanded_rows(
             members = [ctx for ctx, _ in connection.members]
             for subset in itertools.combinations(range(connection.size), r):
                 sub_marginal = coupling.marginal(subset)
-                positions = [space.cell_position(members[i], content.label) for i in subset]
+                positions = [system.cell_position(members[i], content.label) for i in subset]
                 for value in _value_tuples([content.size - 1] * r):
                     yield dict(zip(positions, value)), sub_marginal.mass(value)
 
@@ -257,8 +226,7 @@ def build_expanded_system(
     measure solves ``M*``; it is kept as the paper defines it, and acceptance
     criterion 6 checks its 9x16 shape and rank 9 on the ``fig9`` system.
     """
-    space = outcome_space(system, max_columns)
-    return OutcomeSystem(space.sizes, _expanded_rows(system, space)).explicit
+    return OutcomeSystem(outcome_space(system, max_columns), _expanded_rows(system)).explicit
 
 
 @dataclass(frozen=True)
@@ -385,12 +353,10 @@ def verify_quasi_coupling(
         masses = quasi.masses
     else:
         masses = {key: as_fraction(v) for key, v in dict(quasi).items()}
-    space = outcome_space(system, max_columns)
-    width = len(space.cells)
+    sizes = outcome_space(system, max_columns)
+    width = len(sizes)
     for outcome in masses:
-        if len(outcome) != width or any(
-            not 0 <= v < k for v, k in zip(outcome, space.sizes)
-        ):
+        if len(outcome) != width or any(not 0 <= v < k for v, k in zip(outcome, sizes)):
             raise DimensionMismatchError(
                 f"outcome {outcome} does not index this system's {width}-cell space"
             )
@@ -404,8 +370,8 @@ def verify_quasi_coupling(
         )
     ]
 
-    rows = list(_constraint_rows(system, space))
-    linear = OutcomeSystem(space.sizes, ((fixed, want) for _, fixed, want in rows))
+    rows = list(_constraint_rows(system))
+    linear = OutcomeSystem(sizes, ((fixed, want) for _, fixed, want in rows))
     sums = [ZERO] * len(rows)
     for outcome, mass in masses.items():
         for i in linear.rows_hit(outcome):
@@ -415,7 +381,7 @@ def verify_quasi_coupling(
         if got == want:
             continue
         first = next(iter(fixed))
-        context, content = space.cells[first]
+        context, content = system.cells_in_order()[first]
         if kind == "bunch":
             where = f"bunch {context!r} at {tuple(fixed.values())}"
         else:

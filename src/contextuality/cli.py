@@ -9,6 +9,7 @@ classify verdicts: 0 noncontextual, 1 contextual, 2 error or no verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -230,6 +231,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_NONCONTEXTUAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contextuality",

@@ -165,7 +165,6 @@ def evaluate_criterion(view: CyclicView, system: CCSystem) -> CriterionReport:
     The +1/-1 coding of each content comes from its ``plus_index``.
     """
     n = view.rank
-    plus = {c.label: c.plus_index for c in system.contents}
 
     products = []
     for i in range(n):
@@ -173,9 +172,8 @@ def evaluate_criterion(view: CyclicView, system: CCSystem) -> CriterionReport:
         q_i = view.contents[i]
         q_next = view.contents[(i + 1) % n]
         cells = system.context_contents(context)
-        bunch = system.bunches[context]
-        coding = tuple(plus[q] for q in cells)
-        value = product_expectation(bunch, coding)
+        coding = tuple(system.content(q).plus_index for q in cells)
+        value = product_expectation(system.bunches[context], coding)
         if set(cells) != {q_i, q_next}:
             raise NotBinaryError(
                 f"view context {context!r} does not join {q_i!r} and {q_next!r}"
@@ -185,10 +183,9 @@ def evaluate_criterion(view: CyclicView, system: CCSystem) -> CriterionReport:
     gaps = []
     for i in range(n):
         q = view.contents[i]
-        in_ctx = view.contexts[i]
-        out_ctx = view.contexts[(i - 1) % n]
-        e_in = expectation(system.variable_marginal(in_ctx, q), plus[q])
-        e_out = expectation(system.variable_marginal(out_ctx, q), plus[q])
+        plus = system.content(q).plus_index
+        e_in = expectation(system.variable_marginal(view.contexts[i], q), plus)
+        e_out = expectation(system.variable_marginal(view.contexts[(i - 1) % n], q), plus)
         gaps.append(abs(e_in - e_out))
 
     lhs = s_odd(products)

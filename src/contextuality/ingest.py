@@ -71,11 +71,15 @@ def _expect(node, kind, path: str):
 
 def _parse_contents(node, path: str) -> list[Content]:
     entries = _expect(node, list, path)
+    if not entries:
+        raise SchemaError("a system needs at least one content", path)
     contents = []
     for i, entry in enumerate(entries):
         here = f"{path}[{i}]"
         entry = _expect(entry, dict, here)
         label = str(_expect(entry.get("label"), str, f"{here}.label"))
+        if any(c.label == label for c in contents):
+            raise SchemaError(f"content {label!r} declared twice", here)
         values = entry.get("values")
         if values is None:
             raise SchemaError("missing 'values'", here)
@@ -111,21 +115,33 @@ def _decode(text: str) -> dict:
 
 
 def _layout(doc: dict) -> tuple[list[Content], dict[str, list[str]]]:
+    """The declared contents and contexts; a layout fault is located at its field."""
     version = doc.get("schema_version", SCHEMA_VERSION)
     # bool is an int subclass and 1.0 == True == 1, so test the type itself
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version}", "schema_version")
     contents = _parse_contents(doc.get("contents"), "contents")
+    declared = {c.label for c in contents}
     ctx_node = _expect(doc.get("contexts"), list, "contexts")
     contexts: dict[str, list[str]] = {}
     for i, entry in enumerate(ctx_node):
         here = f"contexts[{i}]"
         entry = _expect(entry, dict, here)
         label = str(_expect(entry.get("label"), str, f"{here}.label"))
-        cols = [str(q) for q in _expect(entry.get("contents"), list, f"{here}.contents")]
+        at = f"{here}.contents"
+        cols = [str(q) for q in _expect(entry.get("contents"), list, at)]
         if label in contexts:
             raise SchemaError(f"context {label!r} declared twice", here)
+        if not cols or len(set(cols)) != len(cols):
+            raise SchemaError(f"contents must be nonempty and distinct, got {cols}", at)
+        for q in cols:
+            if q not in declared:
+                raise UnknownLabelError(f"context {label!r} references unknown content {q!r}", at)
         contexts[label] = cols
+    used = {q for cols in contexts.values() for q in cols}
+    for i, content in enumerate(contents):
+        if content.label not in used:
+            raise SchemaError(f"content {content.label!r} appears in no context", f"contents[{i}]")
     return contents, contexts
 
 
@@ -158,11 +174,7 @@ def parse_system(text: str) -> CCSystem:
                     at,
                 )
             try:
-                value = tuple(
-                    by_label[q].value_index(v) for q, v in zip(cols, value_labels)
-                )
-            except KeyError as exc:
-                raise UnknownLabelError(f"unknown content {exc.args[0]!r}", at) from exc
+                value = tuple(by_label[q].value_index(v) for q, v in zip(cols, value_labels))
             except UnknownLabelError as exc:
                 raise UnknownLabelError(str(exc), at) from exc
             if value in masses:

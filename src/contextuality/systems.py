@@ -16,6 +16,7 @@ identical object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .distribution import Distribution
@@ -83,49 +84,66 @@ class CCSystem:
     ``contents`` and ``contexts`` are sorted by label.  ``cells`` holds the
     filled (context, content) pairs.  ``bunches`` maps each context to the
     joint distribution of its variables, components ordered by content label.
-    The structure derived from the cells (per-context contents, canonical
-    cell order, connections) is computed once, on construction.
+    Every fact derived from these (the content index, per-context contents,
+    canonical cell order, cell positions and sizes, connections, and each
+    variable's 1-marginal) is derived once, on first use, and kept on the
+    instance; construction itself derives nothing.
     """
 
     contents: tuple[Content, ...]
     contexts: tuple[str, ...]
     cells: frozenset[tuple[str, str]]
     bunches: dict[str, Distribution] = field(default_factory=dict)
-    _context_contents: dict[str, tuple[str, ...]] = field(
-        init=False, compare=False, repr=False
-    )
-    _cells_in_order: tuple[tuple[str, str], ...] = field(init=False, compare=False, repr=False)
-    _connections: tuple[Connection, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _contents_by_label(self) -> dict[str, Content]:
+        return {c.label: c for c in self.contents}
+
+    @cached_property
+    def _context_contents(self) -> dict[str, tuple[str, ...]]:
         rank = {c.label: i for i, c in enumerate(self.contents)}
         held: dict[str, list[str]] = {context: [] for context in self.contexts}
         for context, q in self.cells:
             held[context].append(q)
-        context_contents = {
-            context: tuple(sorted(qs, key=rank.__getitem__)) for context, qs in held.items()
-        }
+        return {context: tuple(sorted(qs, key=rank.__getitem__)) for context, qs in held.items()}
+
+    @cached_property
+    def _cell_positions(self) -> dict[tuple[str, str], int]:
+        """Each cell's index; the keys are in the canonical cell order."""
+        contents = self._context_contents
+        cells = ((context, q) for context in self.contexts for q in contents[context])
+        return {cell: i for i, cell in enumerate(cells)}
+
+    @cached_property
+    def _cell_sizes(self) -> tuple[int, ...]:
+        return tuple(self._contents_by_label[q].size for _, q in self._cell_positions)
+
+    @cached_property
+    def _connections(self) -> tuple[Connection, ...]:
         members: dict[str, list[tuple[str, int]]] = {c.label: [] for c in self.contents}
         for context in self.contexts:
-            for position, q in enumerate(context_contents[context]):
+            for position, q in enumerate(self._context_contents[context]):
                 members[q].append((context, position))
-        object.__setattr__(self, "_context_contents", context_contents)
-        object.__setattr__(
-            self,
-            "_cells_in_order",
-            tuple((context, q) for context in self.contexts for q in context_contents[context]),
-        )
-        object.__setattr__(
-            self, "_connections", tuple(Connection(q, tuple(m)) for q, m in members.items())
-        )
+        return tuple(Connection(q, tuple(m)) for q, m in members.items())
+
+    @cached_property
+    def _marginals(self) -> dict[tuple[str, str], Distribution]:
+        return {
+            (context, c.content): self.bunches[context].marginal((position,))
+            for c in self._connections for context, position in c.members
+        }
 
     # -- label/index lookups ------------------------------------------------
 
     def content(self, label: str) -> Content:
-        for c in self.contents:
-            if c.label == label:
-                return c
-        raise UnknownLabelError(f"unknown content {label!r}")
+        try:
+            return self._contents_by_label[label]
+        except KeyError:
+            raise UnknownLabelError(f"unknown content {label!r}") from None
+
+    def cell_position(self, context: str, content: str) -> int:
+        """Index of the cell (context, content) in :meth:`cells_in_order`."""
+        return self._cell_positions[(context, content)]
 
     # -- structure ----------------------------------------------------------
 
@@ -138,7 +156,11 @@ class CCSystem:
 
     def cells_in_order(self) -> tuple[tuple[str, str], ...]:
         """All filled cells, contexts-major, contents sorted within a context."""
-        return self._cells_in_order
+        return tuple(self._cell_positions)
+
+    def cell_sizes(self) -> tuple[int, ...]:
+        """The alphabet size of each cell, in :meth:`cells_in_order`."""
+        return self._cell_sizes
 
     def connections(self) -> tuple[Connection, ...]:
         """Per-content connections, members ordered by context index."""
@@ -146,10 +168,11 @@ class CCSystem:
 
     def variable_marginal(self, context: str, content: str) -> Distribution:
         """1-marginal of the variable at cell (context, content)."""
-        contents = self.context_contents(context)
-        if content not in contents:
+        marginal = self._marginals.get((context, content))
+        if marginal is None:
+            self.context_contents(context)  # names an unknown context
             raise UnknownLabelError(f"unknown cell ({context!r}, {content!r})")
-        return self.bunches[context].marginal((contents.index(content),))
+        return marginal
 
     @property
     def variable_count(self) -> int:

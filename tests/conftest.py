@@ -26,9 +26,9 @@ def rank3_contextual():
     return canonical_example("fig10")
 
 
-def outcomes(space):
-    """Every hidden outcome of ``space``, lexicographic with the first cell most significant."""
-    return itertools.product(*(range(k) for k in space.sizes))
+def outcomes(sizes):
+    """Every hidden outcome over cells of ``sizes``, lexicographic, first cell most significant."""
+    return itertools.product(*(range(k) for k in sizes))
 
 
 def s_odd_bruteforce(xs):

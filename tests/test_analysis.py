@@ -543,9 +543,8 @@ class TestResumedMeasure:
 
 def dense_system(system, rows):
     """The system of ``(fixed cells, rhs)`` patterns built densely, one 0/1 entry per outcome."""
-    space = outcome_space(system)
-    labels = tuple(outcomes(space))
-    patterns = list(rows(system, space))
+    labels = tuple(outcomes(outcome_space(system)))
+    patterns = list(rows(system))
     matrix = [
         [int(all(outcome[pos] == value for pos, value in fixed.items())) for outcome in labels]
         for *_, fixed, _ in patterns

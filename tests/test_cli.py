@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contextuality import canonical_example, parse_system, rank2_family, serialize_system
-from contextuality.cli import main
+from contextuality.cli import build_parser, main
 from conftest import moved_on
 
 F = Fraction
@@ -84,6 +84,17 @@ class TestAnalyze:
             argv = ("analyze", rank2_file, "--measure", "--witness", "--format", fmt)
             outputs = [run(capsys, *argv)[1] for _ in range(2)]
             assert outputs[0] == outputs[1]
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_shared_parser_carries_no_option_into_the_next_call(self, capsys, rank2_file):
+        run(capsys, "analyze", rank2_file, "--measure", "--witness", "--format", "json")
+        code, out, _ = run(capsys, "analyze", rank2_file, "--format", "json")
+        report = json.loads(out)
+        assert code == 1
+        assert report["measure"] is None
+        assert "witness" not in report["verdict"]
 
     def test_stdin_input(self, capsys, monkeypatch):
         text = serialize_system(canonical_example("fig9"))

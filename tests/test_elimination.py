@@ -33,9 +33,8 @@ F = Fraction
 
 def outcome_system(system):
     """``M`` of ``system`` as an :class:`OutcomeSystem`, whatever the cost rule picks."""
-    space = outcome_space(system)
-    patterns = ((fixed, mass) for _, fixed, mass in _constraint_rows(system, space))
-    return OutcomeSystem(space.sizes, patterns)
+    patterns = ((fixed, mass) for _, fixed, mass in _constraint_rows(system))
+    return OutcomeSystem(outcome_space(system), patterns)
 
 
 def uniform_system(sizes, contexts):
@@ -98,7 +97,7 @@ class TestOracle:
     def test_columns_decode_through_the_strides(self):
         linear = outcome_system(triangle(3, "contextual"))
         explicit = linear.explicit
-        every = list(outcomes(linear))
+        every = list(outcomes(linear.sizes))
         for j in (0, 1, 17, 1000, linear.width - 1):
             assert linear.column(j) == explicit.column(j)
             assert linear.label(j) == explicit.label(j) == every[j]

@@ -135,6 +135,53 @@ class TestSystemDocuments:
         s = parse_system(json.dumps(doc))
         assert all(c.values[c.plus_index] == "up" for c in s.contents)
 
+    @pytest.mark.parametrize(
+        "fault, kind, path",
+        [
+            (
+                lambda doc: doc["contents"].append(dict(doc["contents"][0])),
+                SchemaError,
+                "contents[2]",
+            ),
+            (lambda doc: doc.update(contents=[]), SchemaError, "contents"),
+            (
+                lambda doc: doc["contents"].append({"label": "q3", "values": ["+1", "-1"]}),
+                SchemaError,
+                "contents[2]",
+            ),
+            (
+                lambda doc: doc["contexts"][0].update(contents=[]),
+                SchemaError,
+                "contexts[0].contents",
+            ),
+            (
+                lambda doc: doc["contexts"][1]["contents"].append("zz"),
+                UnknownLabelError,
+                "contexts[1].contents",
+            ),
+            (
+                lambda doc: doc["contexts"][1].update(contents=["q1", "q1"]),
+                SchemaError,
+                "contexts[1].contents",
+            ),
+        ],
+        ids=[
+            "content-twice",
+            "no-contents",
+            "content-unused",
+            "context-empty",
+            "content-undeclared",
+            "cell-twice",
+        ],
+    )
+    def test_layout_faults_are_located_in_the_layout(self, fault, kind, path):
+        doc = json.loads(RANK2_DOC)
+        fault(doc)
+        for parse in (parse_system, parse_layout):
+            with pytest.raises(kind) as err:
+                parse(json.dumps(doc))
+            assert err.value.path == path
+
     def test_layout_parses_without_bunches(self):
         doc = json.loads(RANK2_DOC)
         del doc["bunches"]

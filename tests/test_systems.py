@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from contextuality import (
+    Distribution,
     canonical_example,
     consistency_report,
     is_consistently_connected,
+    serialize_system,
     validate_system,
 )
+from contextuality.cli import main
 from contextuality.errors import (
     AlphabetMismatchError,
     DuplicateCellError,
@@ -199,3 +202,36 @@ class TestConsistency:
         report = consistency_report(rank3_contextual)
         assert [e.content for e in report.connections] == ["q1", "q2", "q3"]
         assert all(e.consistent for e in report.connections)
+
+
+class TestDerivedFacts:
+    """Each fact derived from the cells is derived once, and every reader shares it."""
+
+    def test_cell_positions_and_sizes_follow_the_cell_order(self, rank3_contextual):
+        cells = rank3_contextual.cells_in_order()
+        assert [rank3_contextual.cell_position(*cell) for cell in cells] == list(range(len(cells)))
+        assert rank3_contextual.cell_sizes() == tuple(
+            rank3_contextual.content(q).size for _, q in cells
+        )
+        sizes = {c.label: c.size for c in rank3_contextual.contents}
+        assert rank3_contextual.cell_sizes() == tuple(sizes[q] for _, q in cells)
+
+    def test_unknown_content_is_named(self, rank3_contextual):
+        with pytest.raises(UnknownLabelError, match="unknown content 'nope'"):
+            rank3_contextual.content("nope")
+
+    def test_one_analysis_takes_each_1_marginal_once(self, monkeypatch, tmp_path, capsys):
+        system = canonical_example("fig10")
+        path = tmp_path / "fig10.json"
+        path.write_text(serialize_system(system))
+        calls = []
+        original = Distribution.marginal
+
+        def counted(self, components):
+            calls.append(components)
+            return original(self, components)
+
+        monkeypatch.setattr(Distribution, "marginal", counted)
+        assert main(["analyze", str(path), "--measure", "--witness"]) == 1
+        capsys.readouterr()
+        assert len(calls) == system.variable_count == 6

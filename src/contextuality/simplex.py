@@ -21,11 +21,12 @@ the dual's bounds, which by weak duality prove the value least.
 
 The simplex is revised and fraction-free: of the basis ``B`` of the
 integer-scaled starting matrix it keeps only ``det * B^-1`` and
-``det * B^-1 b`` over ``det = |det B|``, and updates them by
+``det * B^-1 b`` over ``det = |det B|``, by columns, and updates them by
 integer-preserving (Bareiss/Edmonds) elimination.  Each kept entry is, up to
 sign, a minor of the starting matrix (Cramer's rule), so every pivot divides
 exactly (Sylvester's identity); nothing is reduced, and ``Fraction`` is only
-in inputs and read-outs.
+in inputs and read-outs.  A pivot recomputes only the columns its leaving row
+is nonzero in and rescales the rest; an entering column sums whole columns.
 
 Each phase is priced from the multipliers ``pi`` alone, kept across its
 pivots: a pivot on ``a`` with entering reduced cost ``f`` and leaving row
@@ -71,7 +72,6 @@ import itertools
 import math
 import operator
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -167,17 +167,23 @@ class LinearSystem:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def column(self, j: int) -> list:
-        """Column ``j`` as one coefficient per row, found by bisection in each group."""
-        column = []
-        for groups in self.sparse_rows:
-            entry = 0
+    @cached_property
+    def _columns(self) -> list[list[tuple[int, Fraction | int]]]:
+        """Each column's ``(row, coefficient)`` pairs, built on first use."""
+        columns = [[] for _ in range(self.width)]
+        for i, groups in enumerate(self.sparse_rows):
             for coefficient, indices in groups:
-                k = bisect_left(indices, j)
-                if k < len(indices) and indices[k] == j:
-                    entry = coefficient
-                    break
-            column.append(entry)
+                for j in indices:
+                    columns[j].append((i, coefficient))
+        return columns
+
+    def column(self, j: int) -> list:
+        """Column ``j`` as one coefficient per row; ``IndexError`` outside the columns."""
+        if not 0 <= j < self.width:
+            raise IndexError(f"column {j} of {self.width}")
+        column = [0] * len(self.sparse_rows)
+        for i, coefficient in self._columns[j]:
+            column[i] = coefficient
         return column
 
     def best(self, weights: Sequence) -> tuple:
@@ -275,6 +281,8 @@ class OutcomeSystem:
 
     def column(self, j: int) -> list[int]:
         """Column ``j`` as one coefficient per row, from the rows its decoded values hit."""
+        if not 0 <= j < self.width:
+            raise IndexError(f"column {j} of {self.width}")
         column = [0] * self.rows
         for i in self.rows_hit(self.label(j)):
             column[i] = 1
@@ -486,7 +494,7 @@ class _Revised:
     The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
     that ``b >= 0``; the structural block is scaled by ``structural_scale``
     and the rhs by ``rhs_scale``, the least integers that make both integral.
-    ``inverse`` holds ``det * B^-1`` with ``det * B^-1 b`` as a last column.
+    ``inverse`` holds the columns of ``det * B^-1``, then the levels ``det * B^-1 b``.
     Columns below ``n`` are structural and the artificials follow.  Phase 1
     covers ``A`` alone, ``n = width``; :meth:`widen` carries the state over
     to ``(A | -A)``, ``n = 2 * width``, whose column ``width + j`` is column
@@ -527,9 +535,7 @@ class _Revised:
             [(int(x * scale), indices) for x, indices in groups]
             for groups, scale in zip(system.sparse_rows, self.scales)
         ] if isinstance(system, LinearSystem) else None
-        self.inverse = [
-            [0] * i + [1] + [0] * (m - 1 - i) + [abs(b)] for i, b in enumerate(rhs)
-        ]
+        self.inverse = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)] + [list(map(abs, rhs))]
         self.basis = [n + i for i in range(m)]
         self.det = 1
         self.cost = 1
@@ -544,24 +550,25 @@ class _Revised:
     def _prices(self) -> list[int]:
         """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
         costs = [0 if var < self.width else self.cost for var in self.basis]
-        return [sum(map(operator.mul, costs, column)) for column in zip(*self.inverse)]
+        return [sum(map(operator.mul, costs, column)) for column in self.inverse]
 
     def _column(self, q: int) -> list[int]:
-        """The entering column ``det * B^-1 X0_q``, summed over the nonzeros of ``X0_q``."""
+        """The entering column ``det * B^-1 X0_q``, a sum of columns of ``det * B^-1``."""
         if q >= self.n:
-            return [row[q - self.n] for row in self.inverse]
+            return self.inverse[q - self.n][:]
         sign = 1
         if q >= self.width:
             q, sign = q - self.width, -1
-        column = [0] * len(self.inverse)
-        for k, (x, scale) in enumerate(zip(self.system.column(q), self.scales)):
-            if x:
-                a = sign * int(x * scale)
-                column = [c + a * row[k] for c, row in zip(column, self.inverse)]
-        return column
+        terms = [
+            column if (a := sign * int(x * scale)) == 1 else [a * c for c in column]
+            for x, scale, column in zip(self.system.column(q), self.scales, self.inverse)
+            if x
+        ]
+        return list(map(sum, zip(*terms))) if terms else [0] * len(self.basis)
 
     def _pivot(self, prow: int, column: list[int], pcol: int) -> None:
-        """Fraction-free pivot: row ``i`` becomes ``(a * row - column[i] * pivot_row) / det``.
+        """Fraction-free pivot: off the pivot row, each column ``x`` of ``det * B^-1``
+        and the levels becomes ``(a * x - x[prow] * column) / det``.
 
         A negative pivot (possible only when driving out artificials) negates
         the pivot row first, which leaves the resulting rows unchanged.
@@ -572,29 +579,30 @@ class _Revised:
                 f"exceeded the anti-cycling pivot cap ({self.pivot_cap}); "
                 "this indicates a solver bug"
             )
-        pivot = self.inverse[prow]
         a = column[prow]
         if a < 0:
-            pivot[:] = [-x for x in pivot]
+            for col in self.inverse:
+                col[prow] = -col[prow]
             a = -a
         det = self.det
-        for row, f in zip(self.inverse, column):
-            if row is pivot:
-                continue
-            if f:
-                row[:] = [(a * x - f * y) // det for x, y in zip(row, pivot)]
+        for col in self.inverse:
+            y = col[prow]
+            if y:
+                col[:] = [(a * x - f * y) // det for x, f in zip(col, column)]
+                col[prow] = y
             elif a != det:
-                row[:] = [a * x // det for x in row]
+                col[:] = [a * x // det for x in col]
         self.det = a
         self.basis[prow] = pcol
 
     def _leaving(self, column: list[int]) -> int | None:
         """Ratio test on ``column``; ties resolved by least basic variable (Bland)."""
         best = None
-        for i, (a, row) in enumerate(zip(column, self.inverse)):
+        levels = self.inverse[-1]
+        for i, (a, level) in enumerate(zip(column, levels)):
             if a > 0 and (
                 best is None
-                or (diff := row[-1] * column[best] - self.inverse[best][-1] * a) < 0
+                or (diff := level * column[best] - levels[best] * a) < 0
                 or (diff == 0 and self.basis[i] < self.basis[best])
             ):
                 best = i
@@ -617,9 +625,9 @@ class _Revised:
             col, f = entering
             column = self._column(col)
             row = self._leaving(column)
-            pivot = self.inverse[row]
-            self._reprice(pivot, column[row], f)
-            stalled = stalled + 1 if pivot[-1] == 0 else 0
+            rho = [c[row] for c in self.inverse]
+            self._reprice(rho, column[row], f)
+            stalled = stalled + 1 if rho[-1] == 0 else 0
             self._pivot(row, column, col)
 
     def _weights(self, sign: int) -> list[int]:
@@ -685,9 +693,9 @@ class _Revised:
         """The signed vertex's support over ``A`` and its values; ``-A``'s count negative."""
         scale = self.det * self.rhs_scale
         values = {}
-        for var, row in zip(self.basis, self.inverse):
-            if var < self.n and row[-1]:
-                j, x = (var, row[-1]) if var < self.width else (var - self.width, -row[-1])
+        for var, level in zip(self.basis, self.inverse[-1]):
+            if var < self.n and level:
+                j, x = (var, level) if var < self.width else (var - self.width, -level)
                 values[j] = Fraction(x * self.structural_scale, scale)
         support = tuple(sorted(values))
         return support, tuple(map(values.__getitem__, support))
@@ -718,11 +726,11 @@ class _Revised:
         to ``y . b > 0``, is a certificate with ``y^T A = 0``.
         """
         i = 0
-        while i < len(self.inverse):
+        while i < len(self.basis):
             if self.basis[i] < self.n:
                 i += 1
                 continue
-            rho = self.inverse[i]
+            rho = [c[i] for c in self.inverse]
             col = self.replacement(rho)
             if col is not None:
                 self._pivot(i, self._column(col), col)
@@ -734,7 +742,9 @@ class _Revised:
                     certificate=tuple(Fraction(f * r, scale) for f, r in zip(self.flips, rho)),
                 )
             else:
-                del self.inverse[i], self.basis[i]
+                del self.basis[i]
+                for c in self.inverse:
+                    del c[i]
 
     def replacement(self, rho: list[int]) -> int | None:
         """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
@@ -743,7 +753,7 @@ class _Revised:
     def copy(self) -> _Revised:
         """This state, with a basis and ``det * B^-1`` of its own to pivot."""
         lp = object.__new__(_Revised)
-        lp.__dict__.update(vars(self), basis=self.basis[:], inverse=[r[:] for r in self.inverse])
+        lp.__dict__.update(vars(self), basis=self.basis[:], inverse=[c[:] for c in self.inverse])
         return lp
 
     def widen(self) -> None:
@@ -755,10 +765,10 @@ class _Revised:
         keeps ``det = |det B|``, so the basis becomes feasible.
         """
         self.drop_artificials()
-        for i, row in enumerate(self.inverse):
-            if row[-1] < 0:
-                row[:] = [-x for x in row]
-                self.basis[i] += self.width
+        for i in [i for i, level in enumerate(self.inverse[-1]) if level < 0]:
+            for c in self.inverse:
+                c[i] = -c[i]
+            self.basis[i] += self.width
         self.n, self.cost = 2 * self.width, self.structural_scale
         m = len(self.flips)
         self.pivot_cap = math.comb(m + self.n + m, m)

@@ -209,6 +209,27 @@ class TestPathIdentity:
         if name == "drive-out":
             assert seen["drive-out"] == 6
 
+    # (verdict pivots, measure pivots resumed from the verdict's phase 1 or None)
+    PIVOTS = {
+        "contextual-3": (11, 5), "contextual-4": (14, 7),
+        "contextual-5": (17, 9), "contextual-6": (20, 11),
+        "drive-out": (20, 13), "fig9": (8, 2), "fig10": (11, 6),
+        "noncontextual-3": (14, None), "noncontextual-4": (14, None),
+        "noncontextual-5": (50, None), "noncontextual-6": (67, None),
+        **{f"rank2-{p}": (8, 2) for p in (0, 1, 3)}, "rank2-4": (4, None),
+        "triangle-2-contextual": (24, 41), "triangle-2-noisy": (29, 42),
+        "triangle-2-noncontextual": (31, None),
+        "triangle-3-contextual": (68, 127), "triangle-3-noisy": (49, 84),
+        "triangle-3-noncontextual": (148, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PATH_CASES))
+    def test_pivot_counts_are_pinned(self, name):
+        system = build_associated_system(PATH_CASES[name]())
+        start = solve_feasibility(system)
+        measure = None if start.feasible else minimize(system, start).pivots
+        assert (start.pivots, measure) == self.PIVOTS[name]
+
     def test_cost_rule_picks_elimination_only_for_large_spaces(self):
         assert isinstance(build_associated_system(flat_cycle(4)), LinearSystem)
         assert isinstance(build_associated_system(flat_cycle(5)), OutcomeSystem)

@@ -7,7 +7,7 @@ import pytest
 
 from contextuality import LinearSystem, minimize, solve_feasibility
 from contextuality.errors import DimensionMismatchError, InfeasibleError
-from contextuality.simplex import FEASIBLE, FeasibilityResult, OutcomeSystem, satisfies
+from contextuality.simplex import FEASIBLE, FeasibilityResult, OutcomeSystem, _Revised, satisfies
 from conftest import expand, moved_on, rational_rank
 
 F = Fraction
@@ -107,10 +107,9 @@ def shifted_on_a_zero_row(dual, by):
 
 class TestSparseWitness:
     """A solution is a strictly ascending support within the columns and one nonzero
-    value per index.  Over an ``OutcomeSystem`` a column index decodes modulo
-    the outcomes, so index 2 here reads as column 0 and -1 as column 1: each
-    malformed witness below would pass a substitution that did not check its
-    shape."""
+    value per index.  Each malformed witness below is turned away by that shape
+    check, before any column is asked for: a column outside the system raises
+    ``IndexError``, and a repeated or unsorted index would substitute twice."""
 
     # one binary cell, one row: the masses sum to 1
     OUTCOME = OutcomeSystem((2,), [({}, F(1))])
@@ -207,6 +206,46 @@ class TestSparseRows:
         assert s.column(3) == [2, 0]
         assert (s.rows, s.cols) == (2, 4)
         assert s.label is None
+
+
+class TestColumns:
+    """``column(j)`` of either kind, and the entering column formed from it."""
+
+    # two binary cells; the second row fixes the first cell at 0
+    OUTCOME = OutcomeSystem((2, 2), [({}, F(1)), ({0: 0}, HALF)])
+
+    def test_an_outcome_system_has_no_column_outside_its_width(self):
+        # the strides would read 4 as column 0 and -1 as column 3
+        assert self.OUTCOME.column(3) == [1, 0]
+        for j in (4, -1):
+            with pytest.raises(IndexError):
+                self.OUTCOME.column(j)
+
+    def test_a_linear_system_has_no_column_outside_its_width(self):
+        s = LinearSystem(((0, 2, HALF, 2), (1, 0, 0, 0)), (F(1), F(0)))
+        assert s.column(0) == [0, 1]
+        for j in (4, 5, -1):
+            with pytest.raises(IndexError):
+                s.column(j)
+
+    def test_each_column_matches_the_dense_matrix(self):
+        zero_columns = 0
+        for seed, entry in ((31, boolean_entry), (32, rational_entry)):
+            rng = random.Random(seed)
+            for _ in range(60):
+                system = random_system(rng, rng.randint(1, 6), rng.randint(1, 8), entry)
+                for j, dense in enumerate(zip(*system.matrix)):
+                    assert system.column(j) == list(dense)
+                    zero_columns += not any(dense)
+        assert zero_columns
+
+    def test_an_all_zero_column_enters_as_zeros(self):
+        # column 1 is zero in both rows, so no column of det * B^-1 is summed
+        s = LinearSystem(((1, 0, 1), (0, 0, 2)), (F(1), F(2)))
+        lp = _Revised(s)
+        assert lp._column(1) == [0, 0]
+        assert lp.phase1()
+        assert lp.pivots and lp._column(1) == [0, 0]
 
 
 class TestResume:

@@ -2,12 +2,12 @@
 
 Solves feasibility of ``{A Q = b, Q >= 0}`` and the contextuality measure's
 LP, the least negative mass ``sum Q-`` over signed ``Q = Q+ - Q-`` with
-``A Q = b``, with no floating point anywhere.  Two-phase simplex with a
-deterministic pivot rule: most-negative-reduced-cost entering (ties to the
-lowest index), Bland's smallest-index leaving, and a switch to Bland's
-entering rule whenever a run of degenerate pivots has made no progress.
-Bland's rule cannot cycle, so termination is guaranteed and results are a
-pure function of the input.  A solution comes back as its support, the
+``A Q = b``, with no floating point anywhere.  Two-phase simplex with one
+deterministic pivot rule: the most negative reduced cost enters (Dantzig's
+rule, ties to the lowest index), and the row that leaves is chosen by the
+lexicographic ratio test (Dantzig, Orden & Wolfe, Pacific J. Math. 5, 1955),
+which cannot cycle (proved below), so termination is guaranteed and results
+are a pure function of the input.  A solution comes back as its support, the
 ascending columns that are basic at a nonzero level, and its values there.
 Both witnesses over the rows are read from the final simplex multipliers
 ``pi = C_B . det * B^-1`` (Chvatal, *Linear Programming*, ch. 3 and 7-8).
@@ -47,9 +47,34 @@ never listed.  Its questions are a max-sum over the cells that variable
 elimination answers exactly: the cells are eliminated last first, each step
 summing the tables that hold its cell and keeping that sum, and a forward
 walk over the cells then picks, at each cell, the lowest value whose exact
-max-completion bound clears a threshold (``first_above``, which Bland's
-rule asks), which ends on the lowest column that clears it.  Both kinds
-take the same pivots to the same answers.
+max-completion bound clears a threshold (``first_above``, which
+``first_nonzero`` asks of ``w`` and ``-w``), which ends on the lowest column
+that clears it.  Both kinds take the same pivots to the same answers.
+
+The ratio test is lexicographic.  Each run to optimality fixes the basis
+``B0`` it starts from, and row ``i`` has the key vector ``(det * B^-1 b,
+then det * B^-1 X0_k for each column k of B0, last position first)`` at
+``i``.  Among the rows with a positive entry ``c_i`` in the entering column,
+the least ``key_i / c_i`` leaves, compared key by key until one row is left.
+In phase 1 ``B0`` is the artificial basis, so the keys after the levels are
+the columns of ``det * B^-1`` in reverse; in phase 2 each is a column
+``det * B^-1 X0_k``, formed only when a tie reaches it.
+
+This rule ends every run.  Call a row lex-positive when its first nonzero key
+is positive; ``det > 0``, so the scaling by it changes no sign and no ratio.
+(a) When a run starts, ``B = B0`` makes the keys after the levels ``det * I``
+and every level is nonnegative: phase 1 starts from the artificials at ``b
+>= 0``, phase 2 after :meth:`_Revised.widen` has signed every level.  So
+every row is lex-positive.  (b) ``B^-1 X0_B0`` is invertible, so no two rows'
+key vectors are proportional, and the test leaves exactly one row ``r``.  A
+pivot keeps every row lex-positive: row ``r`` is divided by ``c_r > 0``; a row
+with ``c_i <= 0`` gains a nonnegative multiple of row ``r``; and a row with
+``c_i > 0`` becomes ``c_i (key_i / c_i - key_r / c_r)``, lex-positive because
+row ``r`` won the test.  (c) A pivot whose entering reduced cost is negative
+adds a negative multiple of row ``r`` to the objective's vector ``C_B B^-1 [b
+| X0_B0]``, so that vector falls strictly in lexicographic order.  It is a
+function of the basis, so no basis recurs, and there are finitely many
+(Chvatal, ch. 3).
 
 The measure's LP splits ``Q`` into ``(Q+, Q-)`` over ``(A | -A)``, and only
 the solver knows the split: a system is ``A`` alone.  ``(A | -A) Q = b``
@@ -270,7 +295,12 @@ class OutcomeSystem:
         return LinearSystem.from_sparse(rows, self.rhs, self.width, self.label)
 
     def label(self, j: int) -> tuple[int, ...]:
-        """Column ``j`` of ``A`` decoded through the strides: the value of each cell."""
+        """Column ``j`` of ``A`` decoded through the strides: the value of each cell.
+
+        ``IndexError`` outside the columns.
+        """
+        if not 0 <= j < self.width:
+            raise IndexError(f"column {j} of {self.width}")
         return tuple(j // stride % size for size, stride in zip(self.sizes, self.strides))
 
     def rows_hit(self, values: Sequence[int]) -> list[int]:
@@ -513,13 +543,9 @@ class _Revised:
     ``sparse``, the rows of ``A`` scaled to those of ``X0``, updated like
     ``pi`` from the scatter of ``rho``, and unchanged where that is zero
     when ``a == det``.  Over an :class:`OutcomeSystem` both are None, and
-    its ``best`` and ``first_above`` of ``pi * flips`` answer for ``v``.
+    its ``best`` of ``pi * flips`` answers for ``v``.  Each run keeps the
+    basis it started from as ``start``, whose columns key the ratio test.
     """
-
-    # Degenerate-pivot run length that triggers the Bland fallback.  Any
-    # positive constant preserves correctness; Bland alone cannot cycle, and
-    # the counter resets whenever the objective strictly improves.
-    STALL_LIMIT = 24
 
     def __init__(self, system: LinearSystem | OutcomeSystem):
         self.width = self.n = n = system.width
@@ -595,18 +621,29 @@ class _Revised:
         self.det = a
         self.basis[prow] = pcol
 
-    def _leaving(self, column: list[int]) -> int | None:
-        """Ratio test on ``column``; ties resolved by least basic variable (Bland)."""
-        best = None
-        levels = self.inverse[-1]
-        for i, (a, level) in enumerate(zip(column, levels)):
-            if a > 0 and (
-                best is None
-                or (diff := level * column[best] - levels[best] * a) < 0
-                or (diff == 0 and self.basis[i] < self.basis[best])
-            ):
-                best = i
-        return best
+    def _leaving(self, column: list[int]) -> int:
+        """The lexicographic ratio test on ``column``.
+
+        Among the rows with a positive entry, those with the least
+        ``key[i] / column[i]`` stay, compared by cross-multiplication, for
+        each key in turn until one row is left: the levels, then
+        ``det * B^-1 X0_k`` for each column ``k`` of the basis this run
+        started from, last position first.  The costs are bounded below, so
+        some entry is positive.
+        """
+        rows = [i for i, a in enumerate(column) if a > 0]
+        keys = itertools.chain([self.inverse[-1]], map(self._column, reversed(self.start)))
+        while len(rows) > 1:
+            key = next(keys)
+            best, ties = rows[0], []
+            for i in rows:
+                diff = key[i] * column[best] - key[best] * column[i]
+                if diff < 0:
+                    best, ties = i, [i]
+                elif diff == 0:
+                    ties.append(i)
+            rows = ties
+        return rows[0]
 
     def _run(self) -> None:
         """Pivot to optimality of the current costs, which are bounded below by 0.
@@ -615,56 +652,34 @@ class _Revised:
         them from its leaving row ``rho`` of ``det * B^-1``, the pivot ``a``
         and the entering reduced cost ``f`` before ``det * B^-1`` moves on.
         """
-        stalled = 0
+        self.start = self.basis[:]
         self.pi = self._prices()[:-1]
         self.v = None if self.sparse is None else _scatter(self.pi, self.sparse, [0] * self.width)
-        while True:
-            entering = self.entering(stalled >= self.STALL_LIMIT)
-            if entering is None:
-                return
+        while (entering := self.entering()) is not None:
             col, f = entering
             column = self._column(col)
             row = self._leaving(column)
-            rho = [c[row] for c in self.inverse]
-            self._reprice(rho, column[row], f)
-            stalled = stalled + 1 if rho[-1] == 0 else 0
+            self._reprice([c[row] for c in self.inverse], column[row], f)
             self._pivot(row, column, col)
-
-    def _weights(self, sign: int) -> list[int]:
-        """``sign * pi * flips``, whose product with ``A_j`` is ``sign * v_j``."""
-        return [sign * p * s for p, s in zip(self.pi, self.flips)]
 
     def _best(self, sign: int) -> tuple[int, int]:
         """``(max_j sign * v_j, the lowest j attaining it)``."""
         if self.v is None:
-            return self.system.best(self._weights(sign))
+            return self.system.best([sign * p * s for p, s in zip(self.pi, self.flips)])
         top = max(self.v) if sign > 0 else -min(self.v)
         return top, self.v.index(sign * top)
 
-    def _first_above(self, sign: int, threshold: int) -> tuple[int, int] | None:
-        """``(sign * v_j, j)`` for the lowest ``j`` with ``sign * v_j > threshold``, or None."""
-        if self.v is None:
-            return self.system.first_above(self._weights(sign), threshold)
-        return next(((sign * x, j) for j, x in enumerate(self.v) if sign * x > threshold), None)
+    def entering(self) -> tuple[int, int] | None:
+        """The most negative reduced cost, lowest index on ties (Dantzig's rule).
 
-    def entering(self, bland: bool) -> tuple[int, int] | None:
-        """Bland's lowest-index negative reduced cost, or the most negative (lowest index on ties).
-
-        The columns go ``A``, then ``-A`` or the artificials.  Dantzig's rule
-        weighs the artificials by ``structural_scale``, which scales only the
-        structural columns, to compare true reduced costs.
+        The columns go ``A``, then ``-A`` or the artificials.  The artificials
+        are weighed by ``structural_scale``, which scales only the structural
+        columns, to compare true reduced costs.
         """
         c = self.det * self.cost
         wide = self.n > self.width
         halves = [(0, 0, 1), (self.width, c, -1)] if wide else [(0, 0, 1)]
         artificials = [] if wide else [c - p for p in self.pi]
-        if bland:
-            for offset, t, sign in halves:
-                found = self._first_above(sign, t)
-                if found is not None:
-                    return offset + found[1], t - found[0]
-            i = next((i for i, x in enumerate(artificials) if x < 0), None)
-            return None if i is None else (self.n + i, artificials[i])
         best = None
         for offset, t, sign in halves:
             top, j = self._best(sign)

@@ -31,6 +31,27 @@ def outcomes(sizes):
     return itertools.product(*(range(k) for k in sizes))
 
 
+def parity_grid(k, odd=None):
+    """The ``k`` by ``k`` parity grid: binary contents ``q<i><j>``, each in row
+    context ``r<i>`` and column context ``s<j>``.
+
+    Each bunch is uniform on the tuples of even product (an even number of
+    1s), except the context ``odd``, uniform on those of odd product.  With
+    an odd context the system is contextual: the product of all cells is +1
+    by rows and -1 by columns.  ``k = 3`` is the Peres-Mermin square.
+    """
+    cells = [[f"q{i}{j}" for j in range(k)] for i in range(k)]
+    contexts = {
+        **{f"r{i}": row for i, row in enumerate(cells)},
+        **{f"s{j}": list(column) for j, column in enumerate(zip(*cells))},
+    }
+    bunches = {}
+    for name in contexts:
+        tuples = [v for v in itertools.product((0, 1), repeat=k) if sum(v) % 2 == (name == odd)]
+        bunches[name] = {v: Fraction(1, len(tuples)) for v in tuples}
+    return validate_system([Content(q, 2) for row in cells for q in row], contexts, bunches)
+
+
 def s_odd_bruteforce(xs):
     """Max of ``sum sign_i * x_i`` over odd-parity sign vectors, by enumeration.
 

@@ -27,6 +27,7 @@ from conftest import (
     assert_dual_certifies,
     expand,
     outcomes,
+    parity_grid,
     random_boundary_cyclic,
     random_cyclic_system,
     random_small_system,
@@ -465,8 +466,8 @@ def _masses(masses):
 
 
 class TestPinnedSolverPaths:
-    """Exact answers on LPs of hundreds of columns: the verdict as the dense
-    tableau gave it, the measure as phase 2 resumed from the verdict gives it.
+    """Exact answers on LPs of hundreds of columns: the verdict as phase 1
+    gives it, the measure as phase 2 resumed from the verdict gives it.
 
     A vertex, a dual and a pivot count are all fixed by the pivot path, so a
     solver change that alters the path on an analysis-scale LP fails here.
@@ -475,32 +476,53 @@ class TestPinnedSolverPaths:
     def test_rank5_noncontextual_cycle_coupling(self):
         verdict = decide_contextuality(cyclic_system_from_correlations([HALF] * 5))
         assert not verdict.contextual
-        assert verdict.pivots == 50
+        assert verdict.pivots == 45
         assert verdict.coupling.masses == _masses({
-            "0000000000": "3/16", "0000000101": "1/16", "0000011000": "1/16",
-            "0001111000": "1/16", "0110011101": "1/16", "0111100000": "1/16",
-            "1000000010": "1/16", "1001100111": "1/16", "1110000010": "1/16",
-            "1111111111": "5/16",
+            "0000000000": "1/8", "0000011101": "1/8", "0001111000": "1/8",
+            "0110000000": "1/8", "1000000010": "1/8", "1111100111": "1/8",
+            "1111111111": "1/4",
         })
 
     def test_contextual_binary_triangle_measure(self):
         result = contextuality_measure(contextual_triangle(2))
         assert result.verdict.contextual
         assert result.verdict.pivots == 24
-        assert result.pivots == 41
+        assert result.pivots == 35
         assert result.total_variation == F(3, 2)
         assert result.measure == HALF
         fifths = (-1, -2, -2, -1, 0, -1, -1, 0, -1, 0, 0, -1, -1, -1, 0, -1, -1, 0, -1, -1)
         assert result.dual == tuple(F(k, 5) for k in fifths + (1,) * 6)
         assert result.witness.masses == _masses({
-            "000000000": "1/8", "000000010": "1/40", "000001001": "1/40",
-            "000010000": "3/40", "000101001": "1/10", "001101011": "3/20",
-            "010100111": "-1/20", "010111110": "-1/40", "011101011": "3/40",
-            "100010100": "1/20", "100010101": "1/8", "100100011": "-1/40",
-            "101000011": "-3/40", "101011000": "-3/40", "110010100": "3/40",
-            "111010110": "3/20", "111101010": "3/40", "111101111": "3/40",
-            "111110010": "1/40", "111111111": "1/10",
+            "000000000": "7/64", "000001000": "3/64", "000001101": "3/32",
+            "000010000": "1/64", "000101001": "3/32", "001101001": "1/16",
+            "001101011": "5/64", "010111000": "-3/64", "011011100": "-1/16",
+            "011101011": "7/64", "100010100": "1/8", "100010101": "1/64",
+            "100100110": "-1/32", "100100111": "-1/64", "101000011": "-1/16",
+            "101011001": "-1/32", "110010010": "1/32", "110010100": "1/16",
+            "111010110": "5/32", "111101101": "1/64", "111110010": "3/32",
+            "111111111": "9/64",
         })
+
+
+class TestParityGrid:
+    """The Peres-Mermin square: which context is odd changes neither the
+    verdict nor, by much, the cost of reaching it."""
+
+    def test_every_odd_context_is_contextual_at_a_like_cost(self):
+        pivots = []
+        for odd in ("r0", "r1", "r2", "s0", "s1", "s2"):
+            verdict = decide_contextuality(parity_grid(3, odd))
+            assert verdict.contextual
+            pivots.append(verdict.pivots)
+        # the lexicographic ratio test takes 380-762 pivots; Bland's
+        # tie-break and fallback took 526-19,861
+        assert 2 * max(pivots) <= 5 * min(pivots)
+
+    def test_the_measure_is_one_seventh(self):
+        assert contextuality_measure(parity_grid(3, "r0")).measure == F(1, 7)
+
+    def test_the_all_even_square_is_noncontextual(self):
+        assert not decide_contextuality(parity_grid(3)).contextual
 
 
 RESUMED_CASES = {

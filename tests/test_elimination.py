@@ -178,20 +178,21 @@ class TestPathIdentity:
     @pytest.mark.parametrize("name", sorted(PATH_CASES))
     def test_both_kinds_solve_identically(self, name, monkeypatch):
         replacement = simplex._Revised.replacement
-        entering = simplex._Revised.entering
-        seen = {"bland": 0, "explicit bland": 0, "drive-out": 0}
+        leaving = simplex._Revised._leaving
+        seen = {"degenerate": 0, "explicit degenerate": 0, "drive-out": 0}
 
-        def spy_entering(self, bland):
+        def spy_leaving(self, column):
+            row = leaving(self, column)
             explicit = isinstance(self.system, LinearSystem)
-            seen["explicit bland" if explicit else "bland"] += bland
-            return entering(self, bland)
+            seen["explicit degenerate" if explicit else "degenerate"] += self.inverse[-1][row] == 0
+            return row
 
         def spy_replacement(self, rho):
             j = replacement(self, rho)
             seen["drive-out"] += j is not None and isinstance(self.system, OutcomeSystem)
             return j
 
-        monkeypatch.setattr(simplex._Revised, "entering", spy_entering)
+        monkeypatch.setattr(simplex._Revised, "_leaving", spy_leaving)
         monkeypatch.setattr(simplex._Revised, "replacement", spy_replacement)
         outcome = outcome_system(PATH_CASES[name]())
         explicit = outcome.explicit
@@ -205,22 +206,23 @@ class TestPathIdentity:
                 want.value, want.solution, want.dual, want.pivots
             )
         if name == "noncontextual-6":
-            assert seen["bland"] == seen["explicit bland"] == 10
+            # pivots that leave a row at level 0
+            assert seen["degenerate"] == seen["explicit degenerate"] == 13
         if name == "drive-out":
             assert seen["drive-out"] == 6
 
     # (verdict pivots, measure pivots resumed from the verdict's phase 1 or None)
     PIVOTS = {
-        "contextual-3": (11, 5), "contextual-4": (14, 7),
-        "contextual-5": (17, 9), "contextual-6": (20, 11),
-        "drive-out": (20, 13), "fig9": (8, 2), "fig10": (11, 6),
-        "noncontextual-3": (14, None), "noncontextual-4": (14, None),
-        "noncontextual-5": (50, None), "noncontextual-6": (67, None),
-        **{f"rank2-{p}": (8, 2) for p in (0, 1, 3)}, "rank2-4": (4, None),
-        "triangle-2-contextual": (24, 41), "triangle-2-noisy": (29, 42),
-        "triangle-2-noncontextual": (31, None),
-        "triangle-3-contextual": (68, 127), "triangle-3-noisy": (49, 84),
-        "triangle-3-noncontextual": (148, None),
+        "contextual-3": (10, 6), "contextual-4": (13, 8),
+        "contextual-5": (16, 10), "contextual-6": (19, 12),
+        "drive-out": (20, 11), "fig9": (7, 3), "fig10": (9, 8),
+        "noncontextual-3": (25, None), "noncontextual-4": (14, None),
+        "noncontextual-5": (45, None), "noncontextual-6": (20, None),
+        **{f"rank2-{p}": (7, 3) for p in (0, 1, 3)}, "rank2-4": (4, None),
+        "triangle-2-contextual": (24, 35), "triangle-2-noisy": (17, 47),
+        "triangle-2-noncontextual": (50, None),
+        "triangle-3-contextual": (42, 92), "triangle-3-noisy": (41, 86),
+        "triangle-3-noncontextual": (124, None),
     }
 
     @pytest.mark.parametrize("name", sorted(PATH_CASES))
@@ -235,3 +237,35 @@ class TestPathIdentity:
         assert isinstance(build_associated_system(flat_cycle(5)), OutcomeSystem)
         assert isinstance(build_associated_system(triangle(2, "noisy")), LinearSystem)
         assert isinstance(build_associated_system(triangle(3, "contextual")), OutcomeSystem)
+
+
+class TestLexPositive:
+    """The invariant that ends every run of the lexicographic ratio test."""
+
+    @pytest.mark.parametrize("name", ["drive-out", "triangle-3-contextual"])
+    def test_every_pivot_of_a_run_keeps_every_row_lex_positive(self, name, monkeypatch):
+        # each row's first nonzero of its level, then det * B^-1 X0_k for the
+        # columns k of the basis the run started from, last first, is positive
+        run, pivot = simplex._Revised._run, simplex._Revised._pivot
+        running, checked = [], {"phase 1": 0, "phase 2": 0}
+
+        def spy_run(self):
+            running.append(self)
+            run(self)
+            running.pop()
+
+        def spy_pivot(self, prow, column, pcol):
+            pivot(self, prow, column, pcol)
+            if running:
+                keys = [self.inverse[-1], *map(self._column, reversed(self.start))]
+                for i in range(len(self.basis)):
+                    assert next(k[i] for k in keys if k[i]) > 0
+                checked["phase 2" if self.n > self.width else "phase 1"] += 1
+
+        monkeypatch.setattr(simplex._Revised, "_run", spy_run)
+        monkeypatch.setattr(simplex._Revised, "_pivot", spy_pivot)
+        system = build_associated_system(PATH_CASES[name]())
+        start = solve_feasibility(system)
+        assert not start.feasible
+        assert minimize(system, start).verify(system)
+        assert checked["phase 1"] and checked["phase 2"]

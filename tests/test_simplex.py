@@ -221,6 +221,14 @@ class TestColumns:
             with pytest.raises(IndexError):
                 self.OUTCOME.column(j)
 
+    def test_neither_kind_labels_a_column_outside_its_width(self):
+        # the strides would decode 4 as (0, 0) and -1 as (1, 1)
+        for s in (self.OUTCOME, self.OUTCOME.explicit):
+            assert s.label(3) == (1, 1)
+            for j in (4, -1):
+                with pytest.raises(IndexError):
+                    s.label(j)
+
     def test_a_linear_system_has_no_column_outside_its_width(self):
         s = LinearSystem(((0, 2, HALF, 2), (1, 0, 0, 0)), (F(1), F(0)))
         assert s.column(0) == [0, 1]

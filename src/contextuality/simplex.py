@@ -56,9 +56,11 @@ The ratio test is lexicographic.  Each run to optimality fixes the basis
 then det * B^-1 X0_k for each column k of B0, last position first)`` at
 ``i``.  Among the rows with a positive entry ``c_i`` in the entering column,
 the least ``key_i / c_i`` leaves, compared key by key until one row is left.
-In phase 1 ``B0`` is the artificial basis, so the keys after the levels are
-the columns of ``det * B^-1`` in reverse; in phase 2 each is a column
-``det * B^-1 X0_k``, formed only when a tie reaches it.
+Each key is read only at the rows still tied.  In phase 1 ``B0`` is the
+artificial basis, so the keys after the levels are the columns of ``det *
+B^-1`` in reverse, read in place; in phase 2 each ``det * B^-1 X0_k`` is
+summed at the tied rows from the nonzeros of ``X0_k``, decoded once per run
+the first time a tie reaches ``k``.
 
 This rule ends every run.  Call a row lex-positive when its first nonzero key
 is positive; ``det > 0``, so the scaling by it changes no sign and no ratio.
@@ -343,10 +345,13 @@ class OutcomeSystem:
     @cached_property
     def _program(self) -> tuple[list[int], list]:
         """The scopes' table sizes, and per step the cell, its size, its table's
-        size, each factor it sums with an index map, and the walk's strides.
+        size, each factor it sums with a gather, and the walk's strides.
 
-        An index map gives each entry of the step's table the factor's entry
-        read there; it is None when the factor's cells are the table's own.
+        A gather reads from the factor's table, in one C-level call, the
+        entry under each entry of the step's table: an ``itemgetter`` of the
+        indices, or of a one-entry slice when there is one index (a single
+        ``itemgetter`` index would give a scalar).  It is None when the
+        factor's cells are the table's own.
         """
         sizes = self.sizes
         scopes = [scope for scope, _ in self._keys[0]] + [cells[:-1] for _, cells, _ in self._steps[0]]
@@ -358,7 +363,13 @@ class OutcomeSystem:
                 weights = [at.get(c, 0) for c in cells]
                 values = itertools.product(*(range(sizes[c]) for c in cells))
                 index = [sum(map(operator.mul, v, weights)) for v in values]
-                maps.append((f, None if scopes[f] == cells else index))
+                if scopes[f] == cells:
+                    gather = None
+                elif len(index) == 1:
+                    gather = operator.itemgetter(slice(index[0], index[0] + 1))
+                else:
+                    gather = operator.itemgetter(*index)
+                maps.append((f, gather))
             size = math.prod(sizes[c] for c in cells)
             program.append((p, sizes[p], size, maps, _table_strides(sizes, cells)[:-1]))
         return [math.prod(sizes[c] for c in scope) for scope, _ in self._keys[0]], program
@@ -372,10 +383,12 @@ class OutcomeSystem:
                 tables[scope][entry] += w
         sums = []
         for _, k, size, maps, _ in program:
-            total = [0] * size
-            for f, index in maps:
-                table = tables[f] if index is None else map(tables[f].__getitem__, index)
-                total = list(map(operator.add, total, table))
+            total = None
+            for f, gather in maps:
+                table = tables[f] if gather is None else gather(tables[f])
+                total = table if total is None else list(map(operator.add, total, table))
+            if total is None:
+                total = [0] * size
             sums.append(total)
             tables.append(total if k == 1 else list(map(max, *(total[v::k] for v in range(k)))))
         return sums, sum(tables[f][0] for f in self._steps[1])
@@ -544,7 +557,8 @@ class _Revised:
     ``pi`` from the scatter of ``rho``, and unchanged where that is zero
     when ``a == det``.  Over an :class:`OutcomeSystem` both are None, and
     its ``best`` of ``pi * flips`` answers for ``v``.  Each run keeps the
-    basis it started from as ``start``, whose columns key the ratio test.
+    basis it started from as ``start``, whose columns key the ratio test,
+    and as ``decoded`` the nonzeros of each structural one a tie reached.
     """
 
     def __init__(self, system: LinearSystem | OutcomeSystem):
@@ -578,17 +592,24 @@ class _Revised:
         costs = [0 if var < self.width else self.cost for var in self.basis]
         return [sum(map(operator.mul, costs, column)) for column in self.inverse]
 
+    def _entries(self, q: int) -> list[tuple[int, int]]:
+        """The nonzeros of the structural column ``X0_q`` as ``(row, entry)`` pairs."""
+        sign = 1
+        if q >= self.width:
+            q, sign = q - self.width, -1
+        return [
+            (r, sign * int(x * scale))
+            for r, (x, scale) in enumerate(zip(self.system.column(q), self.scales))
+            if x
+        ]
+
     def _column(self, q: int) -> list[int]:
         """The entering column ``det * B^-1 X0_q``, a sum of columns of ``det * B^-1``."""
         if q >= self.n:
             return self.inverse[q - self.n][:]
-        sign = 1
-        if q >= self.width:
-            q, sign = q - self.width, -1
+        inverse = self.inverse
         terms = [
-            column if (a := sign * int(x * scale)) == 1 else [a * c for c in column]
-            for x, scale, column in zip(self.system.column(q), self.scales, self.inverse)
-            if x
+            inverse[r] if a == 1 else [a * c for c in inverse[r]] for r, a in self._entries(q)
         ]
         return list(map(sum, zip(*terms))) if terms else [0] * len(self.basis)
 
@@ -628,13 +649,15 @@ class _Revised:
         ``key[i] / column[i]`` stay, compared by cross-multiplication, for
         each key in turn until one row is left: the levels, then
         ``det * B^-1 X0_k`` for each column ``k`` of the basis this run
-        started from, last position first.  The costs are bounded below, so
-        some entry is positive.
+        started from, last position first (:meth:`_key`), read only at the
+        rows still tied.  The costs are bounded below, so some entry is
+        positive.
         """
         rows = [i for i, a in enumerate(column) if a > 0]
-        keys = itertools.chain([self.inverse[-1]], map(self._column, reversed(self.start)))
+        key, starts = self.inverse[-1], reversed(self.start)
         while len(rows) > 1:
-            key = next(keys)
+            if key is None:
+                key = self._key(next(starts), rows)
             best, ties = rows[0], []
             for i in rows:
                 diff = key[i] * column[best] - key[best] * column[i]
@@ -642,8 +665,23 @@ class _Revised:
                     best, ties = i, [i]
                 elif diff == 0:
                     ties.append(i)
-            rows = ties
+            rows, key = ties, None
         return rows[0]
+
+    def _key(self, k: int, rows: list[int]) -> Sequence[int] | dict[int, int]:
+        """The ratio test's key ``det * B^-1 X0_k``, at least at ``rows``.
+
+        An artificial's key is its column of ``det * B^-1``, read in place.
+        A structural one is summed at ``rows`` alone from the nonzeros of
+        ``X0_k``, decoded the first time this run's ratio test reaches ``k``.
+        """
+        if k >= self.n:
+            return self.inverse[k - self.n]
+        entries = self.decoded.get(k)
+        if entries is None:
+            entries = self.decoded[k] = self._entries(k)
+        columns = [(self.inverse[r], a) for r, a in entries]
+        return {i: sum([a * c[i] for c, a in columns]) for i in rows}
 
     def _run(self) -> None:
         """Pivot to optimality of the current costs, which are bounded below by 0.
@@ -652,7 +690,7 @@ class _Revised:
         them from its leaving row ``rho`` of ``det * B^-1``, the pivot ``a``
         and the entering reduced cost ``f`` before ``det * B^-1`` moves on.
         """
-        self.start = self.basis[:]
+        self.start, self.decoded = self.basis[:], {}
         self.pi = self._prices()[:-1]
         self.v = None if self.sparse is None else _scatter(self.pi, self.sparse, [0] * self.width)
         while (entering := self.entering()) is not None:

@@ -8,6 +8,7 @@ pivot path.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,21 @@ class TestOracle:
         for linear in (outcome, outcome.explicit):
             assert valid.verify(linear)
             assert not simplex.FeasibilityResult(simplex.INFEASIBLE, None, unit, 0).verify(linear)
+
+
+class TestOneEntryTables:
+    """Elimination over cells of size 1, whose step tables can hold a single entry."""
+
+    @pytest.mark.parametrize("sizes", [(1, 2, 3), (1, 1, 1)])
+    def test_one_entry_tables_answer_as_the_explicit_rows(self, sizes):
+        outcome = outcome_system(uniform_system(sizes, [[0, 1], [1, 2], [0, 2]]))
+        explicit = outcome.explicit
+        draw = random.Random(sum(sizes))
+        for _ in range(200):
+            weights = [draw.randint(-3, 3) for _ in range(outcome.rows)]
+            assert outcome.best(weights) == explicit.best(weights)
+            assert outcome.first_nonzero(weights) == explicit.first_nonzero(weights)
+        assert solve_feasibility(outcome) == solve_feasibility(explicit)
 
 
 def triangle(k, variant):
@@ -269,3 +285,56 @@ class TestLexPositive:
         assert not start.feasible
         assert minimize(system, start).verify(system)
         assert checked["phase 1"] and checked["phase 2"]
+
+
+def full_key_leaving(lp, column):
+    """The lexicographic ratio test with every key formed over all rows, in Fractions.
+
+    Returns the leaving row and how many keys it compared.
+    """
+    rows = [i for i, a in enumerate(column) if a > 0]
+    keys = [lp.inverse[-1], *map(lp._column, reversed(lp.start))]
+    depth = 0
+    while len(rows) > 1:
+        key, depth = keys[depth], depth + 1
+        least = min(F(key[i], column[i]) for i in rows)
+        rows = [i for i in rows if F(key[i], column[i]) == least]
+    return rows[0], depth
+
+
+def spy_on_leaving(monkeypatch):
+    """Check each leaving row against :func:`full_key_leaving`; list ``(phase 2?, depth)``."""
+    leaving = simplex._Revised._leaving
+    calls = []
+
+    def spy_leaving(self, column):
+        row = leaving(self, column)
+        want, depth = full_key_leaving(self, column)
+        assert row == want
+        calls.append((self.n > self.width, depth))
+        return row
+
+    monkeypatch.setattr(simplex._Revised, "_leaving", spy_leaving)
+    return calls
+
+
+class TestTiedRowKeys:
+    """The ratio test reads its keys only at the tied rows; a test over full keys agrees."""
+
+    @pytest.mark.parametrize("name", sorted(PATH_CASES))
+    def test_leaving_row_matches_the_full_key_test(self, name, monkeypatch):
+        calls = spy_on_leaving(monkeypatch)
+        outcome = outcome_system(PATH_CASES[name]())
+        for system in (outcome, outcome.explicit):
+            start = solve_feasibility(system)
+            if not start.feasible:
+                minimize(system, start)
+        assert calls
+
+    def test_phase_2_ties_reach_the_start_columns(self, monkeypatch):
+        # the contextual ternary triangle's measure breaks ties past the levels,
+        # on the structural columns its phase 2 started from
+        calls = spy_on_leaving(monkeypatch)
+        system = outcome_system(triangle(3, "contextual"))
+        minimize(system, solve_feasibility(system))
+        assert any(wide and depth > 1 for wide, depth in calls)

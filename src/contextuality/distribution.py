@@ -103,6 +103,15 @@ class Distribution:
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "masses", clean)
 
+    @classmethod
+    def _checked(cls, sizes: tuple[int, ...], masses: dict) -> "Distribution":
+        """A distribution over masses already in the form validation leaves, unchecked:
+        sums or reorderings of a validated distribution's."""
+        distribution = object.__new__(cls)
+        object.__setattr__(distribution, "alphabet_sizes", sizes)
+        object.__setattr__(distribution, "masses", masses)
+        return distribution
+
     @property
     def arity(self) -> int:
         return len(self.alphabet_sizes)
@@ -137,7 +146,7 @@ class Distribution:
         for value, mass in self.masses.items():
             key = tuple(value[c] for c in comps)
             out[key] = out.get(key, ZERO) + mass
-        return Distribution(sizes, out)
+        return Distribution._checked(sizes, out)
 
     def permuted(self, order: Sequence[int]) -> "Distribution":
         """Reorder components so new component ``i`` is old component ``order[i]``."""
@@ -148,7 +157,7 @@ class Distribution:
             return self
         sizes = tuple(self.alphabet_sizes[c] for c in order)
         out = {tuple(value[c] for c in order): mass for value, mass in self.masses.items()}
-        return Distribution(sizes, out)
+        return Distribution._checked(sizes, out)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "Distribution":

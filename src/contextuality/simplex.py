@@ -25,8 +25,16 @@ integer-scaled starting matrix it keeps only ``det * B^-1`` and
 integer-preserving (Bareiss/Edmonds) elimination.  Each kept entry is, up to
 sign, a minor of the starting matrix (Cramer's rule), so every pivot divides
 exactly (Sylvester's identity); nothing is reduced, and ``Fraction`` is only
-in inputs and read-outs.  A pivot recomputes only the columns its leaving row
-is nonzero in and rescales the rest; an entering column sums whole columns.
+in inputs and read-outs.  A pivot on ``a`` takes each column ``x`` to ``(a *
+x - x[prow] * f) / det`` off the pivot row, ``f`` the entering column; it
+recomputes only the columns its leaving row is nonzero in and rescales the
+rest.  Most pivots have ``a == det``, and then the step is ``x - x[prow] *
+f / det``: ``det * x - x[prow] * f`` is divisible by ``det``, so
+``x[prow] * f`` is too, entry by entry, and a column changes in place at
+the rows where ``f`` is nonzero alone, while the others stay as they are
+(Bareiss, Math. Comp. 22, 1968).  An entering column sums whole columns of
+``det * B^-1``, one per nonzero of ``X0_q``, which a system lists by its
+``entries``.
 
 Each phase is priced from the multipliers ``pi`` alone, kept across its
 pivots: a pivot on ``a`` with entering reduced cost ``f`` and leaving row
@@ -34,22 +42,29 @@ pivots: a pivot on ``a`` with entering reduced cost ``f`` and leaving row
 reduced costs ``det * C - pi . X0`` would update to ``(a * cost - f * rho .
 X0) / det``, which is ``a * C`` less that new ``pi`` times ``X0`` with ``a``
 the new ``det``, and that ``pi`` is again the integer ``C_B . det * B^-1``,
-so the division is exact.  A system comes in one of two kinds, which
-answer the same two column questions: the largest ``w . A_j`` (``best``)
-and the lowest ``j`` with ``w . A_j`` nonzero (``first_nonzero``, which
-drive-out asks).  A :class:`LinearSystem` holds explicit sparse rows and
-answers by a scatter, then a scan; the solver also keeps ``pi . X0_j`` over
-its columns, priced once per phase and updated the same way from ``rho``
-scattered over the rows where it is nonzero.  An :class:`OutcomeSystem`
-holds only the ``(fixed cells, rhs)`` patterns of 0/1 rows over a product
-of cells, so its columns, one per assignment of values to the cells, are
-never listed.  Its questions are a max-sum over the cells that variable
-elimination answers exactly: the cells are eliminated last first, each step
-summing the tables that hold its cell and keeping that sum, and a forward
-walk over the cells then picks, at each cell, the lowest value whose exact
-max-completion bound clears a threshold (``first_above``, which
-``first_nonzero`` asks of ``w`` and ``-w``), which ends on the lowest column
-that clears it.  Both kinds take the same pivots to the same answers.
+so the division is exact; when ``a == det``, ``pi`` gains ``f * rho //
+det`` in place, nonzero only where ``rho`` is.  A system comes in one of
+two kinds, which answer the same two column questions: the largest ``w .
+A_j`` (``best``) and the lowest ``j`` with ``w . A_j`` nonzero
+(``first_nonzero``, which drive-out asks).  A :class:`LinearSystem` holds
+explicit sparse rows and answers by a scatter, then a scan; the solver
+also keeps ``pi . X0_j`` over its columns, priced once per phase and
+updated the same way from ``rho`` scattered over the rows where it is
+nonzero, or from ``pi``'s change scattered, in place, when ``a == det``.
+An :class:`OutcomeSystem` holds only the ``(fixed cells, rhs)`` patterns of
+0/1 rows over a product of cells, so its columns, one per assignment of
+values to the cells, are never listed.  Its questions are a max-sum over
+the cells that variable elimination answers exactly: the cells are
+eliminated last first, each step summing the tables that hold its cell and
+keeping that sum, and a forward walk over the cells then picks, at each
+cell, the lowest value whose exact max-completion bound clears a threshold
+(``first_above``, which ``first_nonzero`` asks of ``w`` and ``-w``), which
+ends on the lowest column that clears it.  Pricing compares the least
+reduced cost of each half, ``A`` and ``-A`` or the artificials, from the
+tops of ``v`` or of one elimination per half, and only then finds the
+lowest column at the top in the half that enters: one walk, and none when
+no reduced cost is negative.  Both kinds take the same pivots to the same
+answers.
 
 The ratio test is lexicographic.  Each run to optimality fixes the basis
 ``B0`` it starts from, and row ``i`` has the key vector ``(det * B^-1 b,
@@ -204,12 +219,20 @@ class LinearSystem:
                     columns[j].append((i, coefficient))
         return columns
 
-    def column(self, j: int) -> list:
-        """Column ``j`` as one coefficient per row; ``IndexError`` outside the columns."""
+    def entries(self, j: int) -> list[tuple[int, Fraction | int]]:
+        """The nonzeros of column ``j`` as ``(row, coefficient)`` pairs, rows ascending.
+
+        The list is the per-column index itself, not a copy.  ``IndexError``
+        outside the columns.
+        """
         if not 0 <= j < self.width:
             raise IndexError(f"column {j} of {self.width}")
-        column = [0] * len(self.sparse_rows)
-        for i, coefficient in self._columns[j]:
+        return self._columns[j]
+
+    def column(self, j: int) -> list:
+        """Column ``j`` as one coefficient per row, written from :meth:`entries`."""
+        column = [0] * self.rows
+        for i, coefficient in self.entries(j):
             column[i] = coefficient
         return column
 
@@ -290,9 +313,10 @@ class OutcomeSystem:
                 if pos not in fixed:
                     starts = [i + d * self.strides[pos] for i in starts for d in range(self.sizes[pos])]
             run = self.strides[last] if fixed else self.width
-            indices = array("i")
-            for i in starts:
-                indices.extend(range(i, i + run))
+            if run == 1:
+                indices = array("i", starts)
+            else:
+                indices = array("i", itertools.chain.from_iterable(range(i, i + run) for i in starts))
             rows.append(((1, indices),))
         return LinearSystem.from_sparse(rows, self.rhs, self.width, self.label)
 
@@ -305,20 +329,30 @@ class OutcomeSystem:
             raise IndexError(f"column {j} of {self.width}")
         return tuple(j // stride % size for size, stride in zip(self.sizes, self.strides))
 
-    def rows_hit(self, values: Sequence[int]) -> list[int]:
-        """The rows that mark the column giving the cells ``values``."""
+    @cached_property
+    def _rows_at(self) -> list[tuple[list, dict[int, list[int]]]]:
+        """Per scope, its cells' strides in its table and the rows at each entry, ascending."""
         scopes, keys = self._keys
-        at = [sum(values[c] * s for c, s in strides) for _, strides in scopes]
-        return [i for i, (scope, entry) in enumerate(keys) if at[scope] == entry]
+        rows: list[dict] = [{} for _ in scopes]
+        for i, (scope, entry) in enumerate(keys):
+            rows[scope].setdefault(entry, []).append(i)
+        return [(strides, at) for (_, strides), at in zip(scopes, rows)]
 
-    def column(self, j: int) -> list[int]:
-        """Column ``j`` as one coefficient per row, from the rows its decoded values hit."""
-        if not 0 <= j < self.width:
-            raise IndexError(f"column {j} of {self.width}")
-        column = [0] * self.rows
-        for i in self.rows_hit(self.label(j)):
-            column[i] = 1
-        return column
+    def rows_hit(self, values: Sequence[int]) -> list[int]:
+        """The rows that mark the column giving the cells ``values``, ascending: one
+        lookup per scope, of the entry its cells' values make in its table."""
+        hit = []
+        for strides, rows in self._rows_at:
+            hit += rows.get(sum(values[c] * s for c, s in strides), ())
+        hit.sort()
+        return hit
+
+    def entries(self, j: int) -> list[tuple[int, int]]:
+        """The nonzeros of column ``j`` as ``(row, 1)`` pairs, rows ascending, from
+        the rows its decoded values hit.  ``IndexError`` outside the columns."""
+        return [(i, 1) for i in self.rows_hit(self.label(j))]
+
+    column = LinearSystem.column
 
     @cached_property
     def _steps(self) -> tuple[list, list[int]]:
@@ -443,9 +477,8 @@ def satisfies(
     masses, scale = common_denominator(values)
     lhs = [0] * system.rows
     for j, x in zip(support, masses):
-        for i, a in enumerate(system.column(j)):
-            if a:
-                lhs[i] += a * x
+        for i, a in system.entries(j):
+            lhs[i] += a * x
     return all(v * b.denominator == b.numerator * scale for v, b in zip(lhs, system.rhs))
 
 
@@ -554,11 +587,12 @@ class _Revised:
     ``-A`` and ``det * cost - pi_i`` on the artificials; none is stored.
     Over a :class:`LinearSystem` ``v`` is kept too: a scatter of ``pi`` over
     ``sparse``, the rows of ``A`` scaled to those of ``X0``, updated like
-    ``pi`` from the scatter of ``rho``, and unchanged where that is zero
-    when ``a == det``.  Over an :class:`OutcomeSystem` both are None, and
-    its ``best`` of ``pi * flips`` answers for ``v``.  Each run keeps the
-    basis it started from as ``start``, whose columns key the ratio test,
-    and as ``decoded`` the nonzeros of each structural one a tie reached.
+    ``pi`` from the scatter of ``rho``, or in place by the scatter of
+    ``pi``'s change when ``a == det``.  Over an :class:`OutcomeSystem` it is
+    None, and an elimination of ``pi * flips`` answers for ``v``.  Each run
+    keeps the basis it started from as ``start``, whose columns key the
+    ratio test, and as ``decoded`` the nonzeros of each structural one a tie
+    reached.
     """
 
     def __init__(self, system: LinearSystem | OutcomeSystem):
@@ -597,11 +631,8 @@ class _Revised:
         sign = 1
         if q >= self.width:
             q, sign = q - self.width, -1
-        return [
-            (r, sign * int(x * scale))
-            for r, (x, scale) in enumerate(zip(self.system.column(q), self.scales))
-            if x
-        ]
+        scales = self.scales
+        return [(r, sign * int(x * scales[r])) for r, x in self.system.entries(q)]
 
     def _column(self, q: int) -> list[int]:
         """The entering column ``det * B^-1 X0_q``, a sum of columns of ``det * B^-1``."""
@@ -617,8 +648,12 @@ class _Revised:
         """Fraction-free pivot: off the pivot row, each column ``x`` of ``det * B^-1``
         and the levels becomes ``(a * x - x[prow] * column) / det``.
 
-        A negative pivot (possible only when driving out artificials) negates
-        the pivot row first, which leaves the resulting rows unchanged.
+        When ``a == det`` that is ``x - x[prow] * column / det``: a column
+        with ``x[prow]`` nonzero changes in place, and only at the rows where
+        the entering column is nonzero, and the others stay as they are.
+        Otherwise each column is rewritten whole.  A negative pivot (possible
+        only when driving out artificials) negates the pivot row first, which
+        leaves the resulting rows unchanged.
         """
         self.pivots += 1
         if self.pivots > self.pivot_cap:
@@ -632,13 +667,21 @@ class _Revised:
                 col[prow] = -col[prow]
             a = -a
         det = self.det
-        for col in self.inverse:
-            y = col[prow]
-            if y:
-                col[:] = [(a * x - f * y) // det for x, f in zip(col, column)]
-                col[prow] = y
-            elif a != det:
-                col[:] = [a * x // det for x in col]
+        if a == det:
+            changes = [(i, f) for i, f in enumerate(column) if f and i != prow]
+            for col in self.inverse:
+                y = col[prow]
+                if y:
+                    for i, f in changes:
+                        col[i] -= f * y // det
+        else:
+            for col in self.inverse:
+                y = col[prow]
+                if y:
+                    col[:] = [(a * x - f * y) // det for x, f in zip(col, column)]
+                    col[prow] = y
+                else:
+                    col[:] = [a * x // det for x in col]
         self.det = a
         self.basis[prow] = pcol
 
@@ -700,43 +743,63 @@ class _Revised:
             self._reprice([c[row] for c in self.inverse], column[row], f)
             self._pivot(row, column, col)
 
-    def _best(self, sign: int) -> tuple[int, int]:
-        """``(max_j sign * v_j, the lowest j attaining it)``."""
-        if self.v is None:
-            return self.system.best([sign * p * s for p, s in zip(self.pi, self.flips)])
-        top = max(self.v) if sign > 0 else -min(self.v)
-        return top, self.v.index(sign * top)
-
     def entering(self) -> tuple[int, int] | None:
         """The most negative reduced cost, lowest index on ties (Dantzig's rule).
 
-        The columns go ``A``, then ``-A`` or the artificials.  The artificials
-        are weighed by ``structural_scale``, which scales only the structural
-        columns, to compare true reduced costs.
+        The columns go ``A``, then ``-A`` or the artificials.  Each half's
+        least reduced cost comes from its top ``max_j sign * v_j``, a max of
+        ``v`` or an elimination's, and the artificials are weighed by
+        ``structural_scale``, which scales only the structural columns, to
+        compare true reduced costs.  Ties go to ``A``, then ``-A``, then the
+        artificials.  Only then is the winning half walked for its lowest
+        column at its top, and no half is walked when no cost is negative.
         """
         c = self.det * self.cost
         wide = self.n > self.width
-        halves = [(0, 0, 1), (self.width, c, -1)] if wide else [(0, 0, 1)]
-        artificials = [] if wide else [c - p for p in self.pi]
-        best = None
-        for offset, t, sign in halves:
-            top, j = self._best(sign)
-            if best is None or t - top < best[1]:
-                best = offset + j, t - top
-        if artificials and (low := min(artificials)) * self.structural_scale < best[1]:
-            best = self.n + artificials.index(low), low
-        return best if best[1] < 0 else None
+        if self.v is None:
+            weights = [p * s for p, s in zip(self.pi, self.flips)]
+            halves = [weights, [-w for w in weights]] if wide else [weights]
+            found = [self.system._eliminate(w) for w in halves]
+            tops = [top for _, top in found]
+        else:
+            tops = [max(self.v), -min(self.v)] if wide else [max(self.v)]
+        costs = [-tops[0], c - tops[1]] if wide else [-tops[0]]
+        cost = min(costs)
+        half = costs.index(cost)
+        if not wide:
+            top = max(self.pi)
+            if (c - top) * self.structural_scale < cost:
+                cost = c - top
+                return (self.n + self.pi.index(top), cost) if cost < 0 else None
+        if cost >= 0:
+            return None
+        if self.v is None:
+            j = self.system._walk(*found[half], tops[half] - 1)[1]
+        else:
+            j = self.v.index(-tops[1] if half else tops[0])
+        return half * self.width + j, cost
 
     def _reprice(self, rho: list[int], a: int, f: int) -> None:
-        """Carry ``pi``, and ``v`` if kept, past a pivot on ``a`` with entering cost ``f``."""
+        """Carry ``pi``, and ``v`` if kept, past a pivot on ``a`` with entering cost ``f``.
+
+        They become ``(a * pi + f * rho) // det`` and ``(a * v + f * rho .
+        X0) // det``.  When ``a == det`` that is ``pi`` plus ``delta = f * rho
+        // det``, an integer vector that is nonzero only where ``rho`` is, and
+        ``v`` plus ``delta`` scattered over ``sparse``, both added in place.
+        """
         det = self.det
-        self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
-        if self.v is None:
-            return
-        s = _scatter(rho, self.sparse, [0] * self.width)
         if a == det:
-            self.v = [x + f * y // det if y else x for x, y in zip(self.v, s)]
-        else:
+            delta = [f * r // det for r in rho[:-1]]
+            pi = self.pi
+            for i, d in enumerate(delta):
+                if d:
+                    pi[i] += d
+            if self.v is not None:
+                _scatter(delta, self.sparse, self.v)
+            return
+        self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
+        if self.v is not None:
+            s = _scatter(rho, self.sparse, [0] * self.width)
             self.v = [(a * x + f * y) // det if y else a * x // det for x, y in zip(self.v, s)]
 
     def objective_value(self) -> Fraction:
@@ -804,9 +867,15 @@ class _Revised:
         return self.system.first_nonzero(list(map(operator.mul, rho, self.flips)))
 
     def copy(self) -> _Revised:
-        """This state, with a basis and ``det * B^-1`` of its own to pivot."""
+        """This state, with a basis, ``det * B^-1``, ``pi`` and ``v`` of its own to update."""
         lp = object.__new__(_Revised)
-        lp.__dict__.update(vars(self), basis=self.basis[:], inverse=[c[:] for c in self.inverse])
+        lp.__dict__.update(
+            vars(self),
+            basis=self.basis[:],
+            inverse=[c[:] for c in self.inverse],
+            pi=self.pi[:],
+            v=None if self.v is None else self.v[:],
+        )
         return lp
 
     def widen(self) -> None:

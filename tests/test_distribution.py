@@ -128,6 +128,20 @@ def test_marginal_preserves_mass_and_composes(d, data):
     assert m.marginal(inner) == d.marginal(tuple(subset[i] for i in inner))
 
 
+@given(distributions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_marginal_and_permuted_equal_the_validated_distribution(d, data):
+    # both skip validation; what they build must be what validation would leave
+    subset = data.draw(st.sets(st.integers(0, d.arity - 1), min_size=1).map(sorted).map(tuple))
+    order = tuple(data.draw(st.permutations(range(d.arity))))
+    for got in (d.marginal(subset), d.permuted(order)):
+        want = Distribution(got.alphabet_sizes, dict(got.masses))
+        assert got == want
+        assert list(got.masses.items()) == list(want.masses.items())
+        assert all(type(m) is Fraction and m for m in got.masses.values())
+        assert all(type(k) is int for value in got.masses for k in value)
+
+
 def test_as_fraction_accepts_exact_forms_only():
     assert as_fraction("3/10") == F(3, 10)
     assert as_fraction("0.3") == F(3, 10)

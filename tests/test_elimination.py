@@ -7,7 +7,9 @@ of the explicit matrix, and that solving the same ``M`` as an
 pivot path.
 """
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from contextuality import (
     validate_system,
 )
 from contextuality import simplex
-from contextuality.analysis import _constraint_rows
+from contextuality.analysis import _constraint_rows, _expanded_rows
 from contextuality.simplex import LinearSystem, OutcomeSystem, minimize, solve_feasibility
 from conftest import outcomes
 
@@ -338,3 +340,152 @@ class TestTiedRowKeys:
         system = outcome_system(triangle(3, "contextual"))
         minimize(system, solve_feasibility(system))
         assert any(wide and depth > 1 for wide, depth in calls)
+
+
+def dense_pivot(inverse, prow, column, det):
+    """Every column of ``det * B^-1`` and the levels rewritten whole by the
+    fraction-free formula ``(a * x - x[prow] * column) / det``, each division checked."""
+    a, inverse = column[prow], [c[:] for c in inverse]
+    if a < 0:
+        for c in inverse:
+            c[prow] = -c[prow]
+        a = -a
+    pivoted = []
+    for c in inverse:
+        y = c[prow]
+        new = [a * x - f * y for x, f in zip(c, column)]
+        new[prow] = y * det
+        assert all(x % det == 0 for x in new)
+        pivoted.append([x // det for x in new])
+    return pivoted, a
+
+
+def priced(lp, weights):
+    """``weights . X0_j`` over the columns of ``A``, summed from the dense rows."""
+    total = [0] * lp.width
+    for w, row in zip(weights, dense_rows(lp)):
+        if w:
+            total = list(map(operator.add, total, map(operator.mul, row, itertools.repeat(w))))
+    return total
+
+
+@functools.lru_cache(maxsize=1)
+def dense_rows(lp):
+    """The rows of ``A`` as rows of ``X0``: each dense row times its scale."""
+    return [[int(s * a) for a in row] for s, row in zip(lp.scales, lp.system.matrix)]
+
+
+def spy_on_updates(monkeypatch):
+    """Check every pivot and repricing against the dense formulas, applied to a copy
+    of the state before it; count the pivots with ``a == det`` and ``a != det``."""
+    pivot, reprice = simplex._Revised._pivot, simplex._Revised._reprice
+    branches = {"a == det": 0, "a != det": 0}
+
+    def spy_pivot(self, prow, column, pcol):
+        want, a = dense_pivot(self.inverse, prow, column, self.det)
+        branches["a == det" if a == self.det else "a != det"] += 1
+        pivot(self, prow, column, pcol)
+        assert (self.inverse, self.det) == (want, a)
+
+    def spy_reprice(self, rho, a, f):
+        det = self.det
+        pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
+        assert all((a * p + f * r) % det == 0 for p, r in zip(self.pi, rho))
+        v = None
+        if self.v is not None:
+            s = priced(self, rho)
+            v = [(a * x + f * y) // det for x, y in zip(self.v, s)]
+        reprice(self, rho, a, f)
+        assert (self.pi, self.v) == (pi, v)
+
+    monkeypatch.setattr(simplex._Revised, "_pivot", spy_pivot)
+    monkeypatch.setattr(simplex._Revised, "_reprice", spy_reprice)
+    return branches
+
+
+class TestDenseReference:
+    """Pivots and repricings write only what changes; the dense formulas agree."""
+
+    def test_every_update_matches_the_dense_formulas(self, monkeypatch):
+        branches = spy_on_updates(monkeypatch)
+        for name in sorted(PATH_CASES):
+            outcome = outcome_system(PATH_CASES[name]())
+            for system in (outcome, outcome.explicit):
+                start = solve_feasibility(system)
+                if not start.feasible:
+                    assert minimize(system, start).verify(system)
+        assert branches["a == det"] and branches["a != det"]
+
+    def test_a_copy_run_to_the_end_leaves_the_original_as_it_was(self):
+        for name in ("drive-out", "triangle-2-noisy", "triangle-3-contextual"):
+            outcome = outcome_system(PATH_CASES[name]())
+            for system in (outcome, outcome.explicit):
+                lp = simplex._Revised(system)
+                assert not lp.phase1()
+                before = [c[:] for c in lp.inverse], lp.pi[:], lp.v and lp.v[:]
+                copy = lp.copy()
+                # lists of its own, which its pivots update in place
+                assert copy.pi is not lp.pi and (lp.v is None or copy.v is not lp.v)
+                copy.widen()
+                copy._run()
+                assert copy.pivots > lp.pivots
+                assert (lp.inverse, lp.pi, lp.v) == before
+
+
+def expanded_system(system):
+    """``M*`` of ``system`` as an :class:`OutcomeSystem`; its first pattern fixes no cell."""
+    return OutcomeSystem(outcome_space(system), _expanded_rows(system))
+
+
+class TestEntries:
+    """``entries(j)`` is the nonzeros of column ``j`` of the dense matrix, rows ascending."""
+
+    # one-cell scopes, two rows on one (scope, entry), and a pattern fixing no cell
+    SHARED = OutcomeSystem(
+        (2, 3, 2),
+        [({}, F(1)), ({1: 2}, F(0)), ({0: 1}, F(1, 2)), ({1: 2}, F(0)), ({0: 1, 2: 0}, F(1, 4)),
+         ({2: 0, 0: 1}, F(1, 4)), ({2: 1}, F(1, 2))],
+    )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TestEntries.SHARED,
+            lambda: expanded_system(canonical_example("fig10")),
+            lambda: expanded_system(drive_out_system()),
+            lambda: outcome_system(drive_out_system()),
+            lambda: outcome_system(triangle(3, "noisy")),
+            lambda: outcome_system(PATH_CASES["fig9"]()),
+        ],
+        ids=["shared-keys", "expanded-fig10", "expanded-drive-out", "drive-out", "triangle-3", "fig9"],
+    )
+    def test_entries_are_the_dense_nonzeros(self, make):
+        outcome = make()
+        explicit = outcome.explicit
+        for system in (outcome, explicit):
+            for j, dense in enumerate(zip(*explicit.matrix)):
+                assert system.entries(j) == [(i, a) for i, a in enumerate(dense) if a]
+            for j in (system.cols, system.cols + 1, -1):
+                with pytest.raises(IndexError):
+                    system.entries(j)
+
+    def test_rows_hit_agrees_with_the_patterns(self):
+        system = self.SHARED
+        for values in outcomes(system.sizes):
+            hit = [
+                i for i, fixed in enumerate(system.patterns)
+                if all(values[c] == v for c, v in fixed.items())
+            ]
+            assert system.rows_hit(values) == hit
+
+    def test_explicit_index_arrays_list_the_columns_each_pattern_marks(self):
+        cycles = [outcome_system(flat_cycle(n)) for n in (3, 4, 5)]
+        triangles = [outcome_system(triangle(k, "noisy")) for k in (2, 3)]
+        for system in cycles + triangles + [self.SHARED]:
+            every = list(outcomes(system.sizes))
+            explicit = system.explicit
+            for fixed, groups, row in zip(system.patterns, explicit.sparse_rows, explicit.matrix):
+                ((coefficient, indices),) = groups
+                marked = [j for j, v in enumerate(every) if all(v[c] == x for c, x in fixed.items())]
+                assert (coefficient, indices.typecode, list(indices)) == (1, "i", marked)
+                assert [j for j, a in enumerate(row) if a] == marked

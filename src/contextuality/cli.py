@@ -50,11 +50,12 @@ def _read_input(path: str) -> str:
 
 
 def _write_output(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _system_summary(system: CCSystem) -> dict:

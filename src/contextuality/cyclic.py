@@ -172,13 +172,12 @@ def evaluate_criterion(view: CyclicView, system: CCSystem) -> CriterionReport:
         q_i = view.contents[i]
         q_next = view.contents[(i + 1) % n]
         cells = system.context_contents(context)
-        coding = tuple(system.content(q).plus_index for q in cells)
-        value = product_expectation(system.bunches[context], coding)
         if set(cells) != {q_i, q_next}:
             raise NotBinaryError(
                 f"view context {context!r} does not join {q_i!r} and {q_next!r}"
             )
-        products.append(value)
+        coding = tuple(system.content(q).plus_index for q in cells)
+        products.append(product_expectation(system.bunches[context], coding))
 
     gaps = []
     for i in range(n):

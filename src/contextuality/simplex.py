@@ -97,15 +97,15 @@ The measure's LP splits ``Q`` into ``(Q+, Q-)`` over ``(A | -A)``, and only
 the solver knows the split: a system is ``A`` alone.  ``(A | -A) Q = b``
 has a solution whenever ``b`` is in the column space of ``A``, and any basis
 of ``A`` with each basic column signed by its value is a feasible basis of
-it (Chvatal, ch. 8).  So :func:`minimize` runs phase 1 on ``A``, or
-continues a copy of the solver that an infeasible :func:`solve_feasibility`
-on ``A`` kept.  The artificials, still above 0, are pivoted out on any
-nonzero entry, the redundant rows dropped (one left at a nonzero level
-shows ``b`` outside the column space), and each basic column at a negative
-value swapped for its partner in ``-A``, which negates one row of
-``det * B^-1`` and leaves ``det`` as it is.  Phase 2 runs from there over both halves:
-the column ``j`` of ``-A`` enters as the negated column ``j`` of ``A``,
-and the costs are one number per half.
+it (Chvatal, ch. 8).  So :func:`minimize` runs no phase 1 of its own: it
+continues a copy of the solver that :func:`solve_feasibility` on ``A``
+kept.  The artificials still basic are pivoted out on any nonzero entry,
+the redundant rows dropped (one left at a nonzero level shows ``b`` outside
+the column space), and each basic column at a negative value swapped for
+its partner in ``-A``, which negates one row of ``det * B^-1`` and leaves
+``det`` as it is.  Phase 2 runs from there over both halves: the column
+``j`` of ``-A`` enters as the negated column ``j`` of ``A``, and the costs
+are one number per half.
 """
 
 from __future__ import annotations
@@ -280,16 +280,19 @@ class OutcomeSystem:
 
     @cached_property
     def _keys(self) -> tuple[list, list]:
-        """Each scope with its cells' strides in its table, and each row's ``(scope, entry)``."""
+        """Each scope with its cells' strides in its table and its rows at each entry,
+        ascending, and each row's ``(scope, entry)``."""
         scopes: dict = {}
         keys = []
-        for fixed in self.patterns:
+        for i, fixed in enumerate(self.patterns):
             scope = tuple(sorted(fixed))
             if scope not in scopes:
-                scopes[scope] = len(scopes), _table_strides(self.sizes, scope)
-            f, strides = scopes[scope]
-            keys.append((f, sum(fixed[c] * s for c, s in strides)))
-        return [(scope, strides) for scope, (_, strides) in scopes.items()], keys
+                scopes[scope] = len(scopes), _table_strides(self.sizes, scope), {}
+            f, strides, at = scopes[scope]
+            entry = sum(fixed[c] * s for c, s in strides)
+            at.setdefault(entry, []).append(i)
+            keys.append((f, entry))
+        return [(scope, strides, at) for scope, (_, strides, at) in scopes.items()], keys
 
     rows = property(lambda self: len(self.patterns))
     cols = property(lambda self: self.width)
@@ -329,21 +332,12 @@ class OutcomeSystem:
             raise IndexError(f"column {j} of {self.width}")
         return tuple(j // stride % size for size, stride in zip(self.sizes, self.strides))
 
-    @cached_property
-    def _rows_at(self) -> list[tuple[list, dict[int, list[int]]]]:
-        """Per scope, its cells' strides in its table and the rows at each entry, ascending."""
-        scopes, keys = self._keys
-        rows: list[dict] = [{} for _ in scopes]
-        for i, (scope, entry) in enumerate(keys):
-            rows[scope].setdefault(entry, []).append(i)
-        return [(strides, at) for (_, strides), at in zip(scopes, rows)]
-
     def rows_hit(self, values: Sequence[int]) -> list[int]:
         """The rows that mark the column giving the cells ``values``, ascending: one
         lookup per scope, of the entry its cells' values make in its table."""
         hit = []
-        for strides, rows in self._rows_at:
-            hit += rows.get(sum(values[c] * s for c, s in strides), ())
+        for _, strides, at in self._keys[0]:
+            hit += at.get(sum(values[c] * s for c, s in strides), ())
         hit.sort()
         return hit
 
@@ -362,7 +356,7 @@ class OutcomeSystem:
         Those left at the end fix no cell and add a constant.
         """
         scopes = self._keys[0]
-        pool = {f: set(scope) for f, (scope, _) in enumerate(scopes)}
+        pool = {f: set(scope) for f, (scope, _, _) in enumerate(scopes)}
         steps = []
         for p in reversed(range(len(self.sizes))):
             gathered = [f for f, cells in pool.items() if p in cells]
@@ -388,7 +382,7 @@ class OutcomeSystem:
         factor's cells are the table's own.
         """
         sizes = self.sizes
-        scopes = [scope for scope, _ in self._keys[0]] + [cells[:-1] for _, cells, _ in self._steps[0]]
+        scopes = [scope for scope, _, _ in self._keys[0]] + [cells[:-1] for _, cells, _ in self._steps[0]]
         program = []
         for p, cells, gathered in self._steps[0]:
             maps = []
@@ -406,7 +400,7 @@ class OutcomeSystem:
                 maps.append((f, gather))
             size = math.prod(sizes[c] for c in cells)
             program.append((p, sizes[p], size, maps, _table_strides(sizes, cells)[:-1]))
-        return [math.prod(sizes[c] for c in scope) for scope, _ in self._keys[0]], program
+        return [math.prod(sizes[c] for c in scope) for scope, _, _ in self._keys[0]], program
 
     def _eliminate(self, weights: Sequence[int]) -> tuple[list[list[int]], int]:
         """Each step's summed table and ``max_j weights . A_j``, for integer ``weights``."""
@@ -497,8 +491,8 @@ class FeasibilityResult:
 
     Exactly one of ``solution`` (positive values on the ascending columns
     ``support``, satisfying ``A Q = b``) and ``certificate`` (Farkas vector
-    over the rows) is present.  An infeasible result also keeps the solver
-    as its phase 1 left it, for :func:`minimize` to continue a copy of.
+    over the rows) is present.  Every result also keeps the solver as its
+    phase 1 left it, for :func:`minimize` to continue a copy of.
     """
 
     status: str
@@ -615,11 +609,6 @@ class _Revised:
         self.cost = 1
         self.pivots = 0
         self.pivot_cap = math.comb(m + n + m, m)
-
-    def phase1(self) -> bool:
-        """Minimize the sum of the artificials, all basic at the start; True if it reaches 0."""
-        self._run()
-        return self.objective_value() == 0
 
     def _prices(self) -> list[int]:
         """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
@@ -896,16 +885,18 @@ class _Revised:
         self.pivot_cap = math.comb(m + self.n + m, m)
 
 
-def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
+def solve_feasibility(system: LinearSystem | OutcomeSystem) -> FeasibilityResult:
     """Decide ``{M Q = P, Q >= 0}`` and return a solution or a certificate.
 
-    Phase 1 minimizes the sum of the artificials; if the minimum is not 0,
-    its final prices over ``det``, unflipped, are the Farkas certificate.
+    Phase 1 minimizes the sum of the artificials, all basic at the start;
+    if the minimum is not 0, its final prices over ``det``, unflipped, are
+    the Farkas certificate.  The result keeps the solver either way.
     """
     lp = _Revised(system)
-    if lp.phase1():
+    lp._run()
+    if lp.objective_value() == 0:
         support, values = lp.structural_solution()
-        return FeasibilityResult(FEASIBLE, values, None, lp.pivots, support)
+        return FeasibilityResult(FEASIBLE, values, None, lp.pivots, support, lp)
     return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots, _solver=lp)
 
 
@@ -920,22 +911,19 @@ def minimize(
     and the dual ``y`` of its basis, ``-1 <= A^T y <= 0`` with
     ``y . b == value``, which certifies the value.
 
-    ``start``, an infeasible :func:`solve_feasibility` result on this very
-    ``system``, holds the solver its phase 1 left, and a copy of it goes on:
-    ``pivots`` counts only the pivots after it.  Another infeasible
-    ``start`` raises :class:`DimensionMismatchError`; a feasible or absent
-    one means a cold solve.  Raises :class:`InfeasibleError` when ``b`` is
-    outside the column space of ``A``, with a certificate ``y``:
-    ``y^T A = 0`` and ``y . b > 0``.
+    ``start`` is a :func:`solve_feasibility` result on this very ``system``,
+    or None for ``solve_feasibility(system)``; a copy of the solver it keeps
+    goes on, and ``pivots`` counts only the pivots after ``start``'s (all of
+    them when none was given).  A ``start`` that keeps no solver of this
+    ``system`` raises :class:`DimensionMismatchError`.  Raises
+    :class:`InfeasibleError` when ``b`` is outside the column space of
+    ``A``, with a certificate ``y``: ``y^T A = 0`` and ``y . b > 0``.
     """
-    solver = None if start is None else start._solver
-    if solver is None:
-        lp, before = _Revised(system), 0
-        lp.phase1()
-    elif solver.system is not system:
+    before = 0 if start is None else start.pivots
+    solver = (solve_feasibility(system) if start is None else start)._solver
+    if solver is None or solver.system is not system:
         raise DimensionMismatchError("the basis is not of this system's rows")
-    else:
-        lp, before = solver.copy(), solver.pivots
+    lp = solver.copy()
     lp.widen()
     lp._run()
     support, values = lp.structural_solution()

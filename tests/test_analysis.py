@@ -601,6 +601,20 @@ class TestSparseRows:
         rebuilt = LinearSystem(linear.matrix, linear.rhs)
         assert solve_feasibility(linear) == solve_feasibility(rebuilt)
 
+    def test_a_unary_content_adds_no_row_to_the_expanded_system(self):
+        # a content with one value fixes no outcome, so neither its marginals
+        # nor its connection's add a row: M* stays fig9's 9x16 of rank 9
+        fig9 = canonical_example("fig9")
+        unary = validate_system(
+            {**{q.label: q.size for q in fig9.contents}, "u": 1},
+            {c: [*fig9.context_contents(c), "u"] for c in fig9.contexts},
+            {c: {v + (0,): x for v, x in fig9.bunches[c].masses.items()} for c in fig9.contexts},
+        )
+        expanded, base = build_expanded_system(unary), build_expanded_system(fig9)
+        assert (expanded.rows, expanded.cols) == (9, 16)
+        assert rational_rank(expanded.matrix) == 9
+        assert (expanded.matrix, expanded.rhs) == (base.matrix, base.rhs)
+
     @pytest.mark.parametrize(
         "system", [canonical_example("fig9"), contextual_triangle(2)], ids=["fig9", "binary-triangle"]
     )

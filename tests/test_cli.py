@@ -5,11 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from contextuality import canonical_example, parse_system, rank2_family, serialize_system
-from contextuality.cli import build_parser, main
+from contextuality import (
+    canonical_example,
+    parse_system,
+    rank2_family,
+    serialize_system,
+    validate_system,
+)
+from contextuality.cli import _write_output, build_parser, main
 from conftest import moved_on
 
 F = Fraction
+HALF = F(1, 2)
 
 
 def run(capsys, *argv):
@@ -53,6 +60,45 @@ class TestAnalyze:
         assert code == 0
         assert "verdict: noncontextual" in out
         assert "total variation: 1" in out
+
+    @pytest.mark.parametrize(
+        "contexts, bunches, note, coupling",
+        [
+            (
+                # q1 and q2 share c1 and q3 is alone in c2: every connection is one variable
+                {"c1": ["q1", "q2"], "c2": ["q3"]},
+                {"c1": {(0, 0): HALF, (1, 1): HALF}, "c2": {(0,): HALF, (1,): HALF}},
+                "no connection links two bunches",
+                ["  [0, 0, 1]: 1/2", "  [1, 1, 0]: 1/2"],
+            ),
+            (
+                # q1 alone in both contexts: every bunch is one variable
+                {"c1": ["q1"], "c2": ["q1"]},
+                {"c1": {(0,): HALF, (1,): HALF}, "c2": {(0,): F(1, 4), (1,): F(3, 4)}},
+                "every bunch is a single variable",
+                ["  [0, 0]: 1/4", "  [0, 1]: 1/4", "  [1, 1]: 1/2"],
+            ),
+        ],
+        ids=["singleton-connections", "singleton-bunches"],
+    )
+    def test_text_report_of_a_trivially_noncontextual_shape(
+        self, capsys, tmp_path, contexts, bunches, note, coupling
+    ):
+        contents = {q: 2 for cells in contexts.values() for q in cells}
+        path = write_system(tmp_path, "trivial.json", validate_system(contents, contexts, bunches))
+        code, out, err = run(capsys, "analyze", path, "--witness", "--measure")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert f"note: trivially noncontextual shape ({note})" in lines
+        start = lines.index("verdict: noncontextual")
+        assert lines[start:] == [
+            "verdict: noncontextual",
+            "witness (coupling):",
+            *coupling,
+            "total variation: 1  measure: 0",
+            "quasi-coupling masses:",
+            *coupling,
+        ]
 
     def test_json_report_is_schema_stable(self, capsys, rank2_file):
         code, out, _ = run(
@@ -263,8 +309,6 @@ class TestCyclic:
         assert cycle["contextual"] is True
 
     def test_not_cyclic_reports_reason(self, capsys, tmp_path):
-        from contextuality import validate_system
-
         s = validate_system(
             {"q1": 2, "q2": 2, "q3": 2},
             {"c1": ["q1", "q2", "q3"], "c2": ["q1", "q2"], "c3": ["q2", "q3"]},
@@ -356,6 +400,16 @@ class TestGenerate:
         assert code == 0
         code, _, _ = run(capsys, "analyze", str(target))
         assert code == 1
+
+    def test_file_and_stdout_get_the_same_text_ending_in_one_newline(self, capsys, tmp_path):
+        target = tmp_path / "example.json"
+        run(capsys, "generate", "example", "--name", "fig9", "-o", str(target))
+        _, out, _ = run(capsys, "generate", "example", "--name", "fig9")
+        assert target.read_text(encoding="utf-8") == out
+        assert out.endswith("}\n")
+        for path in ("-", str(target)):
+            _write_output(path, "ends in a newline\n")
+        assert capsys.readouterr().out == target.read_text(encoding="utf-8") == "ends in a newline\n"
 
     def test_epr_b_pipeline(self, capsys):
         angles = f"0,{math.pi/4},{math.pi/2},{-math.pi/4}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from contextuality import (
     Content,
+    CyclicView,
     Distribution,
     NotCyclic,
     decide_contextuality,
@@ -197,6 +198,25 @@ class TestCriterion:
         assert report.lhs == F(11, 5)
         assert report.rhs == 1
         assert report.contextual
+
+    def test_a_view_context_must_join_its_two_contents(self, rank3_contextual):
+        # c2 holds q2 and q3, not q1 and q2
+        rotated = CyclicView(("q1", "q2", "q3"), ("c2", "c3", "c1"))
+        with pytest.raises(NotBinaryError, match="view context 'c2' does not join 'q1' and 'q2'"):
+            evaluate_criterion(rotated, rank3_contextual)
+        # c2 also holds q1: its bunch is a triple, which must not be read as a pair
+        triple = validate_system(
+            {"q1": 2, "q2": 2, "q3": 2},
+            {"c1": ["q1", "q2"], "c2": ["q1", "q2", "q3"], "c3": ["q3", "q1"]},
+            {
+                "c1": {(0, 0): HALF, (1, 1): HALF},
+                "c2": {(0, 0, 0): HALF, (1, 1, 1): HALF},
+                "c3": {(0, 0): HALF, (1, 1): HALF},
+            },
+        )
+        view = CyclicView(("q1", "q2", "q3"), ("c1", "c2", "c3"))
+        with pytest.raises(NotBinaryError, match="view context 'c2' does not join 'q2' and 'q3'"):
+            evaluate_criterion(view, triple)
 
     def test_boundary_counts_as_noncontextual(self):
         report_at_half = evaluate_criterion(

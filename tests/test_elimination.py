@@ -420,8 +420,8 @@ class TestDenseReference:
         for name in ("drive-out", "triangle-2-noisy", "triangle-3-contextual"):
             outcome = outcome_system(PATH_CASES[name]())
             for system in (outcome, outcome.explicit):
-                lp = simplex._Revised(system)
-                assert not lp.phase1()
+                lp = simplex.solve_feasibility(system)._solver
+                assert lp.objective_value() > 0
                 before = [c[:] for c in lp.inverse], lp.pi[:], lp.v and lp.v[:]
                 copy = lp.copy()
                 # lists of its own, which its pivots update in place

@@ -164,6 +164,20 @@ class TestSystemDocuments:
                 SchemaError,
                 "contexts[1].contents",
             ),
+            (lambda doc: doc["contents"][0].pop("values"), SchemaError, "contents[0]"),
+            (lambda doc: doc["contents"][1].update(values=[]), SchemaError, "contents[1]"),
+            (
+                lambda doc: doc["contents"][0].update(values=["+1", "+1"]),
+                SchemaError,
+                "contents[0]",
+            ),
+            (lambda doc: doc["contents"][0].update(plus="0"), SchemaError, "contents[0].plus"),
+            (
+                lambda doc: doc["contexts"].append(dict(doc["contexts"][0])),
+                SchemaError,
+                "contexts[2]",
+            ),
+            (lambda doc: doc.update(contexts={}), SchemaError, "contexts"),
         ],
         ids=[
             "content-twice",
@@ -172,6 +186,12 @@ class TestSystemDocuments:
             "context-empty",
             "content-undeclared",
             "cell-twice",
+            "values-missing",
+            "values-empty",
+            "values-twice",
+            "plus-not-a-value",
+            "context-twice",
+            "contexts-not-a-list",
         ],
     )
     def test_layout_faults_are_located_in_the_layout(self, fault, kind, path):
@@ -188,6 +208,72 @@ class TestSystemDocuments:
         contents, contexts = parse_layout(json.dumps(doc))
         assert [c.label for c in contents] == ["q1", "q2"]
         assert contexts == {"c1": ["q1", "q2"], "c2": ["q1", "q2"]}
+
+
+def edited(fault) -> str:
+    """``RANK2_DOC`` with ``fault`` applied to its parsed form, as JSON text."""
+    doc = json.loads(RANK2_DOC)
+    fault(doc)
+    return json.dumps(doc)
+
+
+def set_value(value):
+    return lambda doc: doc["bunches"]["c1"][1].update(value=value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, kind, path",
+    [
+        (parse_system, edited(set_value(["-1"])), SchemaError, "bunches['c1'][1]"),
+        (parse_system, edited(set_value(["+1", "+1"])), SchemaError, "bunches['c1'][1]"),
+        (
+            parse_system,
+            edited(lambda doc: doc["bunches"].update(c9=[])),
+            UnknownLabelError,
+            "bunches['c9']",
+        ),
+        (
+            parse_system,
+            edited(lambda doc: doc["bunches"]["c1"][0].update(mass="half")),
+            SchemaError,
+            "bunches['c1'][0].mass",
+        ),
+        (
+            parse_system,
+            edited(lambda doc: doc["bunches"]["c2"].__setitem__(0, "+1")),
+            SchemaError,
+            "bunches['c2'][0]",
+        ),
+        (parse_trials, "", SchemaError, None),
+        (parse_trials, "context,q1,\n", SchemaError, "line 1"),
+        (parse_trials, "context,q1,content:q1\n", SchemaError, "line 1"),
+        (parse_trials, "context,q1,q2\nc1,Yes,Yes\nc1,Yes\n", SchemaError, "line 3"),
+        # a blank row is skipped but still counted
+        (parse_trials, "context,q1,q2\n\nc1, ,\n", SchemaError, "line 3"),
+    ],
+    ids=[
+        "value-arity",
+        "value-twice",
+        "bunch-undeclared-context",
+        "mass-not-a-number",
+        "bunch-entry-not-an-object",
+        "trials-empty",
+        "trials-column-unnamed",
+        "trials-column-twice",
+        "trials-field-count",
+        "trials-row-observes-nothing",
+    ],
+)
+def test_document_faults_name_their_class_and_path(parse, text, kind, path):
+    with pytest.raises(SchemaError) as err:
+        parse(text)
+    assert type(err.value) is kind
+    assert err.value.path == path
+
+
+def test_blank_trial_rows_are_skipped():
+    rows = parse_trials("context,q1,q2\n\nc1,Yes,No\n , ,\n\nc2,No,Yes\n")
+    assert rows == [("c1", {"q1": "Yes", "q2": "No"}), ("c2", {"q1": "No", "q2": "Yes"})]
 
 
 TRIALS_CSV = """context,q1,q2

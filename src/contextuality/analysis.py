@@ -61,7 +61,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .coupling import MaximalCouplingSpec, maximal_coupling_diagonal, maximal_coupling_full
-from .distribution import ONE, ZERO, Distribution, as_fraction
+from .distribution import ONE, ZERO, Distribution, as_fraction, exact_sum
 from .errors import DimensionMismatchError, OutcomeSpaceTooLargeError, SolverError
 from .simplex import (
     FeasibilityResult,
@@ -245,11 +245,11 @@ class QuasiCoupling:
         clean = {tuple(k): as_fraction(v) for k, v in self.masses.items()}
         clean = {k: v for k, v in clean.items() if v}
         object.__setattr__(self, "masses", clean)
-        object.__setattr__(self, "total_variation", sum((abs(v) for v in clean.values()), ZERO))
+        object.__setattr__(self, "total_variation", exact_sum(abs(v) for v in clean.values()))
 
     @property
     def total_mass(self) -> Fraction:
-        return sum(self.masses.values(), ZERO)
+        return exact_sum(self.masses.values())
 
 
 @dataclass(frozen=True)
@@ -361,7 +361,7 @@ def verify_quasi_coupling(
                 f"outcome {outcome} does not index this system's {width}-cell space"
             )
 
-    total = sum(masses.values(), ZERO)
+    total = exact_sum(masses.values())
     checks = [
         CheckResult(
             "total_mass",

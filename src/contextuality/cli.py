@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 from . import __version__
@@ -35,18 +34,21 @@ EXIT_ERROR = 2
 def _read_input(path: str) -> str:
     """The UTF-8 text of a file, or of stdin for ``-``, decoded the same way for both.
 
-    Stdin is read as bytes, so the locale's error handler never applies.
+    Stdin is read as bytes, so the locale's error handler never applies.  Line
+    ends are translated as text mode does: ``\r\n`` and a lone ``\r`` become
+    ``\n``.
     """
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     try:
-        if path == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # a whole-stream read decodes in one call, so ``start`` is the input's byte offset
+        # the whole input decodes in one call, so ``start`` is its byte offset
         raise SchemaError(f"not {exc.encoding}: {exc.reason}", f"byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -144,11 +146,64 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
+def _json_text(value) -> str:
+    """The text of ``json.dumps(value, indent=2)``, for the types a report holds:
+    dicts with string keys, lists, tuples, strings, ints, booleans and None.
+
+    An indent makes :mod:`json` give up its C encoder for its pure-Python one,
+    which takes longer than the whole analysis of a small system and leaves
+    reference cycles behind on every call.  This writes the same text, strings
+    through json's C escaper, every piece appended to one list joined once.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``value`` to ``out``; ``newline`` ends in its indent."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(x) is int for x in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        opening = "[" + inner
+        for item in value:
+            out.append(opening)
+            _write_json(item, inner, out)
+            opening = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            out.append(opening)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(item, inner, out)
+            opening = "," + inner
+        out.append(newline + "}")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
     else:
-        print(_render_text(report))
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _emit(report: dict, fmt: str) -> None:
+    print(_json_text(report) if fmt == "json" else _render_text(report))
 
 
 def _masses(masses: Mapping) -> list:

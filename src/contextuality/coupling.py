@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distribution import ONE, ZERO, Distribution
+from .distribution import ONE, Distribution, exact_sum
 from .errors import AlphabetMismatchError, EmptyInputError
 
 
@@ -65,7 +65,7 @@ def maximal_coupling_diagonal(marginals: Sequence[Distribution]) -> MaximalCoupl
                 f"marginal alphabets differ: {d.alphabet_sizes} vs ({k},)"
             )
     diagonal = tuple(min(d.mass((v,)) for d in marginals) for v in range(k))
-    return MaximalCouplingSpec(marginals, diagonal, sum(diagonal, ZERO))
+    return MaximalCouplingSpec(marginals, diagonal, exact_sum(diagonal))
 
 
 def maximal_coupling_full(spec: MaximalCouplingSpec) -> Distribution:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distribution import ZERO, Distribution, as_fraction
+from .distribution import Distribution, as_fraction, exact_sum
 from .errors import EmptyInputError, NotBinaryError
 from .systems import CCSystem
 
@@ -132,12 +132,11 @@ def product_expectation(d: Distribution, plus_indices: tuple[int, int] = (0, 0))
     """Expectation of the product of an arity-2 binary pair on the +1/-1 scale."""
     if d.arity != 2 or d.alphabet_sizes != (2, 2):
         raise NotBinaryError(f"expected a binary arity-2 distribution, got {d.alphabet_sizes}")
-    acc = ZERO
-    for value, mass in d.masses.items():
-        sign = 1 if value[0] == plus_indices[0] else -1
-        sign *= 1 if value[1] == plus_indices[1] else -1
-        acc += sign * mass
-    return acc
+    plus, other = plus_indices
+    # the product is +1 exactly when both or neither component is at its plus index
+    return exact_sum(
+        mass if (a == plus) == (b == other) else -mass for (a, b), mass in d.masses.items()
+    )
 
 
 def s_odd(xs: Sequence) -> Fraction:
@@ -152,7 +151,7 @@ def s_odd(xs: Sequence) -> Fraction:
     values = [as_fraction(x) for x in xs]
     if not values:
         raise EmptyInputError("s_odd needs at least one argument")
-    total = sum((abs(x) for x in values), ZERO)
+    total = exact_sum(abs(x) for x in values)
     negatives = sum(1 for x in values if x < 0)
     if negatives % 2 == 1 or any(x == 0 for x in values):
         return total
@@ -188,7 +187,7 @@ def evaluate_criterion(view: CyclicView, system: CCSystem) -> CriterionReport:
         gaps.append(abs(e_in - e_out))
 
     lhs = s_odd(products)
-    rhs = Fraction(n - 2) + sum(gaps, ZERO)
+    rhs = n - 2 + exact_sum(gaps)
     delta = lhs - rhs
     return CriterionReport(
         rank=n,

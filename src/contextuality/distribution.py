@@ -8,10 +8,11 @@ ranging over ``0 .. alphabet_sizes[j] - 1``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -32,6 +33,21 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 def _quoted(text: str, limit: int = 40) -> str:
     """``text`` quoted for a message: whole, or its first ``limit`` characters and its length."""
     return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
+
+
+def common_denominator(values: Collection) -> tuple[list[int], int]:
+    """Exact ``values`` as integer numerators over their least common denominator."""
+    scale = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def exact_sum(values: Iterable) -> Fraction:
+    """The sum of exact ``values``, added as integers over their least common denominator.
+
+    One normalisation in all, where pairwise ``Fraction`` sums make one per term.
+    """
+    numerators, scale = common_denominator([*values])
+    return Fraction(sum(numerators), scale)
 
 
 def as_fraction(value) -> Fraction:
@@ -69,36 +85,40 @@ class Distribution:
     """An exact categorical distribution; masses are stored sparsely.
 
     ``masses`` maps value tuples to nonzero Fractions; tuples absent from the
-    map have mass 0.  Construction validates bounds, nonnegativity, and that
-    the total mass is exactly 1.
+    map have mass 0.  Construction validates that every index is an ``int``
+    (not a bool) within its alphabet, nonnegativity, and that the total mass
+    is exactly 1.
     """
 
     alphabet_sizes: tuple[int, ...]
     masses: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        sizes = tuple(int(k) for k in self.alphabet_sizes)
+        sizes = tuple([int(k) for k in self.alphabet_sizes])
         if not sizes or any(k < 1 for k in sizes):
             raise AlphabetMismatchError(f"invalid alphabet sizes {sizes}")
         clean: dict[tuple[int, ...], Fraction] = {}
-        total = ZERO
         for value, raw in self.masses.items():
-            value = tuple(int(v) for v in value)
+            value = tuple(value)
             if len(value) != len(sizes):
                 raise AlphabetMismatchError(
                     f"value tuple {value} has arity {len(value)}, expected {len(sizes)}"
                 )
+            # bool is an int subclass, so test the type itself
+            if any(type(v) is not int for v in value):
+                raise AlphabetMismatchError(f"value tuple {value} holds a non-integer index")
             if any(not 0 <= v < k for v, k in zip(value, sizes)):
                 raise AlphabetMismatchError(f"value tuple {value} outside alphabets {sizes}")
             mass = as_fraction(raw)
-            if mass < 0:
+            if mass.numerator < 0:
                 raise NegativeMassError(f"mass of {value} is negative: {mass}")
-            total += mass
-            if mass:
+            if mass.numerator:
                 if value in clean:
                     raise AlphabetMismatchError(f"value tuple {value} listed twice")
                 clean[value] = mass
-        if total != ONE:
+        numerators, scale = common_denominator(clean.values())
+        if sum(numerators) != scale:
+            total = Fraction(sum(numerators), scale)
             raise MassSumError(f"masses sum to {total}, expected exactly 1")
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "masses", clean)
@@ -142,10 +162,12 @@ class Distribution:
         if comps == tuple(range(self.arity)):
             return self
         sizes = tuple(self.alphabet_sizes[c] for c in comps)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for value, mass in self.masses.items():
-            key = tuple(value[c] for c in comps)
-            out[key] = out.get(key, ZERO) + mass
+        numerators, scale = common_denominator(self.masses.values())
+        sums: dict[tuple[int, ...], int] = {}
+        for value, numerator in zip(self.masses, numerators):
+            key = tuple([value[c] for c in comps])
+            sums[key] = sums.get(key, 0) + numerator
+        out = {key: Fraction(total, scale) for key, total in sums.items()}
         return Distribution._checked(sizes, out)
 
     def permuted(self, order: Sequence[int]) -> "Distribution":
@@ -156,7 +178,7 @@ class Distribution:
         if order == tuple(range(self.arity)):
             return self
         sizes = tuple(self.alphabet_sizes[c] for c in order)
-        out = {tuple(value[c] for c in order): mass for value, mass in self.masses.items()}
+        out = {tuple([value[c] for c in order]): mass for value, mass in self.masses.items()}
         return Distribution._checked(sizes, out)
 
     @staticmethod

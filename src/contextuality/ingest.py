@@ -151,10 +151,14 @@ def parse_layout(text: str) -> tuple[list[Content], dict[str, list[str]]]:
 
 
 def parse_system(text: str) -> CCSystem:
-    """Parse a system document into a validated CCSystem."""
+    """Parse a system document into a validated CCSystem.
+
+    Each distinct mass string is parsed once, at its first entry.
+    """
     doc = _decode(text)
     contents, contexts = _layout(doc)
     by_label = {c.label: c for c in contents}
+    parsed: dict[str, Fraction] = {}
     bunch_node = _expect(doc.get("bunches"), dict, "bunches")
     bunches: dict[str, dict[tuple[int, ...], Fraction]] = {}
     for context, entries in bunch_node.items():
@@ -174,12 +178,17 @@ def parse_system(text: str) -> CCSystem:
                     at,
                 )
             try:
-                value = tuple(by_label[q].value_index(v) for q, v in zip(cols, value_labels))
+                value = tuple([by_label[q].value_index(v) for q, v in zip(cols, value_labels)])
             except UnknownLabelError as exc:
                 raise UnknownLabelError(str(exc), at) from exc
             if value in masses:
                 raise SchemaError(f"value {value_labels} listed twice", at)
-            masses[value] = _mass_from_json(entry.get("mass"), f"{at}.mass")
+            raw = entry.get("mass")
+            if type(raw) is not str:
+                mass = _mass_from_json(raw, f"{at}.mass")
+            elif (mass := parsed.get(raw)) is None:
+                mass = parsed[raw] = _mass_from_json(raw, f"{at}.mass")
+            masses[value] = mass
         bunches[context] = masses
     try:
         return validate_system(contents, contexts, bunches)

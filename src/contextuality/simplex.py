@@ -119,7 +119,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .distribution import as_fraction
+from .distribution import as_fraction, common_denominator
 from .errors import (
     DimensionMismatchError,
     InfeasibleError,
@@ -133,12 +133,6 @@ INFEASIBLE = "infeasible"
 def _exact(x):
     """Pass ints through untouched; coerce everything else via as_fraction."""
     return x if type(x) is int else as_fraction(x)
-
-
-def common_denominator(values: Sequence) -> tuple[list[int], int]:
-    """Exact ``values`` as integer numerators over their least common denominator."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 class LinearSystem:
@@ -275,8 +269,10 @@ class OutcomeSystem:
     def __init__(self, sizes: Sequence[int], patterns: Iterable):
         self.sizes = sizes = tuple(sizes)
         self.width = math.prod(sizes)
-        self.strides = tuple(math.prod(sizes[p + 1 :]) for p in range(len(sizes)))
-        self.patterns, self.rhs = zip(*patterns)
+        self.strides = tuple([math.prod(sizes[p + 1 :]) for p in range(len(sizes))])
+        # a tuple built from an iterator is sized by a guess and then resized, which
+        # over many calls fills the interpreter's free lists, so unpack a list
+        self.patterns, self.rhs = zip(*list(patterns))
 
     @cached_property
     def _keys(self) -> tuple[list, list]:
@@ -330,7 +326,7 @@ class OutcomeSystem:
         """
         if not 0 <= j < self.width:
             raise IndexError(f"column {j} of {self.width}")
-        return tuple(j // stride % size for size, stride in zip(self.sizes, self.strides))
+        return tuple([j // stride % size for size, stride in zip(self.sizes, self.strides)])
 
     def rows_hit(self, values: Sequence[int]) -> list[int]:
         """The rows that mark the column giving the cells ``values``, ascending: one
@@ -580,7 +576,8 @@ class _Revised:
     columns of ``A``, they are ``-v_j`` on ``A``, ``det * cost + v_j`` on
     ``-A`` and ``det * cost - pi_i`` on the artificials; none is stored.
     Over a :class:`LinearSystem` ``v`` is kept too: a scatter of ``pi`` over
-    ``sparse``, the rows of ``A`` scaled to those of ``X0``, updated like
+    ``sparse``, the rows of ``A`` scaled to those of ``X0`` (the system's own
+    rows when every scale is 1), updated like
     ``pi`` from the scatter of ``rho``, or in place by the scatter of
     ``pi``'s change when ``a == det``.  Over an :class:`OutcomeSystem` it is
     None, and an elimination of ``pi * flips`` answers for ``v``.  Each run
@@ -599,10 +596,18 @@ class _Revised:
         rhs, self.rhs_scale = common_denominator(system.rhs)
         self.flips = [1 if b >= 0 else -1 for b in rhs]
         self.scales = [sign * self.structural_scale for sign in self.flips]
-        self.sparse = [
-            [(int(x * scale), indices) for x, indices in groups]
-            for groups, scale in zip(system.sparse_rows, self.scales)
-        ] if isinstance(system, LinearSystem) else None
+        explicit = isinstance(system, LinearSystem)
+        # with every scale 1 over integer entries, as in M (0/1 entries, probabilities
+        # on the right), the rows and columns of A are those of X0 and are shared
+        self.unscaled = all(s == 1 for s in self.scales) and (
+            not explicit or all(type(x) is int for groups in system.sparse_rows for x, _ in groups)
+        )
+        self.sparse = None
+        if explicit:
+            self.sparse = system.sparse_rows if self.unscaled else [
+                [(int(x * scale), indices) for x, indices in groups]
+                for groups, scale in zip(system.sparse_rows, self.scales)
+            ]
         self.inverse = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)] + [list(map(abs, rhs))]
         self.basis = [n + i for i in range(m)]
         self.det = 1
@@ -611,12 +616,15 @@ class _Revised:
         self.pivot_cap = math.comb(m + n + m, m)
 
     def _prices(self) -> list[int]:
-        """``pi = C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last."""
+        """``pi = C_B . det * B^-1``."""
         costs = [0 if var < self.width else self.cost for var in self.basis]
-        return [sum(map(operator.mul, costs, column)) for column in self.inverse]
+        return [sum(map(operator.mul, costs, column)) for column in self.inverse[:-1]]
 
     def _entries(self, q: int) -> list[tuple[int, int]]:
-        """The nonzeros of the structural column ``X0_q`` as ``(row, entry)`` pairs."""
+        """The nonzeros of the structural column ``X0_q`` as ``(row, entry)`` pairs,
+        not to be changed: on unscaled rows those of ``A`` are the system's own list."""
+        if q < self.width and self.unscaled:
+            return self.system.entries(q)
         sign = 1
         if q >= self.width:
             q, sign = q - self.width, -1
@@ -723,7 +731,7 @@ class _Revised:
         and the entering reduced cost ``f`` before ``det * B^-1`` moves on.
         """
         self.start, self.decoded = self.basis[:], {}
-        self.pi = self._prices()[:-1]
+        self.pi = self._prices()
         self.v = None if self.sparse is None else _scatter(self.pi, self.sparse, [0] * self.width)
         while (entering := self.entering()) is not None:
             col, f = entering
@@ -792,7 +800,10 @@ class _Revised:
             self.v = [(a * x + f * y) // det if y else a * x // det for x, y in zip(self.v, s)]
 
     def objective_value(self) -> Fraction:
-        return Fraction(self._prices()[-1], self.det * self.rhs_scale)
+        """``C_B . B^-1 b``: the cost times the levels of the basic columns past ``A``."""
+        width = self.width
+        level = sum(x for var, x in zip(self.basis, self.inverse[-1]) if var >= width)
+        return Fraction(self.cost * level, self.det * self.rhs_scale)
 
     def structural_solution(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
         """The signed vertex's support over ``A`` and its values; ``-A``'s count negative."""
@@ -803,7 +814,7 @@ class _Revised:
                 j, x = (var, level) if var < self.width else (var - self.width, -level)
                 values[j] = Fraction(x * self.structural_scale, scale)
         support = tuple(sorted(values))
-        return support, tuple(map(values.__getitem__, support))
+        return support, tuple([values[j] for j in support])
 
     def multipliers(self) -> tuple[Fraction, ...]:
         """The simplex multipliers ``y = flips * pi / det`` over the original rows.
@@ -811,9 +822,12 @@ class _Revised:
         ``pi / det`` solves ``B^T y = C_B`` on the sign-fixed rows, and
         ``structural_scale`` cancels between ``B`` and ``C_B``, so unflipping
         gives ``y`` in the rows' own signs.  After phase 1 it is the Farkas
-        certificate; after phase 2, the dual of the final basis.
+        certificate; after phase 2, the dual of the final basis.  It reads the
+        ``pi`` that :meth:`_run` kept, so it is valid after a run and before any
+        further pivot.
         """
-        return tuple(sign * Fraction(p, self.det) for sign, p in zip(self.flips, self._prices()))
+        det = self.det
+        return tuple([Fraction(sign * p, det) for sign, p in zip(self.flips, self.pi)])
 
     def drop_artificials(self) -> None:
         """Pivot remaining artificials out of the basis; drop redundant rows.

@@ -116,7 +116,7 @@ class CCSystem:
 
     @cached_property
     def _cell_sizes(self) -> tuple[int, ...]:
-        return tuple(self._contents_by_label[q].size for _, q in self._cell_positions)
+        return tuple([self._contents_by_label[q].size for _, q in self._cell_positions])
 
     @cached_property
     def _connections(self) -> tuple[Connection, ...]:

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contextuality import (
     canonical_example,
@@ -12,7 +14,7 @@ from contextuality import (
     serialize_system,
     validate_system,
 )
-from contextuality.cli import _write_output, build_parser, main
+from contextuality.cli import _json_text, _read_input, _write_output, build_parser, main
 from conftest import moved_on
 
 F = Fraction
@@ -285,6 +287,17 @@ class TestAnalyze:
         assert code == 2
         assert out == "" and err.startswith(f"error: {layer}: ")
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_line_ends_read_as_lf(self, capsys, tmp_path, newline):
+        text = serialize_system(canonical_example("fig10"))
+        lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        assert _read_input(str(other)) == _read_input(str(lf)) == text
+        for fmt in ("json", "text"):
+            flags = ("--measure", "--witness", "--format", fmt)
+            assert run(capsys, "analyze", str(other), *flags) == run(capsys, "analyze", str(lf), *flags)
+
     def test_too_deeply_nested_json_exit_two(self, capsys, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000)
@@ -367,6 +380,18 @@ class TestEstimate:
         code, _, _ = run(capsys, "analyze", str(out_path))
         assert code == 1
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_cr_line_ends_estimate_as_lf(self, capsys, tmp_path, newline):
+        outputs = []
+        for name, end in (("lf", "\n"), ("other", newline)):
+            trials = tmp_path / f"{name}.csv"
+            trials.write_bytes(self.counts_csv().replace("\n", end).encode())
+            layout = tmp_path / f"{name}-layout.json"
+            layout.write_bytes(json.dumps(json.loads(self.LAYOUT), indent=2).replace("\n", end).encode())
+            outputs.append(run(capsys, "estimate", str(trials), "--layout", str(layout)))
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     def test_empty_context_is_exit_two(self, capsys, tmp_path):
         trials = tmp_path / "trials.csv"
         trials.write_text("context,q1,q2,q3\nc1,v1,v1,\n")
@@ -439,3 +464,23 @@ class TestGenerate:
         assert out == ""
         assert err.startswith("error:") and "'x'" in err
         assert "Traceback" not in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.lists(st.integers(), max_size=4),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@example(["\u00e9t\u00e9 \u03c0 \U0001f600", "quote \" and backslash \\", "\x00\x1f\t\n\r\x7f"])
+@example({"": [], "empty": {}, "nested": [[], {}, [[]]]})
+@example([1, True])
+@example([True, 1, False, None, 0, -1])
+@example({"masses": [[[0, 1, 2], "1/4"], [[10**30, -5], "-3/4"]]})
+@settings(max_examples=150, deadline=None)
+def test_json_text_is_the_indented_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)

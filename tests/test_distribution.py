@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contextuality import Distribution, as_fraction, marginal, uniform
+from contextuality import Distribution, as_fraction, marginal, uniform, validate_system
+from contextuality.distribution import exact_sum
 from contextuality.errors import (
     AlphabetMismatchError,
     IndexOutOfRangeError,
@@ -24,6 +26,24 @@ class TestConstruction:
     def test_sum_must_be_exactly_one(self):
         with pytest.raises(MassSumError):
             Distribution((2,), {(0,): F(1, 3), (1,): F(1, 3)})
+
+    def test_mass_sum_message_names_the_sum(self):
+        with pytest.raises(MassSumError) as raised:
+            Distribution((3,), {(0,): F(1, 3), (1,): F(1, 6), (2,): "0.25"})
+        assert str(raised.value) == "masses sum to 3/4, expected exactly 1"
+        with pytest.raises(MassSumError) as raised:
+            Distribution((2,), {})
+        assert str(raised.value) == "masses sum to 0, expected exactly 1"
+
+    @pytest.mark.parametrize("value", [(0.7,), (True,), (F(1),), ("0",)])
+    def test_non_integer_index_rejected(self, value):
+        # none of these may stand for an index: no truncation, no bool as 1
+        with pytest.raises(AlphabetMismatchError, match=re.escape(repr(value))):
+            Distribution((2,), {value: 1})
+
+    def test_non_integer_index_rejected_through_validate_system(self):
+        with pytest.raises(AlphabetMismatchError, match=re.escape("(0.9, 1.2)")):
+            validate_system({"q1": 2, "q2": 2}, {"c1": ["q1", "q2"]}, {"c1": {(0.9, 1.2): 1}})
 
     def test_negative_mass_rejected(self):
         with pytest.raises(NegativeMassError):
@@ -140,6 +160,30 @@ def test_marginal_and_permuted_equal_the_validated_distribution(d, data):
         assert list(got.masses.items()) == list(want.masses.items())
         assert all(type(m) is Fraction and m for m in got.masses.values())
         assert all(type(k) is int for value in got.masses for k in value)
+    # the marginal adds integers over one denominator; each key's mass is the
+    # Fraction sum of the masses that map to it, in the same key order
+    pairwise = {}
+    for value, mass in d.masses.items():
+        key = tuple(value[c] for c in subset)
+        pairwise[key] = pairwise.get(key, Fraction(0)) + mass
+    assert list(d.marginal(subset).masses.items()) == list(pairwise.items())
+
+
+fractions = st.fractions(min_value=-10, max_value=10, max_denominator=60)
+
+
+@given(st.lists(fractions, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_is_the_fraction_sum(values):
+    total = exact_sum(values)
+    assert type(total) is Fraction
+    assert total == sum(values, Fraction(0))
+    assert exact_sum(iter(values)) == total
+
+
+def test_exact_sum_of_nothing_is_zero():
+    assert exact_sum([]) == 0 and type(exact_sum([])) is Fraction
+    assert exact_sum([F(-1, 2), F(1, 3), F(1, 6)]) == 0
 
 
 def test_as_fraction_accepts_exact_forms_only():

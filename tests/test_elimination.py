@@ -432,6 +432,50 @@ class TestDenseReference:
                 assert (lp.inverse, lp.pi, lp.v) == before
 
 
+def full_prices(lp):
+    """``C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last, summed over the whole basis."""
+    costs = [0 if var < lp.width else lp.cost for var in lp.basis]
+    return [sum(map(operator.mul, costs, column)) for column in lp.inverse]
+
+
+class TestReadOuts:
+    """The multipliers come from the kept ``pi`` and the objective from the basic
+    levels; both equal the prices summed afresh over the whole basis."""
+
+    @pytest.mark.parametrize("name", sorted(PATH_CASES))
+    def test_read_outs_equal_the_full_prices(self, name, monkeypatch):
+        run = simplex._Revised._run
+        runs = []
+
+        def spy_run(self):
+            run(self)
+            prices = full_prices(self)
+            multipliers = tuple(s * F(p, self.det) for s, p in zip(self.flips, prices))
+            assert self.multipliers() == multipliers
+            assert self.objective_value() == F(prices[-1], self.det * self.rhs_scale)
+            runs.append("measure" if self.n > self.width else "verdict")
+
+        monkeypatch.setattr(simplex._Revised, "_run", spy_run)
+        outcome = outcome_system(PATH_CASES[name]())
+        for system in (outcome, outcome.explicit):
+            start = solve_feasibility(system)
+            if not start.feasible:
+                minimize(system, start)
+        assert runs.count("verdict") == 2
+        assert runs.count("measure") == (0 if start.feasible else 2)
+
+    def test_rows_with_unit_scales_are_shared_not_copied(self):
+        explicit = outcome_system(PATH_CASES["fig9"]()).explicit
+        lp = solve_feasibility(explicit)._solver
+        assert lp.sparse is explicit.sparse_rows
+        assert lp._entries(0) is explicit.entries(0)
+        # a negative right-hand side flips its row, so the rows are scaled copies
+        flipped = LinearSystem([[1, 1, 0], [0, 1, 1]], [1, -1])
+        lp = simplex._Revised(flipped)
+        assert lp.sparse is not flipped.sparse_rows
+        assert lp._entries(1) == [(0, 1), (1, -1)]
+
+
 def expanded_system(system):
     """``M*`` of ``system`` as an :class:`OutcomeSystem`; its first pattern fixes no cell."""
     return OutcomeSystem(outcome_space(system), _expanded_rows(system))

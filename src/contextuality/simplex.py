@@ -26,31 +26,25 @@ integer-preserving (Bareiss/Edmonds) elimination.  Each kept entry is, up to
 sign, a minor of the starting matrix (Cramer's rule), so every pivot divides
 exactly (Sylvester's identity); nothing is reduced, and ``Fraction`` is only
 in inputs and read-outs.  A pivot on ``a`` takes each column ``x`` to ``(a *
-x - x[prow] * f) / det`` off the pivot row, ``f`` the entering column; it
-recomputes only the columns its leaving row is nonzero in and rescales the
-rest.  Most pivots have ``a == det``, and then the step is ``x - x[prow] *
-f / det``: ``det * x - x[prow] * f`` is divisible by ``det``, so
-``x[prow] * f`` is too, entry by entry, and a column changes in place at
-the rows where ``f`` is nonzero alone, while the others stay as they are
-(Bareiss, Math. Comp. 22, 1968).  An entering column sums whole columns of
-``det * B^-1``, one per nonzero of ``X0_q``, which a system lists by its
+x - x[prow] * f) / det`` off the pivot row, ``f`` the entering column.  Most
+pivots have ``a == det``, and then a column changes in place at the rows
+where ``f`` is nonzero alone, and only if ``x[prow]`` is nonzero (Bareiss,
+Math. Comp. 22, 1968).  An entering column sums whole columns of ``det *
+B^-1``, one per nonzero of ``X0_q``, which a system lists by its
 ``entries``.
 
-Each phase is priced from the multipliers ``pi`` alone, kept across its
-pivots: a pivot on ``a`` with entering reduced cost ``f`` and leaving row
-``rho`` of ``det * B^-1`` makes them ``(a * pi + f * rho) // det``.  The
-reduced costs ``det * C - pi . X0`` would update to ``(a * cost - f * rho .
-X0) / det``, which is ``a * C`` less that new ``pi`` times ``X0`` with ``a``
-the new ``det``, and that ``pi`` is again the integer ``C_B . det * B^-1``,
-so the division is exact; when ``a == det``, ``pi`` gains ``f * rho //
-det`` in place, nonzero only where ``rho`` is.  A system comes in one of
-two kinds, which answer the same two column questions: the largest ``w .
-A_j`` (``best``) and the lowest ``j`` with ``w . A_j`` nonzero
+Each phase is priced from the multipliers ``pi`` alone, summed once per run
+and then moved by each pivot in its pass over the columns: with leaving row
+``rho`` of ``det * B^-1`` and entering reduced cost ``f`` they become ``(a *
+pi + f * rho) // det``.  The reduced costs ``det * C - pi . X0`` would update
+to ``(a * cost - f * rho . X0) / det``, which is ``a * C`` less that new
+``pi`` times ``X0`` with ``a`` the new ``det``, and that ``pi`` is again the
+integer ``C_B . det * B^-1``, so the division is exact.  A system comes in
+one of two kinds, which answer the same two column questions: the largest
+``w . A_j`` (``best``) and the lowest ``j`` with ``w . A_j`` nonzero
 (``first_nonzero``, which drive-out asks).  A :class:`LinearSystem` holds
-explicit sparse rows and answers by a scatter, then a scan; the solver
-also keeps ``pi . X0_j`` over its columns, priced once per phase and
-updated the same way from ``rho`` scattered over the rows where it is
-nonzero, or from ``pi``'s change scattered, in place, when ``a == det``.
+explicit sparse rows and answers by a scatter, then a scan; the solver also
+keeps ``pi . X0_j`` over its columns, which the pivot moves with ``pi``.
 An :class:`OutcomeSystem` holds only the ``(fixed cells, rhs)`` patterns of
 0/1 rows over a product of cells, so its columns, one per assignment of
 values to the cells, are never listed.  Its questions are a max-sum over
@@ -166,7 +160,7 @@ class LinearSystem:
             if not groups:
                 raise DimensionMismatchError(f"row {i} is identically zero")
             sparse_rows.append(tuple(groups.items()))
-        rhs = tuple(as_fraction(x) for x in rhs)
+        rhs = tuple([as_fraction(x) for x in rhs])
         if len(rhs) != len(matrix):
             raise DimensionMismatchError(
                 f"rhs has {len(rhs)} entries for {len(matrix)} rows"
@@ -356,7 +350,7 @@ class OutcomeSystem:
         steps = []
         for p in reversed(range(len(self.sizes))):
             gathered = [f for f, cells in pool.items() if p in cells]
-            cells = {p}.union(*map(pool.pop, gathered))
+            cells = {p}.union(*[pool.pop(f) for f in gathered])
             pool[len(scopes) + len(steps)] = cells - {p}
             steps.append((p, tuple(sorted(cells)), gathered))
         return steps, list(pool)
@@ -385,7 +379,7 @@ class OutcomeSystem:
             for f in gathered:
                 at = dict(_table_strides(sizes, scopes[f]))
                 weights = [at.get(c, 0) for c in cells]
-                values = itertools.product(*(range(sizes[c]) for c in cells))
+                values = itertools.product(*[range(sizes[c]) for c in cells])
                 index = [sum(map(operator.mul, v, weights)) for v in values]
                 if scopes[f] == cells:
                     gather = None
@@ -414,7 +408,7 @@ class OutcomeSystem:
             if total is None:
                 total = [0] * size
             sums.append(total)
-            tables.append(total if k == 1 else list(map(max, *(total[v::k] for v in range(k)))))
+            tables.append(total if k == 1 else list(map(max, *[total[v::k] for v in range(k)])))
         return sums, sum(tables[f][0] for f in self._steps[1])
 
     def _walk(self, sums: list[list[int]], top: int, threshold: int) -> tuple[int, int] | None:
@@ -577,13 +571,11 @@ class _Revised:
     ``-A`` and ``det * cost - pi_i`` on the artificials; none is stored.
     Over a :class:`LinearSystem` ``v`` is kept too: a scatter of ``pi`` over
     ``sparse``, the rows of ``A`` scaled to those of ``X0`` (the system's own
-    rows when every scale is 1), updated like
-    ``pi`` from the scatter of ``rho``, or in place by the scatter of
-    ``pi``'s change when ``a == det``.  Over an :class:`OutcomeSystem` it is
-    None, and an elimination of ``pi * flips`` answers for ``v``.  Each run
-    keeps the basis it started from as ``start``, whose columns key the
-    ratio test, and as ``decoded`` the nonzeros of each structural one a tie
-    reached.
+    rows when every scale is 1), which :meth:`_pivot` moves with ``pi``.
+    Over an :class:`OutcomeSystem` it is None, and an elimination of ``pi *
+    flips`` answers for ``v``.  Each run keeps the basis it started from as
+    ``start``, whose columns key the ratio test, and as ``decoded`` the
+    nonzeros of each structural one a tie reached.
     """
 
     def __init__(self, system: LinearSystem | OutcomeSystem):
@@ -641,16 +633,24 @@ class _Revised:
         ]
         return list(map(sum, zip(*terms))) if terms else [0] * len(self.basis)
 
-    def _pivot(self, prow: int, column: list[int], pcol: int) -> None:
-        """Fraction-free pivot: off the pivot row, each column ``x`` of ``det * B^-1``
-        and the levels becomes ``(a * x - x[prow] * column) / det``.
+    def _pivot(self, prow: int, column: list[int], pcol: int, f: int = 0) -> None:
+        """Fraction-free pivot on ``a`` with entering reduced cost ``f``, in one pass
+        over the columns of ``det * B^-1`` that reads each one's ``y = x[prow]``
+        once: off the pivot row, each column ``x`` and the levels become ``(a *
+        x - y * column) / det``, ``pi`` becomes ``(a * pi + f * rho) / det`` and
+        ``v`` becomes ``(a * v + f * rho . X0) / det``, ``rho`` the leaving row.
 
-        When ``a == det`` that is ``x - x[prow] * column / det``: a column
-        with ``x[prow]`` nonzero changes in place, and only at the rows where
-        the entering column is nonzero, and the others stay as they are.
-        Otherwise each column is rewritten whole.  A negative pivot (possible
-        only when driving out artificials) negates the pivot row first, which
-        leaves the resulting rows unchanged.
+        When ``a == det`` the step is ``x - y * column / det``: ``det * x - y *
+        column`` is divisible by ``det``, so ``y * column`` is too, entry by
+        entry, and a column with ``y`` nonzero changes in place at the rows
+        where the entering column is nonzero alone, while the others stay as
+        they are.  ``pi_k`` gains ``f * y // det``, exact because ``pi`` is the
+        integer ``C_B . det * B^-1`` before and after, and those changes are
+        scattered into ``v``.  Otherwise each column is rewritten whole, and
+        ``pi`` and ``v`` from the ``rho`` read on the way.  ``f = 0`` is a
+        drive-out, which leaves ``pi`` and ``v`` for :meth:`_run` to price
+        afresh; a negative pivot (possible only then) negates the pivot row
+        first, which leaves the resulting rows unchanged.
         """
         self.pivots += 1
         if self.pivots > self.pivot_cap:
@@ -658,27 +658,40 @@ class _Revised:
                 f"exceeded the anti-cycling pivot cap ({self.pivot_cap}); "
                 "this indicates a solver bug"
             )
-        a = column[prow]
+        inverse, a = self.inverse, column[prow]
         if a < 0:
-            for col in self.inverse:
+            for col in inverse:
                 col[prow] = -col[prow]
             a = -a
         det = self.det
         if a == det:
-            changes = [(i, f) for i, f in enumerate(column) if f and i != prow]
-            for col in self.inverse:
+            changes = [(i, c) for i, c in enumerate(column) if c and i != prow]
+            delta = [0] * len(inverse)
+            for k, col in enumerate(inverse):
                 y = col[prow]
                 if y:
-                    for i, f in changes:
-                        col[i] -= f * y // det
+                    for i, c in changes:
+                        col[i] -= c * y // det
+                    delta[k] = f * y // det
+            if f:
+                self.pi = list(map(operator.add, self.pi, delta))
+                if self.v is not None:
+                    _scatter(delta, self.sparse, self.v)
         else:
-            for col in self.inverse:
+            rho = []
+            for col in inverse:
                 y = col[prow]
+                rho.append(y)
                 if y:
-                    col[:] = [(a * x - f * y) // det for x, f in zip(col, column)]
+                    col[:] = [(a * x - c * y) // det for x, c in zip(col, column)]
                     col[prow] = y
                 else:
                     col[:] = [a * x // det for x in col]
+            if f:
+                self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
+                if self.v is not None:
+                    s = _scatter(rho, self.sparse, [0] * self.width)
+                    self.v = [(a * x + f * y) // det for x, y in zip(self.v, s)]
         self.det = a
         self.basis[prow] = pcol
 
@@ -686,26 +699,30 @@ class _Revised:
         """The lexicographic ratio test on ``column``.
 
         Among the rows with a positive entry, those with the least
-        ``key[i] / column[i]`` stay, compared by cross-multiplication, for
-        each key in turn until one row is left: the levels, then
-        ``det * B^-1 X0_k`` for each column ``k`` of the basis this run
-        started from, last position first (:meth:`_key`), read only at the
-        rows still tied.  The costs are bounded below, so some entry is
-        positive.
+        ``key[i] / column[i]`` stay, for each key in turn until one row is
+        left: the levels, then ``det * B^-1 X0_k`` for each column ``k`` of
+        the basis this run started from, last position first (:meth:`_key`),
+        read only at the rows still tied.  One pass finds the least ratio by
+        cross-multiplication and notes whether another row met it; only then
+        does a second pass keep the rows at it.  Under degeneracy the levels'
+        least ratio is 0, and the rows at level 0 stay.  The costs are
+        bounded below, so some entry is positive.
         """
         rows = [i for i, a in enumerate(column) if a > 0]
         key, starts = self.inverse[-1], reversed(self.start)
         while len(rows) > 1:
             if key is None:
                 key = self._key(next(starts), rows)
-            best, ties = rows[0], []
+            best = rows[0]
+            least, over, tied = key[best], column[best], False
             for i in rows:
-                diff = key[i] * column[best] - key[best] * column[i]
+                diff = key[i] * over - least * column[i]
                 if diff < 0:
-                    best, ties = i, [i]
-                elif diff == 0:
-                    ties.append(i)
-            rows, key = ties, None
+                    best, least, over, tied = i, key[i], column[i], False
+                elif not diff and i != best:
+                    tied = True
+            rows = [i for i in rows if key[i] * over == least * column[i]] if tied else [best]
+            key = None
         return rows[0]
 
     def _key(self, k: int, rows: list[int]) -> Sequence[int] | dict[int, int]:
@@ -726,9 +743,8 @@ class _Revised:
     def _run(self) -> None:
         """Pivot to optimality of the current costs, which are bounded below by 0.
 
-        ``pi``, and ``v`` if kept, are priced here, and each pivot reprices
-        them from its leaving row ``rho`` of ``det * B^-1``, the pivot ``a``
-        and the entering reduced cost ``f`` before ``det * B^-1`` moves on.
+        ``pi``, and ``v`` if kept, are priced here, and each pivot moves them
+        with ``det * B^-1``, given the entering reduced cost ``f``.
         """
         self.start, self.decoded = self.basis[:], {}
         self.pi = self._prices()
@@ -736,9 +752,7 @@ class _Revised:
         while (entering := self.entering()) is not None:
             col, f = entering
             column = self._column(col)
-            row = self._leaving(column)
-            self._reprice([c[row] for c in self.inverse], column[row], f)
-            self._pivot(row, column, col)
+            self._pivot(self._leaving(column), column, col, f)
 
     def entering(self) -> tuple[int, int] | None:
         """The most negative reduced cost, lowest index on ties (Dantzig's rule).
@@ -775,29 +789,6 @@ class _Revised:
         else:
             j = self.v.index(-tops[1] if half else tops[0])
         return half * self.width + j, cost
-
-    def _reprice(self, rho: list[int], a: int, f: int) -> None:
-        """Carry ``pi``, and ``v`` if kept, past a pivot on ``a`` with entering cost ``f``.
-
-        They become ``(a * pi + f * rho) // det`` and ``(a * v + f * rho .
-        X0) // det``.  When ``a == det`` that is ``pi`` plus ``delta = f * rho
-        // det``, an integer vector that is nonzero only where ``rho`` is, and
-        ``v`` plus ``delta`` scattered over ``sparse``, both added in place.
-        """
-        det = self.det
-        if a == det:
-            delta = [f * r // det for r in rho[:-1]]
-            pi = self.pi
-            for i, d in enumerate(delta):
-                if d:
-                    pi[i] += d
-            if self.v is not None:
-                _scatter(delta, self.sparse, self.v)
-            return
-        self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
-        if self.v is not None:
-            s = _scatter(rho, self.sparse, [0] * self.width)
-            self.v = [(a * x + f * y) // det if y else a * x // det for x, y in zip(self.v, s)]
 
     def objective_value(self) -> Fraction:
         """``C_B . B^-1 b``: the cost times the levels of the basic columns past ``A``."""

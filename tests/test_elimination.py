@@ -272,8 +272,8 @@ class TestLexPositive:
             run(self)
             running.pop()
 
-        def spy_pivot(self, prow, column, pcol):
-            pivot(self, prow, column, pcol)
+        def spy_pivot(self, prow, column, pcol, f=0):
+            pivot(self, prow, column, pcol, f)
             if running:
                 keys = [self.inverse[-1], *map(self._column, reversed(self.start))]
                 for i in range(len(self.basis)):
@@ -376,35 +376,41 @@ def dense_rows(lp):
 
 
 def spy_on_updates(monkeypatch):
-    """Check every pivot and repricing against the dense formulas, applied to a copy
-    of the state before it; count the pivots with ``a == det`` and ``a != det``."""
-    pivot, reprice = simplex._Revised._pivot, simplex._Revised._reprice
-    branches = {"a == det": 0, "a != det": 0}
+    """Check every pivot against the dense formulas, applied to a copy of the state
+    before it; count the pivots with ``a == det``, with ``a != det`` and with ``f == 0``.
 
-    def spy_pivot(self, prow, column, pcol):
-        want, a = dense_pivot(self.inverse, prow, column, self.det)
-        branches["a == det" if a == self.det else "a != det"] += 1
-        pivot(self, prow, column, pcol)
+    ``det * B^-1`` and ``det`` follow :func:`dense_pivot`; ``pi`` and ``v``
+    follow ``(a * pi + f * rho) // det`` and ``(a * v + f * rho . X0) // det``,
+    each division exact, or stay as they were when ``f == 0`` (a drive-out);
+    and ``v`` is ``pi . X0`` summed afresh after every pivot.
+    """
+    pivot = simplex._Revised._pivot
+    branches = {"a == det": 0, "a != det": 0, "f == 0": 0}
+
+    def spy_pivot(self, prow, column, pcol, f=0):
+        det, rho = self.det, [c[prow] for c in self.inverse]
+        want, a = dense_pivot(self.inverse, prow, column, det)
+        branches["a == det" if a == det else "a != det"] += 1
+        branches["f == 0"] += f == 0
+        pi, v = self.pi[:], self.v and self.v[:]
+        if f:
+            assert all((a * p + f * r) % det == 0 for p, r in zip(pi, rho))
+            pi = [(a * p + f * r) // det for p, r in zip(pi, rho)]
+            if v is not None:
+                s = priced(self, rho)
+                assert all((a * x + f * y) % det == 0 for x, y in zip(v, s))
+                v = [(a * x + f * y) // det for x, y in zip(v, s)]
+        pivot(self, prow, column, pcol, f)
         assert (self.inverse, self.det) == (want, a)
-
-    def spy_reprice(self, rho, a, f):
-        det = self.det
-        pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
-        assert all((a * p + f * r) % det == 0 for p, r in zip(self.pi, rho))
-        v = None
-        if self.v is not None:
-            s = priced(self, rho)
-            v = [(a * x + f * y) // det for x, y in zip(self.v, s)]
-        reprice(self, rho, a, f)
         assert (self.pi, self.v) == (pi, v)
+        assert self.v is None or self.v == priced(self, self.pi)
 
     monkeypatch.setattr(simplex._Revised, "_pivot", spy_pivot)
-    monkeypatch.setattr(simplex._Revised, "_reprice", spy_reprice)
     return branches
 
 
 class TestDenseReference:
-    """Pivots and repricings write only what changes; the dense formulas agree."""
+    """Pivots write only what changes; the dense formulas agree."""
 
     def test_every_update_matches_the_dense_formulas(self, monkeypatch):
         branches = spy_on_updates(monkeypatch)
@@ -414,7 +420,7 @@ class TestDenseReference:
                 start = solve_feasibility(system)
                 if not start.feasible:
                     assert minimize(system, start).verify(system)
-        assert branches["a == det"] and branches["a != det"]
+        assert all(branches.values())
 
     def test_a_copy_run_to_the_end_leaves_the_original_as_it_was(self):
         for name in ("drive-out", "triangle-2-noisy", "triangle-3-contextual"):

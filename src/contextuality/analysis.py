@@ -90,7 +90,7 @@ def outcome_space(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> tu
 
 
 def _value_tuples(sizes: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    return itertools.product(*[range(k) for k in sizes])
+    return itertools.product(*(range(k) for k in sizes))
 
 
 def _diagonal(system: CCSystem, connection: Connection) -> MaximalCouplingSpec:

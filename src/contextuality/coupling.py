@@ -64,7 +64,7 @@ def maximal_coupling_diagonal(marginals: Sequence[Distribution]) -> MaximalCoupl
             raise AlphabetMismatchError(
                 f"marginal alphabets differ: {d.alphabet_sizes} vs ({k},)"
             )
-    diagonal = tuple([min([d.mass((v,)) for d in marginals]) for v in range(k)])
+    diagonal = tuple(min(d.mass((v,)) for d in marginals) for v in range(k))
     return MaximalCouplingSpec(marginals, diagonal, exact_sum(diagonal))
 
 

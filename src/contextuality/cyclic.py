@@ -175,7 +175,7 @@ def evaluate_criterion(view: CyclicView, system: CCSystem) -> CriterionReport:
             raise NotBinaryError(
                 f"view context {context!r} does not join {q_i!r} and {q_next!r}"
             )
-        coding = tuple([system.content(q).plus_index for q in cells])
+        coding = tuple(system.content(q).plus_index for q in cells)
         products.append(product_expectation(system.bunches[context], coding))
 
     gaps = []

@@ -161,7 +161,7 @@ class Distribution:
             raise IndexOutOfRangeError(f"components {comps} must be strictly increasing")
         if comps == tuple(range(self.arity)):
             return self
-        sizes = tuple([self.alphabet_sizes[c] for c in comps])
+        sizes = tuple(self.alphabet_sizes[c] for c in comps)
         numerators, scale = common_denominator(self.masses.values())
         sums: dict[tuple[int, ...], int] = {}
         for value, numerator in zip(self.masses, numerators):
@@ -177,7 +177,7 @@ class Distribution:
             raise IndexOutOfRangeError(f"{order} is not a permutation of 0..{self.arity - 1}")
         if order == tuple(range(self.arity)):
             return self
-        sizes = tuple([self.alphabet_sizes[c] for c in order])
+        sizes = tuple(self.alphabet_sizes[c] for c in order)
         out = {tuple([value[c] for c in order]): mass for value, mass in self.masses.items()}
         return Distribution._checked(sizes, out)
 

@@ -83,7 +83,7 @@ def _parse_contents(node, path: str) -> list[Content]:
         values = entry.get("values")
         if values is None:
             raise SchemaError("missing 'values'", here)
-        values = tuple([str(v) for v in _expect(values, list, f"{here}.values")])
+        values = tuple(str(v) for v in _expect(values, list, f"{here}.values"))
         if len(set(values)) != len(values) or not values:
             raise SchemaError(f"value labels must be nonempty and distinct, got {values}", here)
         plus = entry.get("plus")

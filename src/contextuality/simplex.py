@@ -160,7 +160,7 @@ class LinearSystem:
             if not groups:
                 raise DimensionMismatchError(f"row {i} is identically zero")
             sparse_rows.append(tuple(groups.items()))
-        rhs = tuple([as_fraction(x) for x in rhs])
+        rhs = tuple(as_fraction(x) for x in rhs)
         if len(rhs) != len(matrix):
             raise DimensionMismatchError(
                 f"rhs has {len(rhs)} entries for {len(matrix)} rows"
@@ -350,7 +350,7 @@ class OutcomeSystem:
         steps = []
         for p in reversed(range(len(self.sizes))):
             gathered = [f for f, cells in pool.items() if p in cells]
-            cells = {p}.union(*[pool.pop(f) for f in gathered])
+            cells = {p}.union(*map(pool.pop, gathered))
             pool[len(scopes) + len(steps)] = cells - {p}
             steps.append((p, tuple(sorted(cells)), gathered))
         return steps, list(pool)
@@ -379,7 +379,7 @@ class OutcomeSystem:
             for f in gathered:
                 at = dict(_table_strides(sizes, scopes[f]))
                 weights = [at.get(c, 0) for c in cells]
-                values = itertools.product(*[range(sizes[c]) for c in cells])
+                values = itertools.product(*(range(sizes[c]) for c in cells))
                 index = [sum(map(operator.mul, v, weights)) for v in values]
                 if scopes[f] == cells:
                     gather = None
@@ -408,7 +408,7 @@ class OutcomeSystem:
             if total is None:
                 total = [0] * size
             sums.append(total)
-            tables.append(total if k == 1 else list(map(max, *[total[v::k] for v in range(k)])))
+            tables.append(total if k == 1 else list(map(max, *(total[v::k] for v in range(k)))))
         return sums, sum(tables[f][0] for f in self._steps[1])
 
     def _walk(self, sums: list[list[int]], top: int, threshold: int) -> tuple[int, int] | None:
@@ -666,14 +666,16 @@ class _Revised:
         det = self.det
         if a == det:
             changes = [(i, c) for i, c in enumerate(column) if c and i != prow]
-            delta = [0] * len(inverse)
+            delta = [0] * len(inverse) if f else None
             for k, col in enumerate(inverse):
                 y = col[prow]
                 if y:
                     for i, c in changes:
                         col[i] -= c * y // det
-                    delta[k] = f * y // det
+                    if f:
+                        delta[k] = f * y // det
             if f:
+                del delta[-1]  # the levels' entry; pi has one per row
                 self.pi = list(map(operator.add, self.pi, delta))
                 if self.v is not None:
                     _scatter(delta, self.sparse, self.v)
@@ -688,6 +690,7 @@ class _Revised:
                 else:
                     col[:] = [a * x // det for x in col]
             if f:
+                del rho[-1]  # the levels' entry
                 self.pi = [(a * p + f * r) // det for p, r in zip(self.pi, rho)]
                 if self.v is not None:
                     s = _scatter(rho, self.sparse, [0] * self.width)
@@ -699,30 +702,26 @@ class _Revised:
         """The lexicographic ratio test on ``column``.
 
         Among the rows with a positive entry, those with the least
-        ``key[i] / column[i]`` stay, for each key in turn until one row is
-        left: the levels, then ``det * B^-1 X0_k`` for each column ``k`` of
-        the basis this run started from, last position first (:meth:`_key`),
-        read only at the rows still tied.  One pass finds the least ratio by
-        cross-multiplication and notes whether another row met it; only then
-        does a second pass keep the rows at it.  Under degeneracy the levels'
-        least ratio is 0, and the rows at level 0 stay.  The costs are
-        bounded below, so some entry is positive.
+        ``key[i] / column[i]`` stay, compared by cross-multiplication, for
+        each key in turn until one row is left: the levels, then
+        ``det * B^-1 X0_k`` for each column ``k`` of the basis this run
+        started from, last position first (:meth:`_key`), read only at the
+        rows still tied.  The costs are bounded below, so some entry is
+        positive.
         """
         rows = [i for i, a in enumerate(column) if a > 0]
         key, starts = self.inverse[-1], reversed(self.start)
         while len(rows) > 1:
             if key is None:
                 key = self._key(next(starts), rows)
-            best = rows[0]
-            least, over, tied = key[best], column[best], False
+            best, ties = rows[0], []
             for i in rows:
-                diff = key[i] * over - least * column[i]
+                diff = key[i] * column[best] - key[best] * column[i]
                 if diff < 0:
-                    best, least, over, tied = i, key[i], column[i], False
-                elif not diff and i != best:
-                    tied = True
-            rows = [i for i in rows if key[i] * over == least * column[i]] if tied else [best]
-            key = None
+                    best, ties = i, [i]
+                elif diff == 0:
+                    ties.append(i)
+            rows, key = ties, None
         return rows[0]
 
     def _key(self, k: int, rows: list[int]) -> Sequence[int] | dict[int, int]:

@@ -45,7 +45,7 @@ class Content:
     def __post_init__(self):
         if self.size < 1:
             raise AlphabetMismatchError(f"content {self.label!r} has alphabet size {self.size}")
-        values = tuple(self.values) or tuple([str(i) for i in range(self.size)])
+        values = tuple(self.values) or tuple(str(i) for i in range(self.size))
         if len(values) != self.size or len(set(values)) != self.size:
             raise AlphabetMismatchError(
                 f"content {self.label!r} needs {self.size} distinct value labels, got {values}"
@@ -124,7 +124,7 @@ class CCSystem:
         for context in self.contexts:
             for position, q in enumerate(self._context_contents[context]):
                 members[q].append((context, position))
-        return tuple([Connection(q, tuple(m)) for q, m in members.items()])
+        return tuple(Connection(q, tuple(m)) for q, m in members.items())
 
     @cached_property
     def _marginals(self) -> dict[tuple[str, str], Distribution]:
@@ -194,9 +194,9 @@ def validate_system(
     internally to the canonical (content-label-sorted) order.
     """
     if isinstance(contents, Mapping):
-        content_objs = tuple([
+        content_objs = tuple(
             Content(str(label), int(size)) for label, size in sorted(contents.items())
-        ])
+        )
     else:
         content_objs = tuple(sorted(contents, key=lambda c: c.label))
     labels = [c.label for c in content_objs]
@@ -216,7 +216,7 @@ def validate_system(
     given_order: dict[str, tuple[str, ...]] = {}
     for context in contexts:
         context = str(context)
-        cols = tuple([str(q) for q in contexts[context]])
+        cols = tuple(str(q) for q in contexts[context])
         if not cols:
             raise EmptySystemError(f"context {context!r} has no filled cells")
         for q in cols:
@@ -242,10 +242,10 @@ def validate_system(
     canonical_bunches: dict[str, Distribution] = {}
     for context in context_labels:
         cols = given_order[context]
-        sizes = tuple([by_label[q].size for q in cols])
+        sizes = tuple(by_label[q].size for q in cols)
         dist = Distribution(sizes, dict(bunches[context]))
         canonical = tuple(sorted(cols))
-        order = tuple([cols.index(q) for q in canonical])
+        order = tuple(cols.index(q) for q in canonical)
         canonical_bunches[context] = dist.permuted(order)
 
     return CCSystem(content_objs, context_labels, frozenset(cells), canonical_bunches)
@@ -270,10 +270,10 @@ def consistency_report(system: CCSystem) -> ConsistencyReport:
     """Compare all member 1-marginals within each connection, exactly."""
     entries = []
     for connection in system.connections():
-        marginals = tuple([
+        marginals = tuple(
             (context, system.variable_marginal(context, connection.content))
             for context, _ in connection.members
-        ])
+        )
         first = marginals[0][1]
         same = all(d == first for _, d in marginals[1:])
         entries.append(ConnectionMarginals(connection.content, marginals, same))

@@ -44,6 +44,7 @@ from .generators import (
     cyclic_system_from_correlations,
     dichotomize_matching,
     generate_epr_b,
+    parity_grid,
     rank2_family,
 )
 from .ingest import (
@@ -113,6 +114,7 @@ __all__ = [
     "maximal_coupling_full",
     "minimize",
     "outcome_space",
+    "parity_grid",
     "parse_layout",
     "parse_system",
     "parse_trials",

@@ -84,7 +84,7 @@ def outcome_space(system: CCSystem, max_columns: int = DEFAULT_COLUMN_CAP) -> tu
     if columns > max_columns:
         raise OutcomeSpaceTooLargeError(
             f"hidden-outcome space has {columns} columns, cap is {max_columns}; "
-            "raise max_columns to proceed"
+            "raise max_columns (--max-columns on the command line) to proceed"
         )
     return sizes
 

@@ -4,12 +4,14 @@ The rank-2 family behind the ``fig9`` example, the cyclic systems of the
 criterion, the two-particle spin system for four measurement axes and
 dichotomized matching-experiment systems are all cycles over one layout:
 binary contents ``q1..qn`` and contexts ``c_i`` pairing ``q_i`` with
-``q_(i+1)``, cyclically.  The ``fig10`` example is the one system built by
-hand.
+``q_(i+1)``, cyclically.  The parity grids, the Peres-Mermin square among
+them, are the one non-cyclic family, and the ``fig10`` example is the one
+system built by hand.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -139,6 +141,29 @@ def dichotomize_matching(
             coded = {q: "+1" if measured[q] > thresholds[q] else "-1" for q in cells}
             trials.append((context, coded))
     return estimate_system(trials, contents, contexts)
+
+
+def parity_grid(k, odd=None):
+    """The ``k`` by ``k`` parity grid: binary contents ``q<i><j>``, each in row
+    context ``r<i>`` and column context ``s<j>``.
+
+    Each bunch is uniform on the tuples of even product (an even number of
+    1s), except the context ``odd``, uniform on those of odd product.  With
+    an odd context the system is contextual: the product of all cells is +1
+    by rows and -1 by columns.  ``k = 3`` is the Peres-Mermin square
+    (Mermin, PRL 65, 3373, 1990; Peres, Phys. Lett. A 151, 107, 1990), of
+    measure 1/7 with any one odd context.
+    """
+    cells = [[f"q{i}{j}" for j in range(k)] for i in range(k)]
+    contexts = {
+        **{f"r{i}": row for i, row in enumerate(cells)},
+        **{f"s{j}": list(column) for j, column in enumerate(zip(*cells))},
+    }
+    bunches = {}
+    for name in contexts:
+        tuples = [v for v in itertools.product((0, 1), repeat=k) if sum(v) % 2 == (name == odd)]
+        bunches[name] = {v: Fraction(1, len(tuples)) for v in tuples}
+    return validate_system([Content(q, 2) for row in cells for q in row], contexts, bunches)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact linear programming over the rationals.
+"""Exact linear programming: integer coefficients, rational right-hand side.
 
 Solves feasibility of ``{A Q = b, Q >= 0}`` and the contextuality measure's
 LP, the least negative mass ``sum Q-`` over signed ``Q = Q+ - Q-`` with
@@ -19,19 +19,21 @@ its own witness: :meth:`FeasibilityResult.verify` the coupling or the
 certificate, and :meth:`OptimizationResult.verify` the vertex, its value and
 the dual's bounds, which by weak duality prove the value least.
 
-The simplex is revised and fraction-free: of the basis ``B`` of the
-integer-scaled starting matrix it keeps only ``det * B^-1`` and
-``det * B^-1 b`` over ``det = |det B|``, by columns, and updates them by
-integer-preserving (Bareiss/Edmonds) elimination.  Each kept entry is, up to
-sign, a minor of the starting matrix (Cramer's rule), so every pivot divides
-exactly (Sylvester's identity); nothing is reduced, and ``Fraction`` is only
-in inputs and read-outs.  A pivot on ``a`` takes each column ``x`` to ``(a *
-x - x[prow] * f) / det`` off the pivot row, ``f`` the entering column.  Most
-pivots have ``a == det``, and then a column changes in place at the rows
-where ``f`` is nonzero alone, and only if ``x[prow]`` is nonzero (Bareiss,
-Math. Comp. 22, 1968).  An entering column sums whole columns of ``det *
-B^-1``, one per nonzero of ``X0_q``, which a system lists by its
-``entries``.
+The simplex is revised and fraction-free.  It starts from ``X0 = [A | S | r
+b]``: the system's own integer rows, the artificials ``S = diag(sign b_i)``
+(``+1`` at ``b_i = 0``), basic at the levels ``r |b|``, and the rhs times
+``r``, the least integer that makes it integral.  Of the basis ``B`` it keeps
+only ``det * B^-1`` and ``det * B^-1 r b`` over ``det = |det B|``, by
+columns, and updates them by integer-preserving (Bareiss/Edmonds)
+elimination.  Each kept entry is, up to sign, a minor of ``X0`` (Cramer's
+rule), so every pivot divides exactly (Sylvester's identity); nothing is
+reduced, and ``Fraction`` is only in inputs and read-outs.  A pivot on ``a``
+takes each column ``x`` to ``(a * x - x[prow] * f) / det`` off the pivot
+row, ``f`` the entering column.  Most pivots have ``a == det``, and then a
+column changes in place at the rows where ``f`` is nonzero alone, and only
+if ``x[prow]`` is nonzero (Bareiss, Math. Comp. 22, 1968).  An entering
+column sums whole columns of ``det * B^-1``, one per nonzero of ``X0_q``,
+which a system lists by its ``entries``.
 
 Each phase is priced from the multipliers ``pi`` alone, summed once per run
 and then moved by each pivot in its pass over the columns: with leaving row
@@ -61,28 +63,29 @@ no reduced cost is negative.  Both kinds take the same pivots to the same
 answers.
 
 The ratio test is lexicographic.  Each run to optimality fixes the basis
-``B0`` it starts from, and row ``i`` has the key vector ``(det * B^-1 b,
+``B0`` it starts from, and row ``i`` has the key vector ``(det * B^-1 r b,
 then det * B^-1 X0_k for each column k of B0, last position first)`` at
 ``i``.  Among the rows with a positive entry ``c_i`` in the entering column,
 the least ``key_i / c_i`` leaves, compared key by key until one row is left.
 Each key is read only at the rows still tied.  In phase 1 ``B0`` is the
 artificial basis, so the keys after the levels are the columns of ``det *
-B^-1`` in reverse, read in place; in phase 2 each ``det * B^-1 X0_k`` is
-summed at the tied rows from the nonzeros of ``X0_k``, decoded once per run
-the first time a tie reaches ``k``.
+B^-1`` in reverse, each times its row's sign ``S_k`` (read in place where
+that is ``+1``); in phase 2 each ``det * B^-1 X0_k`` is summed at the tied
+rows from the nonzeros of ``X0_k``, decoded once per run the first time a
+tie reaches ``k``.
 
 This rule ends every run.  Call a row lex-positive when its first nonzero key
 is positive; ``det > 0``, so the scaling by it changes no sign and no ratio.
 (a) When a run starts, ``B = B0`` makes the keys after the levels ``det * I``
-and every level is nonnegative: phase 1 starts from the artificials at ``b
->= 0``, phase 2 after :meth:`_Revised.widen` has signed every level.  So
+and every level is nonnegative: phase 1 starts from the artificials at ``r
+|b|``, phase 2 after :meth:`_Revised.widen` has signed every level.  So
 every row is lex-positive.  (b) ``B^-1 X0_B0`` is invertible, so no two rows'
 key vectors are proportional, and the test leaves exactly one row ``r``.  A
 pivot keeps every row lex-positive: row ``r`` is divided by ``c_r > 0``; a row
 with ``c_i <= 0`` gains a nonnegative multiple of row ``r``; and a row with
 ``c_i > 0`` becomes ``c_i (key_i / c_i - key_r / c_r)``, lex-positive because
 row ``r`` won the test.  (c) A pivot whose entering reduced cost is negative
-adds a negative multiple of row ``r`` to the objective's vector ``C_B B^-1 [b
+adds a negative multiple of row ``r`` to the objective's vector ``C_B B^-1 [r b
 | X0_B0]``, so that vector falls strictly in lexicographic order.  It is a
 function of the basis, so no basis recurs, and there are finitely many
 (Chvatal, ch. 3).
@@ -99,7 +102,7 @@ the column space), and each basic column at a negative value swapped for
 its partner in ``-A``, which negates one row of ``det * B^-1`` and leaves
 ``det`` as it is.  Phase 2 runs from there over both halves: the column
 ``j`` of ``-A`` enters as the negated column ``j`` of ``A``, and the costs
-are one number per half.
+are 0 on ``A`` and 1 on ``-A``.
 """
 
 from __future__ import annotations
@@ -118,23 +121,32 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleError,
     PivotLimitError,
+    ValidationError,
 )
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 
-def _exact(x):
-    """Pass ints through untouched; coerce everything else via as_fraction."""
-    return x if type(x) is int else as_fraction(x)
+def _integer(x, i: int, j: int) -> int:
+    """The coefficient ``x`` of row ``i`` and column ``j`` as an ``int``, if it is one."""
+    if type(x) is int:
+        return x
+    try:
+        value = as_fraction(x)
+    except ValidationError:
+        value = None
+    if value is None or value.denominator != 1:
+        raise ValidationError(f"row {i}, column {j}: coefficient {x!r} is not an integer")
+    return value.numerator
 
 
 class LinearSystem:
     """Constraint data for ``A Q = rhs``, held as sparse rows.
 
-    ``LinearSystem(matrix, rhs)`` takes dense rows, whose entries may be ints
-    or Fractions (the systems built here are 0/1 Boolean, but general
-    rationals are accepted), and converts them once.  Each row is kept as
+    ``LinearSystem(matrix, rhs)`` takes dense rows of integer coefficients
+    (the systems built here are 0/1), stored as ``int``, and a right-hand
+    side of any rationals.  Each row is kept as
     ``(coefficient, column indices)`` groups, the indices ascending in an
     ``array('i')``.  Columns are known by index alone; ``label``, when set,
     decodes column ``j`` (the rows of an :class:`OutcomeSystem` pass its
@@ -143,7 +155,7 @@ class LinearSystem:
     """
 
     def __init__(self, matrix, rhs):
-        matrix = [[_exact(x) for x in row] for row in matrix]
+        matrix = [[_integer(x, i, j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
         if not matrix:
             raise DimensionMismatchError("constraint matrix has no rows")
         width = len(matrix[0])
@@ -174,9 +186,14 @@ class LinearSystem:
     def from_sparse(
         cls, sparse_rows: Sequence, rhs: Sequence[Fraction], width: int, label=None
     ) -> LinearSystem:
-        """A system over rows already in sparse form, taken as they are, unchecked."""
+        """A system over rows already in sparse form, taken as they are but for a
+        check that each coefficient is an ``int``."""
         system = cls.__new__(cls)
         system.sparse_rows = tuple(sparse_rows)
+        for i, groups in enumerate(system.sparse_rows):
+            for coefficient, indices in groups:
+                if type(coefficient) is not int:
+                    raise ValidationError(f"row {i}, column {indices[0]}: {coefficient!r} is not an int")
         system.rhs = tuple(rhs)
         system.width = width
         system.label = label
@@ -198,7 +215,7 @@ class LinearSystem:
         return tuple(rows)
 
     @cached_property
-    def _columns(self) -> list[list[tuple[int, Fraction | int]]]:
+    def _columns(self) -> list[list[tuple[int, int]]]:
         """Each column's ``(row, coefficient)`` pairs, built on first use."""
         columns = [[] for _ in range(self.width)]
         for i, groups in enumerate(self.sparse_rows):
@@ -207,7 +224,7 @@ class LinearSystem:
                     columns[j].append((i, coefficient))
         return columns
 
-    def entries(self, j: int) -> list[tuple[int, Fraction | int]]:
+    def entries(self, j: int) -> list[tuple[int, int]]:
         """The nonzeros of column ``j`` as ``(row, coefficient)`` pairs, rows ascending.
 
         The list is the per-column index itself, not a copy.  ``IndexError``
@@ -551,30 +568,27 @@ class OptimizationResult:
 class _Revised:
     """Two-phase revised simplex state, fraction-free over one denominator.
 
-    The starting matrix ``X0`` is ``[A | I | b]`` with each row's sign fixed so
-    that ``b >= 0``; the structural block is scaled by ``structural_scale``
-    and the rhs by ``rhs_scale``, the least integers that make both integral.
-    ``inverse`` holds the columns of ``det * B^-1``, then the levels ``det * B^-1 b``.
-    Columns below ``n`` are structural and the artificials follow.  Phase 1
-    covers ``A`` alone, ``n = width``; :meth:`widen` carries the state over
-    to ``(A | -A)``, ``n = 2 * width``, whose column ``width + j`` is column
-    ``j`` negated, and the artificials are out for good.  The costs ``C`` are
-    one number per half: 0 on ``A``, and ``cost`` on every column past it,
-    which is 1 on the artificials in phase 1 and ``structural_scale`` on
-    ``-A`` after :meth:`widen`.  So phase 1 minimizes the sum of the
-    artificials and phase 2 the negative mass ``sum Q-``.
+    The starting matrix ``X0`` is ``[A | S | r b]`` (see the module
+    docstring), with ``signs`` the diagonal of ``S`` and ``rhs_scale`` the
+    ``r``.  ``inverse`` holds the columns of ``det * B^-1``, then the levels
+    ``det * B^-1 r b``.  Columns below ``n`` are structural and the
+    artificials follow.  Phase 1 covers ``A`` alone, ``n = width``;
+    :meth:`widen` carries the state over to ``(A | -A)``, ``n = 2 * width``,
+    whose column ``width + j`` is column ``j`` negated, and the artificials
+    are out for good.  The costs ``C`` are 0 on ``A`` and 1 on every column
+    past it, so phase 1 minimizes the sum of the artificials and phase 2 the
+    negative mass ``sum Q-``.
 
     The reduced costs are ``det * C_j - pi . X0_j`` with ``pi = C_B . det *
     B^-1``, which each run to optimality prices once and carries past its
-    pivots (see the module docstring).  With ``v_j = pi . X0_j`` on the
-    columns of ``A``, they are ``-v_j`` on ``A``, ``det * cost + v_j`` on
-    ``-A`` and ``det * cost - pi_i`` on the artificials; none is stored.
-    Over a :class:`LinearSystem` ``v`` is kept too: a scatter of ``pi`` over
-    ``sparse``, the rows of ``A`` scaled to those of ``X0`` (the system's own
-    rows when every scale is 1), which :meth:`_pivot` moves with ``pi``.
-    Over an :class:`OutcomeSystem` it is None, and an elimination of ``pi *
-    flips`` answers for ``v``.  Each run keeps the basis it started from as
-    ``start``, whose columns key the ratio test, and as ``decoded`` the
+    pivots (see the module docstring).  With ``v_j = pi . A_j``, they are
+    ``-v_j`` on ``A``, ``det + v_j`` on ``-A`` and ``det - pi_i S_i`` on the
+    artificials; none is stored.  Over a :class:`LinearSystem` ``v`` is kept
+    too: a scatter of ``pi`` over ``sparse``, the system's own rows, which
+    :meth:`_pivot` moves with ``pi``.  Over an :class:`OutcomeSystem` it is
+    None, and an elimination of ``pi`` answers for ``v``.  ``signs`` are
+    read only at the artificials.  Each run keeps the basis it started from
+    as ``start``, whose columns key the ratio test, and as ``decoded`` the
     nonzeros of each structural one a tie reached.
     """
 
@@ -582,51 +596,32 @@ class _Revised:
         self.width = self.n = n = system.width
         self.system = system
         m = system.rows
-        self.structural_scale = math.lcm(
-            *{x.denominator for groups in system.sparse_rows for x, _ in groups}
-        ) if isinstance(system, LinearSystem) else 1
         rhs, self.rhs_scale = common_denominator(system.rhs)
-        self.flips = [1 if b >= 0 else -1 for b in rhs]
-        self.scales = [sign * self.structural_scale for sign in self.flips]
-        explicit = isinstance(system, LinearSystem)
-        # with every scale 1 over integer entries, as in M (0/1 entries, probabilities
-        # on the right), the rows and columns of A are those of X0 and are shared
-        self.unscaled = all(s == 1 for s in self.scales) and (
-            not explicit or all(type(x) is int for groups in system.sparse_rows for x, _ in groups)
-        )
-        self.sparse = None
-        if explicit:
-            self.sparse = system.sparse_rows if self.unscaled else [
-                [(int(x * scale), indices) for x, indices in groups]
-                for groups, scale in zip(system.sparse_rows, self.scales)
-            ]
-        self.inverse = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)] + [list(map(abs, rhs))]
+        self.signs = [1 if b >= 0 else -1 for b in rhs]
+        self.sparse = system.sparse_rows if isinstance(system, LinearSystem) else None
+        self.inverse = [[0] * i + [s] + [0] * (m - 1 - i) for i, s in enumerate(self.signs)]
+        self.inverse.append(list(map(abs, rhs)))
         self.basis = [n + i for i in range(m)]
         self.det = 1
-        self.cost = 1
         self.pivots = 0
         self.pivot_cap = math.comb(m + n + m, m)
 
     def _prices(self) -> list[int]:
         """``pi = C_B . det * B^-1``."""
-        costs = [0 if var < self.width else self.cost for var in self.basis]
+        costs = [0 if var < self.width else 1 for var in self.basis]
         return [sum(map(operator.mul, costs, column)) for column in self.inverse[:-1]]
 
     def _entries(self, q: int) -> list[tuple[int, int]]:
         """The nonzeros of the structural column ``X0_q`` as ``(row, entry)`` pairs,
-        not to be changed: on unscaled rows those of ``A`` are the system's own list."""
-        if q < self.width and self.unscaled:
+        not to be changed: those of ``A`` are the system's own list."""
+        if q < self.width:
             return self.system.entries(q)
-        sign = 1
-        if q >= self.width:
-            q, sign = q - self.width, -1
-        scales = self.scales
-        return [(r, sign * int(x * scales[r])) for r, x in self.system.entries(q)]
+        return [(r, -a) for r, a in self.system.entries(q - self.width)]
 
     def _column(self, q: int) -> list[int]:
         """The entering column ``det * B^-1 X0_q``, a sum of columns of ``det * B^-1``."""
         if q >= self.n:
-            return self.inverse[q - self.n][:]
+            return [self.signs[q - self.n] * c for c in self.inverse[q - self.n]]
         inverse = self.inverse
         terms = [
             inverse[r] if a == 1 else [a * c for c in inverse[r]] for r, a in self._entries(q)
@@ -727,12 +722,14 @@ class _Revised:
     def _key(self, k: int, rows: list[int]) -> Sequence[int] | dict[int, int]:
         """The ratio test's key ``det * B^-1 X0_k``, at least at ``rows``.
 
-        An artificial's key is its column of ``det * B^-1``, read in place.
-        A structural one is summed at ``rows`` alone from the nonzeros of
-        ``X0_k``, decoded the first time this run's ratio test reaches ``k``.
+        An artificial's key is its column of ``det * B^-1`` times its sign,
+        read in place at sign ``+1``.  A structural one is summed at ``rows``
+        alone from the nonzeros of ``X0_k``, decoded the first time this
+        run's ratio test reaches ``k``.
         """
         if k >= self.n:
-            return self.inverse[k - self.n]
+            column = self.inverse[k - self.n]
+            return column if self.signs[k - self.n] > 0 else {i: -column[i] for i in rows}
         entries = self.decoded.get(k)
         if entries is None:
             entries = self.decoded[k] = self._entries(k)
@@ -758,29 +755,28 @@ class _Revised:
 
         The columns go ``A``, then ``-A`` or the artificials.  Each half's
         least reduced cost comes from its top ``max_j sign * v_j``, a max of
-        ``v`` or an elimination's, and the artificials are weighed by
-        ``structural_scale``, which scales only the structural columns, to
-        compare true reduced costs.  Ties go to ``A``, then ``-A``, then the
-        artificials.  Only then is the winning half walked for its lowest
-        column at its top, and no half is walked when no cost is negative.
+        ``v`` or an elimination's, and the artificials' from the top of ``pi_i
+        S_i``.  Ties go to ``A``, then ``-A``, then the artificials.  Only
+        then is the winning half walked for its lowest column at its top, and
+        no half is walked when no cost is negative.
         """
-        c = self.det * self.cost
+        det = self.det
         wide = self.n > self.width
         if self.v is None:
-            weights = [p * s for p, s in zip(self.pi, self.flips)]
-            halves = [weights, [-w for w in weights]] if wide else [weights]
+            halves = [self.pi, [-p for p in self.pi]] if wide else [self.pi]
             found = [self.system._eliminate(w) for w in halves]
             tops = [top for _, top in found]
         else:
             tops = [max(self.v), -min(self.v)] if wide else [max(self.v)]
-        costs = [-tops[0], c - tops[1]] if wide else [-tops[0]]
+        costs = [-tops[0], det - tops[1]] if wide else [-tops[0]]
         cost = min(costs)
         half = costs.index(cost)
         if not wide:
-            top = max(self.pi)
-            if (c - top) * self.structural_scale < cost:
-                cost = c - top
-                return (self.n + self.pi.index(top), cost) if cost < 0 else None
+            signed = list(map(operator.mul, self.pi, self.signs))
+            top = max(signed)
+            if det - top < cost:
+                cost = det - top
+                return (self.n + signed.index(top), cost) if cost < 0 else None
         if cost >= 0:
             return None
         if self.v is None:
@@ -790,10 +786,10 @@ class _Revised:
         return half * self.width + j, cost
 
     def objective_value(self) -> Fraction:
-        """``C_B . B^-1 b``: the cost times the levels of the basic columns past ``A``."""
+        """``C_B . B^-1 b``: the levels of the basic columns past ``A``."""
         width = self.width
         level = sum(x for var, x in zip(self.basis, self.inverse[-1]) if var >= width)
-        return Fraction(self.cost * level, self.det * self.rhs_scale)
+        return Fraction(level, self.det * self.rhs_scale)
 
     def structural_solution(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
         """The signed vertex's support over ``A`` and its values; ``-A``'s count negative."""
@@ -802,22 +798,20 @@ class _Revised:
         for var, level in zip(self.basis, self.inverse[-1]):
             if var < self.n and level:
                 j, x = (var, level) if var < self.width else (var - self.width, -level)
-                values[j] = Fraction(x * self.structural_scale, scale)
+                values[j] = Fraction(x, scale)
         support = tuple(sorted(values))
         return support, tuple([values[j] for j in support])
 
     def multipliers(self) -> tuple[Fraction, ...]:
-        """The simplex multipliers ``y = flips * pi / det`` over the original rows.
+        """The simplex multipliers ``y = pi / det`` over the rows.
 
-        ``pi / det`` solves ``B^T y = C_B`` on the sign-fixed rows, and
-        ``structural_scale`` cancels between ``B`` and ``C_B``, so unflipping
-        gives ``y`` in the rows' own signs.  After phase 1 it is the Farkas
+        ``pi / det`` solves ``B^T y = C_B``.  After phase 1 it is the Farkas
         certificate; after phase 2, the dual of the final basis.  It reads the
         ``pi`` that :meth:`_run` kept, so it is valid after a run and before any
         further pivot.
         """
         det = self.det
-        return tuple([Fraction(sign * p, det) for sign, p in zip(self.flips, self.pi)])
+        return tuple([Fraction(p, det) for p in self.pi])
 
     def drop_artificials(self) -> None:
         """Pivot remaining artificials out of the basis; drop redundant rows.
@@ -828,11 +822,11 @@ class _Revised:
         repair).  If ``rho . A`` is zero, its original row is spanned by the
         others.  At level 0, deleting ``rho`` keeps ``det`` valid for the
         rows that remain, and no later pivot reads it.  The artificial's own
-        column of ``det * B^-1`` is ``det`` in the row of ``rho`` and 0
+        column of ``det * B^-1`` is ``+-det`` in the row of ``rho`` and 0
         elsewhere, so the deletion leaves it zero, pivots keep it zero, and
         :meth:`multipliers` gives the original row ``y = 0``.  At a nonzero
-        level no signed ``Q`` solves the rows: ``rho``, unflipped and signed
-        to ``y . b > 0``, is a certificate with ``y^T A = 0``.
+        level no signed ``Q`` solves the rows: ``rho``, signed to ``y . b >
+        0``, is a certificate with ``y^T A = 0``.
         """
         i = 0
         while i < len(self.basis):
@@ -848,7 +842,7 @@ class _Revised:
                 scale = self.det if rho[-1] > 0 else -self.det
                 raise InfeasibleError(
                     "the right-hand side is outside the column space",
-                    certificate=tuple(Fraction(f * r, scale) for f, r in zip(self.flips, rho)),
+                    certificate=tuple(Fraction(r, scale) for r in rho[:-1]),
                 )
             else:
                 del self.basis[i]
@@ -857,7 +851,7 @@ class _Revised:
 
     def replacement(self, rho: list[int]) -> int | None:
         """The lowest ``j`` with ``rho . X0_j`` nonzero among the columns of ``A``."""
-        return self.system.first_nonzero(list(map(operator.mul, rho, self.flips)))
+        return self.system.first_nonzero(rho[:-1])
 
     def copy(self) -> _Revised:
         """This state, with a basis, ``det * B^-1``, ``pi`` and ``v`` of its own to update."""
@@ -884,8 +878,8 @@ class _Revised:
             for c in self.inverse:
                 c[i] = -c[i]
             self.basis[i] += self.width
-        self.n, self.cost = 2 * self.width, self.structural_scale
-        m = len(self.flips)
+        self.n = 2 * self.width
+        m = self.system.rows
         self.pivot_cap = math.comb(m + self.n + m, m)
 
 
@@ -893,8 +887,8 @@ def solve_feasibility(system: LinearSystem | OutcomeSystem) -> FeasibilityResult
     """Decide ``{M Q = P, Q >= 0}`` and return a solution or a certificate.
 
     Phase 1 minimizes the sum of the artificials, all basic at the start;
-    if the minimum is not 0, its final prices over ``det``, unflipped, are
-    the Farkas certificate.  The result keeps the solver either way.
+    if the minimum is not 0, its final prices over ``det`` are the Farkas
+    certificate.  The result keeps the solver either way.
     """
     lp = _Revised(system)
     lp._run()

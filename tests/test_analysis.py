@@ -16,6 +16,7 @@ from contextuality import (
     detect_cycles,
     evaluate_criterion,
     outcome_space,
+    parity_grid,
     rank2_family,
     validate_system,
     verify_quasi_coupling,
@@ -27,7 +28,6 @@ from conftest import (
     assert_dual_certifies,
     expand,
     outcomes,
-    parity_grid,
     random_boundary_cyclic,
     random_cyclic_system,
     random_small_system,
@@ -523,6 +523,19 @@ class TestParityGrid:
 
     def test_the_all_even_square_is_noncontextual(self):
         assert not decide_contextuality(parity_grid(3)).contextual
+
+    def test_the_uniform_square_is_noncontextual(self):
+        # every context uniform on all 8 of its tuples, of either parity
+        grid = parity_grid(3)
+        uniform = validate_system(
+            grid.contents,
+            {c: list(grid.context_contents(c)) for c in grid.contexts},
+            {c: {v: F(1, 8) for v in itertools.product((0, 1), repeat=3)} for c in grid.contexts},
+        )
+        result = contextuality_measure(uniform)
+        assert not result.verdict.contextual
+        assert verify_quasi_coupling(uniform, QuasiCoupling(result.verdict.coupling.masses)).all_passed
+        assert result.measure == 0
 
 
 RESUMED_CASES = {

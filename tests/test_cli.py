@@ -248,6 +248,8 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", rank3_file, "--max-columns", "4")
         assert code == 2
         assert "columns" in err
+        # the message names the flag, not only the Python parameter
+        assert "--max-columns" in err
 
     def test_parse_error_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -371,8 +371,8 @@ def priced(lp, weights):
 
 @functools.lru_cache(maxsize=1)
 def dense_rows(lp):
-    """The rows of ``A`` as rows of ``X0``: each dense row times its scale."""
-    return [[int(s * a) for a in row] for s, row in zip(lp.scales, lp.system.matrix)]
+    """The dense rows of ``A``, which are those of ``X0`` as they are."""
+    return lp.system.matrix
 
 
 def spy_on_updates(monkeypatch):
@@ -440,7 +440,7 @@ class TestDenseReference:
 
 def full_prices(lp):
     """``C_B . det * B^-1``, then ``C_B . det * B^-1 b`` last, summed over the whole basis."""
-    costs = [0 if var < lp.width else lp.cost for var in lp.basis]
+    costs = [0 if var < lp.width else 1 for var in lp.basis]
     return [sum(map(operator.mul, costs, column)) for column in lp.inverse]
 
 
@@ -456,7 +456,7 @@ class TestReadOuts:
         def spy_run(self):
             run(self)
             prices = full_prices(self)
-            multipliers = tuple(s * F(p, self.det) for s, p in zip(self.flips, prices))
+            multipliers = tuple(F(p, self.det) for p in prices[:-1])
             assert self.multipliers() == multipliers
             assert self.objective_value() == F(prices[-1], self.det * self.rhs_scale)
             runs.append("measure" if self.n > self.width else "verdict")
@@ -475,11 +475,14 @@ class TestReadOuts:
         lp = solve_feasibility(explicit)._solver
         assert lp.sparse is explicit.sparse_rows
         assert lp._entries(0) is explicit.entries(0)
-        # a negative right-hand side flips its row, so the rows are scaled copies
-        flipped = LinearSystem([[1, 1, 0], [0, 1, 1]], [1, -1])
-        lp = simplex._Revised(flipped)
-        assert lp.sparse is not flipped.sparse_rows
-        assert lp._entries(1) == [(0, 1), (1, -1)]
+        # a negative right-hand side signs its artificial column, not its row
+        signed = LinearSystem([[1, 1, 0], [0, 1, 1]], [1, -1])
+        lp = simplex._Revised(signed)
+        assert lp.sparse is signed.sparse_rows
+        assert lp._entries(1) is signed.entries(1)
+        # det * B^-1 starts as S, so the artificials enter as unit columns
+        assert lp.inverse == [[1, 0], [0, -1], [1, 1]]
+        assert lp._column(lp.n + 1) == [0, 1]
 
 
 def expanded_system(system):

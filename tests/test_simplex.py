@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from contextuality import LinearSystem, minimize, solve_feasibility
-from contextuality.errors import DimensionMismatchError, InfeasibleError
+from contextuality.errors import DimensionMismatchError, InfeasibleError, ValidationError
 from contextuality.simplex import FEASIBLE, FeasibilityResult, OutcomeSystem, _Revised, satisfies
 from conftest import expand, moved_on, rational_rank
 
@@ -82,19 +82,6 @@ class TestMinimize:
         assert r.value == 0
         assert (r.support, r.solution) == ((0, 2), (F(1), F(1)))
         assert r.dual == (F(0), F(0), F(0))
-        assert r.pivots == 3
-        assert_least_negative_mass(s, r)
-
-    def test_non_integer_data_phase_two_prices_the_phase_one_basis(self):
-        # matrix and rhs need scaling (6 and 4); phase 1 ends on x1 with the
-        # first row's artificial basic, which leaves on x2 at a negative level,
-        # so -x2 takes its place; phase 2's one pivot brings in -x3, whose
-        # cost is the structural scale 6, or the value would read 6 times less
-        s = LinearSystem(((F(2, 3), F(1, 3), F(3, 2)), (2, HALF, HALF)), (-HALF, F(3, 4)))
-        r = minimize(s)
-        assert r.value == F(9, 16)
-        assert (r.support, r.solution) == ((0, 2), (F(33, 64), F(-9, 16)))
-        assert r.dual == (F(-3, 4), F(1, 4))
         assert r.pivots == 3
         assert_least_negative_mass(s, r)
 
@@ -194,15 +181,32 @@ class TestValidation:
         with pytest.raises(DimensionMismatchError):
             LinearSystem(((1, 0), (1,)), (F(1), F(1)))
 
+    @pytest.mark.parametrize("coefficient", [HALF, "1/3", "0.5", 1.0, True, None])
+    def test_a_non_integer_coefficient_is_rejected_by_its_row_and_column(self, coefficient):
+        with pytest.raises(ValidationError, match="row 1, column 2"):
+            LinearSystem(((1, 0, 1), (0, 1, coefficient)), (F(1), HALF))
+
+    def test_sparse_rows_take_int_coefficients_only(self):
+        rows = [((1, array("i", [0, 1])),), ((HALF, array("i", [1])),)]
+        with pytest.raises(ValidationError, match="row 1, column 1"):
+            LinearSystem.from_sparse(rows, (F(1), HALF), 2)
+
+    def test_integral_coefficients_are_stored_as_int(self):
+        s = LinearSystem(((F(4, 2), "3", -1),), (HALF,))
+        assert s.matrix == ((2, 3, -1),)
+        assert all(type(x) is int for x in s.matrix[0])
+        # the right-hand side stays rational, of any sign
+        assert LinearSystem(((1,), (2,)), ("-1/3", F(3, 4))).rhs == (F(-1, 3), F(3, 4))
+
 
 class TestSparseRows:
     def test_dense_rows_become_groups_of_ascending_indices(self):
-        s = LinearSystem(((0, 2, F(1, 2), 2), (1, 0, 0, 0)), (F(1), F(0)))
+        s = LinearSystem(((0, 2, -3, 2), (1, 0, 0, 0)), (F(1), F(0)))
         assert s.sparse_rows == (
-            ((2, array("i", [1, 3])), (HALF, array("i", [2]))),
+            ((2, array("i", [1, 3])), (-3, array("i", [2]))),
             ((1, array("i", [0])),),
         )
-        assert s.matrix == ((0, 2, HALF, 2), (1, 0, 0, 0))
+        assert s.matrix == ((0, 2, -3, 2), (1, 0, 0, 0))
         assert s.column(3) == [2, 0]
         assert (s.rows, s.cols) == (2, 4)
         assert s.label is None
@@ -230,7 +234,7 @@ class TestColumns:
                     s.label(j)
 
     def test_a_linear_system_has_no_column_outside_its_width(self):
-        s = LinearSystem(((0, 2, HALF, 2), (1, 0, 0, 0)), (F(1), F(0)))
+        s = LinearSystem(((0, 2, -3, 2), (1, 0, 0, 0)), (F(1), F(0)))
         assert s.column(0) == [0, 1]
         for j in (4, 5, -1):
             with pytest.raises(IndexError):
@@ -238,7 +242,7 @@ class TestColumns:
 
     def test_each_column_matches_the_dense_matrix(self):
         zero_columns = 0
-        for seed, entry in ((31, boolean_entry), (32, rational_entry)):
+        for seed, entry in ((31, boolean_entry), (32, integer_entry)):
             rng = random.Random(seed)
             for _ in range(60):
                 system = random_system(rng, rng.randint(1, 6), rng.randint(1, 8), entry)
@@ -325,9 +329,9 @@ def boolean_entry(rng):
     return rng.randint(0, 1)
 
 
-def rational_entry(rng):
-    """Signed, with denominators up to 6, so the columns need a common scale."""
-    return F(rng.randint(-4, 6), rng.randint(1, 6))
+def integer_entry(rng):
+    """Signed, and mostly other than 0 and 1, so coefficients group by value."""
+    return rng.randint(-4, 6)
 
 
 def random_system(rng, rows, cols, entry):
@@ -343,7 +347,7 @@ def random_system(rng, rows, cols, entry):
 
 class TestRandomizedSelfChecks:
     def test_every_result_verifies_and_respects_pivot_cap(self):
-        for seed, entry in ((2024, boolean_entry), (2025, rational_entry)):
+        for seed, entry in ((2024, boolean_entry), (2025, integer_entry)):
             rng = random.Random(seed)
             feasible = infeasible = 0
             for _ in range(200):
@@ -360,7 +364,7 @@ class TestRandomizedSelfChecks:
 
     def test_feasibility_and_minimize_agree(self):
         redundant_optima = 0
-        for seed, entry in ((77, boolean_entry), (78, rational_entry)):
+        for seed, entry in ((77, boolean_entry), (78, integer_entry)):
             rng = random.Random(seed)
             for _ in range(120):
                 rows = rng.randint(1, 5)
@@ -400,7 +404,7 @@ class TestRandomizedSelfChecks:
         assert redundant_optima
 
     def test_determinism(self):
-        for entry in (boolean_entry, rational_entry):
+        for entry in (boolean_entry, integer_entry):
             rng = random.Random(5)
             system = random_system(rng, 5, 9, entry)
             first = solve_feasibility(system)
@@ -408,28 +412,67 @@ class TestRandomizedSelfChecks:
             assert first == second
 
 
-class TestPivotRule:
-    def test_artificials_compete_on_true_reduced_costs(self):
-        # In phase 1 the artificial columns compete with the structural ones
-        # for entry.  The structural columns of this matrix are stored times
-        # 6 to clear denominators; pricing must undo that before comparing
-        # the two kinds, or the run takes a fourth pivot.
-        system = LinearSystem(
-            (
-                (3, 2, 1),
-                (1, -1, F(5, 2)),
-                (-1, 0, 5),
-                (F(-5, 6), 6, 1),
-                (1, F(5, 2), -1),
-                (F(5, 3), -2, 1),
-            ),
-            (F(-4), F(5, 7), F(6), F(7, 9), F(2, 7), F(-1, 2)),
-        )
-        result = solve_feasibility(system)
-        assert not result.feasible
-        assert result.verify(system)
-        assert result.certificate == (-1, F(-19, 32), 1, F(-33, 64), 1, -1)
-        assert result.pivots == 3
+def measured(system, start=None):
+    """``minimize``'s result, or the certificate of the ``InfeasibleError`` it raises."""
+    try:
+        return minimize(system, start)
+    except InfeasibleError as error:
+        return error.certificate
+
+
+class TestRowSigns:
+    """A row's sign is read only at its artificial column: negating rows, ``A_i``
+    together with ``b_i``, takes the same pivots to the same answers, and each
+    witness over the rows changes sign at those rows alone.
+
+    Only rows with ``b_i != 0`` are negated: a row at ``b_i = 0`` starts with
+    its artificial ``+1`` whatever its sign, so its negation starts another LP.
+    """
+
+    def test_negated_rows_negate_only_their_witness_entries(self):
+        kinds = {"feasible": 0, "certificate": 0, "outside the column space": 0, "measured": 0}
+        for seed, entry in ((41, boolean_entry), (42, integer_entry)):
+            rng = random.Random(seed)
+            for _ in range(150):
+                system = random_system(rng, rng.randint(1, 5), rng.randint(1, 7), entry)
+                if system.rows >= 2 and rng.random() < 0.3:
+                    # a redundant last row, so phase 1 may leave an artificial to drop
+                    total = tuple(a + b for a, b in zip(*system.matrix[:2]))
+                    if any(total):
+                        system = LinearSystem(
+                            system.matrix + (total,), system.rhs + (sum(system.rhs[:2]),)
+                        )
+                signs = [rng.choice((1, -1)) if b else 1 for b in system.rhs]
+                negated = LinearSystem(
+                    [[s * a for a in row] for s, row in zip(signs, system.matrix)],
+                    [s * b for s, b in zip(signs, system.rhs)],
+                )
+
+                def signed(y):
+                    return tuple(s * x for s, x in zip(signs, y))
+
+                want, got = solve_feasibility(system), solve_feasibility(negated)
+                assert (got.status, got.pivots, got.support, got.solution) == (
+                    want.status, want.pivots, want.support, want.solution
+                )
+                if want.feasible:
+                    kinds["feasible"] += 1
+                else:
+                    assert got.certificate == signed(want.certificate)
+                    kinds["certificate"] += any(x and s < 0 for s, x in zip(signs, want.certificate))
+                for start, negated_start in ((want, got), (None, None)):
+                    expected = measured(system, start)
+                    result = measured(negated, negated_start)
+                    if isinstance(expected, tuple):
+                        assert result == signed(expected)
+                        kinds["outside the column space"] += 1
+                        continue
+                    assert (result.value, result.pivots, result.support, result.solution) == (
+                        expected.value, expected.pivots, expected.support, expected.solution
+                    )
+                    assert result.dual == signed(expected.dual)
+                    kinds["measured"] += any(y and s < 0 for s, y in zip(signs, expected.dual))
+        assert all(kinds.values()), kinds
 
 
 class TestDegeneracy:

@@ -134,11 +134,11 @@ def _integer(x, i: int, j: int) -> int:
         return x
     try:
         value = as_fraction(x)
+        if value.denominator == 1:
+            return value.numerator
     except ValidationError:
-        value = None
-    if value is None or value.denominator != 1:
-        raise ValidationError(f"row {i}, column {j}: coefficient {x!r} is not an integer")
-    return value.numerator
+        pass
+    raise ValidationError(f"row {i}, column {j}: coefficient {x!r} is not an integer")
 
 
 class LinearSystem:

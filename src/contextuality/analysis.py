@@ -162,7 +162,7 @@ def _decide(
     and that feasibility result.
 
     The witness is substituted back into ``linear`` first: a coupling over
-    its support, a certificate through ``best``.  A failure raises
+    its support, a certificate through ``top``.  A failure raises
     :class:`SolverError`.
     """
     result = solve_feasibility(linear)
@@ -297,7 +297,7 @@ def contextuality_measure(
     linear = build_associated_system(system, max_columns)
     verdict, feasibility = _decide(system, linear)
     if verdict.contextual:
-        result = minimize(linear, feasibility)
+        result = minimize(feasibility)
         if not result.verify(linear):
             raise SolverError(
                 "internal inconsistency: the measure's witness fails substitution "

@@ -345,6 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ContextualityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

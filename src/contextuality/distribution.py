@@ -94,9 +94,9 @@ class Distribution:
     masses: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        sizes = tuple([int(k) for k in self.alphabet_sizes])
-        if not sizes or any(k < 1 for k in sizes):
-            raise AlphabetMismatchError(f"invalid alphabet sizes {sizes}")
+        sizes = tuple(self.alphabet_sizes)
+        if not sizes or any(type(k) is not int or k < 1 for k in sizes):
+            raise AlphabetMismatchError(f"invalid alphabet sizes {sizes!r}")
         clean: dict[tuple[int, ...], Fraction] = {}
         for value, raw in self.masses.items():
             value = tuple(value)

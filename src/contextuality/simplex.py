@@ -43,16 +43,17 @@ to ``(a * cost - f * rho . X0) / det``, which is ``a * C`` less that new
 ``pi`` times ``X0`` with ``a`` the new ``det``, and that ``pi`` is again the
 integer ``C_B . det * B^-1``, so the division is exact.  A system comes in
 one of two kinds, which answer the same two column questions: the largest
-``w . A_j`` (``best``) and the lowest ``j`` with ``w . A_j`` nonzero
-(``first_nonzero``, which drive-out asks).  A :class:`LinearSystem` holds
-explicit sparse rows and answers by a scatter, then a scan; the solver also
-keeps ``pi . X0_j`` over its columns, which the pivot moves with ``pi``.
-An :class:`OutcomeSystem` holds only the ``(fixed cells, rhs)`` patterns of
-0/1 rows over a product of cells, so its columns, one per assignment of
-values to the cells, are never listed.  Its questions are a max-sum over
-the cells that variable elimination answers exactly: the cells are
-eliminated last first, each step summing the tables that hold its cell and
-keeping that sum, and a forward walk over the cells then picks, at each
+``w . A_j`` (``top``, which verification asks) and the lowest ``j`` with
+``w . A_j`` nonzero (``first_nonzero``, which drive-out asks).  A
+:class:`LinearSystem` holds explicit sparse rows and answers by a scatter,
+then a max or a scan; the solver also keeps ``pi . X0_j`` over its columns,
+which the pivot moves with ``pi``.  An :class:`OutcomeSystem` holds only
+the ``(fixed cells, rhs)`` patterns of 0/1 rows over a product of cells, so
+its columns, one per assignment of values to the cells, are never listed.
+Its questions are a max-sum over the cells that variable elimination
+answers exactly: the cells are eliminated last first, each step summing the
+tables that hold its cell and keeping that sum, which ends on the ``top``,
+and a forward walk over the cells then picks, at each
 cell, the lowest value whose exact max-completion bound clears a threshold
 (``first_above``, which ``first_nonzero`` asks of ``w`` and ``-w``), which
 ends on the lowest column that clears it.  Pricing compares the least
@@ -234,18 +235,9 @@ class LinearSystem:
             raise IndexError(f"column {j} of {self.width}")
         return self._columns[j]
 
-    def column(self, j: int) -> list:
-        """Column ``j`` as one coefficient per row, written from :meth:`entries`."""
-        column = [0] * self.rows
-        for i, coefficient in self.entries(j):
-            column[i] = coefficient
-        return column
-
-    def best(self, weights: Sequence) -> tuple:
-        """``(max_j weights . A_j, the lowest j attaining it)`` over the columns of ``A``."""
-        combined = _scatter(weights, self.sparse_rows, [0] * self.width)
-        top = max(combined)
-        return top, combined.index(top)
+    def top(self, weights: Sequence) -> int:
+        """``max_j weights . A_j`` over the columns of ``A``."""
+        return max(_scatter(weights, self.sparse_rows, [0] * self.width))
 
     def first_nonzero(self, weights: Sequence) -> int | None:
         """The lowest ``j`` with ``weights . A_j`` nonzero, or None."""
@@ -353,8 +345,6 @@ class OutcomeSystem:
         the rows its decoded values hit.  ``IndexError`` outside the columns."""
         return [(i, 1) for i in self.rows_hit(self.label(j))]
 
-    column = LinearSystem.column
-
     @cached_property
     def _steps(self) -> tuple[list, list[int]]:
         """Per cell, last first: the cell, its table's cells and the factors it sums.
@@ -442,10 +432,9 @@ class OutcomeSystem:
             bound += entries[values[p]] - peak
         return bound, sum(map(operator.mul, values, self.strides))
 
-    def best(self, weights: Sequence[int]) -> tuple[int, int]:
-        """``(max_j weights . A_j, the lowest j attaining it)`` over the columns of ``A``."""
-        sums, top = self._eliminate(weights)
-        return self._walk(sums, top, top - 1)
+    def top(self, weights: Sequence[int]) -> int:
+        """``max_j weights . A_j`` over the columns of ``A``."""
+        return self._eliminate(weights)[1]
 
     def first_above(self, weights: Sequence[int], threshold: int) -> tuple[int, int] | None:
         """``(weights . A_j, j)`` for the lowest ``j`` above ``threshold``, or None."""
@@ -518,7 +507,7 @@ class FeasibilityResult:
 
         A solution's values must be positive and :func:`satisfies` must accept
         it.  A certificate must have ``y . b > 0``, and ``y^T A <= 0`` is read
-        from the largest ``y . A_j`` that the system's :meth:`best` finds.
+        from the largest ``y . A_j``, the system's :meth:`top`.
         """
         if self.feasible:
             q = self.solution
@@ -527,7 +516,7 @@ class FeasibilityResult:
         if y is None or len(y) != system.rows:
             return False
         weights, _, bound = _scaled(y, system)
-        return system.best(weights)[0] <= 0 and bound > 0
+        return system.top(weights) <= 0 and bound > 0
 
 
 @dataclass(frozen=True)
@@ -552,7 +541,7 @@ class OptimizationResult:
     def verify(self, system: LinearSystem | OutcomeSystem) -> bool:
         """Re-check the vertex by :func:`satisfies`, its negative mass against
         ``value`` and ``y . b``, and ``-1 <= A^T y <= 0`` by the system's
-        :meth:`best` of ``y`` and ``-y``; together they prove ``value`` least.
+        :meth:`top` of ``y`` and ``-y``; together they prove ``value`` least.
         """
         y = self.dual
         if len(y) != system.rows or not satisfies(system, self.support, self.solution):
@@ -560,8 +549,8 @@ class OptimizationResult:
         weights, scale, bound = _scaled(y, system)
         return (
             bound == self.value == -sum(x for x in self.solution if x < 0)
-            and system.best(weights)[0] <= 0
-            and system.best([-w for w in weights])[0] <= scale
+            and system.top(weights) <= 0
+            and system.top([-w for w in weights]) <= scale
         )
 
 
@@ -898,9 +887,7 @@ def solve_feasibility(system: LinearSystem | OutcomeSystem) -> FeasibilityResult
     return FeasibilityResult(INFEASIBLE, None, lp.multipliers(), lp.pivots, _solver=lp)
 
 
-def minimize(
-    system: LinearSystem | OutcomeSystem, start: FeasibilityResult | None = None
-) -> OptimizationResult:
+def minimize(start: FeasibilityResult) -> OptimizationResult:
     """The least negative mass ``sum Q-`` over signed ``Q`` with ``A Q = b``, exactly.
 
     This is the contextuality measure's LP, not a general one: the solver
@@ -909,22 +896,16 @@ def minimize(
     and the dual ``y`` of its basis, ``-1 <= A^T y <= 0`` with
     ``y . b == value``, which certifies the value.
 
-    ``start`` is a :func:`solve_feasibility` result on this very ``system``,
-    or None for ``solve_feasibility(system)``; a copy of the solver it keeps
-    goes on, and ``pivots`` counts only the pivots after ``start``'s (all of
-    them when none was given).  A ``start`` that keeps no solver of this
-    ``system`` raises :class:`DimensionMismatchError`.  Raises
-    :class:`InfeasibleError` when ``b`` is outside the column space of
-    ``A``, with a certificate ``y``: ``y^T A = 0`` and ``y . b > 0``.
+    ``start`` is the :func:`solve_feasibility` result on ``A``; a copy of
+    the solver it keeps goes on, and ``pivots`` counts only the pivots after
+    ``start``'s.  Raises :class:`InfeasibleError` when ``b`` is outside the
+    column space of ``A``, with a certificate ``y``: ``y^T A = 0`` and
+    ``y . b > 0``.
     """
-    before = 0 if start is None else start.pivots
-    solver = (solve_feasibility(system) if start is None else start)._solver
-    if solver is None or solver.system is not system:
-        raise DimensionMismatchError("the basis is not of this system's rows")
-    lp = solver.copy()
+    lp = start._solver.copy()
     lp.widen()
     lp._run()
     support, values = lp.structural_solution()
     return OptimizationResult(
-        lp.objective_value(), values, lp.pivots - before, lp.multipliers(), support
+        lp.objective_value(), values, lp.pivots - start.pivots, lp.multipliers(), support
     )

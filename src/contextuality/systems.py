@@ -43,8 +43,9 @@ class Content:
     plus_index: int = 0
 
     def __post_init__(self):
-        if self.size < 1:
-            raise AlphabetMismatchError(f"content {self.label!r} has alphabet size {self.size}")
+        # bool is an int subclass, so test the type itself
+        if type(self.size) is not int or self.size < 1:
+            raise AlphabetMismatchError(f"content {self.label!r} has alphabet size {self.size!r}")
         values = tuple(self.values) or tuple(str(i) for i in range(self.size))
         if len(values) != self.size or len(set(values)) != self.size:
             raise AlphabetMismatchError(
@@ -195,7 +196,7 @@ def validate_system(
     """
     if isinstance(contents, Mapping):
         content_objs = tuple(
-            Content(str(label), int(size)) for label, size in sorted(contents.items())
+            Content(str(label), size) for label, size in sorted(contents.items())
         )
     else:
         content_objs = tuple(sorted(contents, key=lambda c: c.label))

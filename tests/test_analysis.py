@@ -553,13 +553,14 @@ RESUMED_CASES = {
 
 
 class TestResumedMeasure:
-    """The measure resumed from the verdict's phase 1 against a cold solve of its LP."""
+    """The measure against its LP solved directly, phase 1 on ``M`` then ``minimize``."""
 
     @pytest.mark.parametrize("name", sorted(RESUMED_CASES))
     def test_resumed_measure_matches_the_cold_solve(self, name):
         system = RESUMED_CASES[name]()
         linear = build_associated_system(system)
-        cold = minimize(linear)
+        start = solve_feasibility(linear)
+        cold = minimize(start)
         result = contextuality_measure(system)
         assert result.verdict.contextual
         assert result.measure == 2 * cold.value
@@ -568,8 +569,8 @@ class TestResumedMeasure:
         if isinstance(cycles, list):
             crit = evaluate_criterion(cycles[0], system)
             assert result.measure == crit.delta / (2 * (crit.rank - 1))
-        # the cold solve takes the same path: the verdict's phase 1, then the measure's pivots
-        assert cold.pivots == result.verdict.pivots + result.pivots
+        # the direct solve takes the same path: the verdict's phase 1, then the measure's pivots
+        assert start.pivots + cold.pivots == result.verdict.pivots + result.pivots
         assert cold.dual == result.dual
         if name == "cycle-8":
             # a phase 1 over both halves of (M | -M) takes 392 pivots
@@ -636,7 +637,8 @@ class TestSparseRows:
         dense = LinearSystem(tuple(row + tuple(-x for x in row) for row in linear.matrix), linear.rhs)
         n = linear.cols
         objective = (F(0),) * n + (F(1),) * n
-        got = minimize(linear)
+        start = solve_feasibility(linear)
+        got = minimize(start)
         # the signed vertex, split into its halves, solves the dense (M | -M)
         q = expand(got, n)
         split = tuple(max(x, 0) for x in q) + tuple(max(-x, 0) for x in q)
@@ -650,7 +652,9 @@ class TestSparseRows:
         )
         assert sum(y * b for y, b in zip(got.dual, dense.rhs)) == got.value
         # M built from dense rows takes the same pivots
-        rebuilt = minimize(LinearSystem(linear.matrix, linear.rhs))
-        assert (got.value, got.support, got.solution, got.dual, got.pivots) == (
-            rebuilt.value, rebuilt.support, rebuilt.solution, rebuilt.dual, rebuilt.pivots
+        rebuilt_start = solve_feasibility(LinearSystem(linear.matrix, linear.rhs))
+        rebuilt = minimize(rebuilt_start)
+        assert (got.value, got.support, got.solution, got.dual, start.pivots + got.pivots) == (
+            rebuilt.value, rebuilt.support, rebuilt.solution, rebuilt.dual,
+            rebuilt_start.pivots + rebuilt.pivots,
         )

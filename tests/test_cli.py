@@ -251,6 +251,17 @@ class TestAnalyze:
         # the message names the flag, not only the Python parameter
         assert "--max-columns" in err
 
+    def test_out_of_memory_exits_two_not_contextual(self, capsys, monkeypatch, rank2_file):
+        from contextuality import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "decide_contextuality", exhausted)
+        code, out, err = run(capsys, "analyze", rank2_file)
+        assert code == 2
+        assert out == "" and err == "error: out of memory\n"
+
     def test_parse_error_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -70,7 +70,7 @@ def scan(linear, weights):
 
 
 class TestOracle:
-    """``best`` and ``first_nonzero`` of both kinds, and the ``OutcomeSystem``'s
+    """``top`` and ``first_nonzero`` of both kinds, and the ``OutcomeSystem``'s
     ``first_above``, against a scan of the explicit ``M``."""
 
     @settings(max_examples=150, deadline=None)
@@ -91,8 +91,9 @@ class TestOracle:
             top = max(values)
             nonzero = next((j for j, v in enumerate(values) if v), None)
             for system in (linear, linear.explicit):
-                assert system.best(weights) == (top, values.index(top))
+                assert system.top(weights) == top
                 assert system.first_nonzero(weights) == nonzero
+            # at top - 1, the lowest column attaining the top
             for t in thresholds + [top, top - 1]:
                 want = next(((v, j) for j, v in enumerate(values) if v > t), None)
                 assert linear.first_above(weights, t) == want
@@ -102,7 +103,7 @@ class TestOracle:
         explicit = linear.explicit
         every = list(outcomes(linear.sizes))
         for j in (0, 1, 17, 1000, linear.width - 1):
-            assert linear.column(j) == explicit.column(j)
+            assert linear.entries(j) == explicit.entries(j)
             assert linear.label(j) == explicit.label(j) == every[j]
 
     def test_verify_rejects_a_certificate_positive_on_some_column(self):
@@ -127,7 +128,10 @@ class TestOneEntryTables:
         draw = random.Random(sum(sizes))
         for _ in range(200):
             weights = [draw.randint(-3, 3) for _ in range(outcome.rows)]
-            assert outcome.best(weights) == explicit.best(weights)
+            top = explicit.top(weights)
+            assert outcome.top(weights) == top
+            lowest = scan(explicit, weights).index(top)
+            assert outcome.first_above(weights, top - 1) == (top, lowest)
             assert outcome.first_nonzero(weights) == explicit.first_nonzero(weights)
         assert solve_feasibility(outcome) == solve_feasibility(explicit)
 
@@ -219,7 +223,7 @@ class TestPathIdentity:
         assert got == want
         assert got.verify(outcome) and want.verify(explicit)
         if not got.feasible:
-            got, want = minimize(outcome), minimize(explicit)
+            got, want = minimize(got), minimize(want)
             assert (got.value, got.solution, got.dual, got.pivots) == (
                 want.value, want.solution, want.dual, want.pivots
             )
@@ -247,7 +251,7 @@ class TestPathIdentity:
     def test_pivot_counts_are_pinned(self, name):
         system = build_associated_system(PATH_CASES[name]())
         start = solve_feasibility(system)
-        measure = None if start.feasible else minimize(system, start).pivots
+        measure = None if start.feasible else minimize(start).pivots
         assert (start.pivots, measure) == self.PIVOTS[name]
 
     def test_cost_rule_picks_elimination_only_for_large_spaces(self):
@@ -285,7 +289,7 @@ class TestLexPositive:
         system = build_associated_system(PATH_CASES[name]())
         start = solve_feasibility(system)
         assert not start.feasible
-        assert minimize(system, start).verify(system)
+        assert minimize(start).verify(system)
         assert checked["phase 1"] and checked["phase 2"]
 
 
@@ -330,7 +334,7 @@ class TestTiedRowKeys:
         for system in (outcome, outcome.explicit):
             start = solve_feasibility(system)
             if not start.feasible:
-                minimize(system, start)
+                minimize(start)
         assert calls
 
     def test_phase_2_ties_reach_the_start_columns(self, monkeypatch):
@@ -338,7 +342,7 @@ class TestTiedRowKeys:
         # on the structural columns its phase 2 started from
         calls = spy_on_leaving(monkeypatch)
         system = outcome_system(triangle(3, "contextual"))
-        minimize(system, solve_feasibility(system))
+        minimize(solve_feasibility(system))
         assert any(wide and depth > 1 for wide, depth in calls)
 
 
@@ -419,7 +423,7 @@ class TestDenseReference:
             for system in (outcome, outcome.explicit):
                 start = solve_feasibility(system)
                 if not start.feasible:
-                    assert minimize(system, start).verify(system)
+                    assert minimize(start).verify(system)
         assert all(branches.values())
 
     def test_a_copy_run_to_the_end_leaves_the_original_as_it_was(self):
@@ -466,7 +470,7 @@ class TestReadOuts:
         for system in (outcome, outcome.explicit):
             start = solve_feasibility(system)
             if not start.feasible:
-                minimize(system, start)
+                minimize(start)
         assert runs.count("verdict") == 2
         assert runs.count("measure") == (0 if start.feasible else 2)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from contextuality import (
+    Content,
     Distribution,
     canonical_example,
     consistency_report,
@@ -64,6 +65,16 @@ class TestValidation:
                     "c3": {(0, 0): HALF, (1, 1): HALF},
                 },
             )
+
+    @pytest.mark.parametrize("size", [2.9, 2.5, True, "2"], ids=repr)
+    def test_an_alphabet_size_must_be_an_int(self, size):
+        # never truncated to 2 or read as 1: bool is an int subclass
+        with pytest.raises(AlphabetMismatchError, match=f"size {size!r}"):
+            validate_system({"q1": size}, {"c": ["q1"]}, {"c": {(0,): F(1)}})
+        with pytest.raises(AlphabetMismatchError, match=f"size {size!r}"):
+            Content("q", size)
+        with pytest.raises(AlphabetMismatchError, match=f"sizes \\({size!r},\\)"):
+            Distribution((size,), {(0,): F(1)})
 
     def test_duplicate_cell_rejected(self):
         with pytest.raises(DuplicateCellError):

@@ -265,17 +265,26 @@ class TestColumns:
 class TestResume:
     """``minimize`` resumed from an infeasible phase 1 on ``A``."""
 
-    def test_resuming_leaves_the_start_as_it_was(self):
+    def test_resumed_solve_matches_the_cold_one(self):
         # Q >= 0 cannot reach x2 = 2 with x1 + x2 = 1; a signed Q can
         s = LinearSystem(((1, 1), (0, 1)), (F(1), F(2)))
         start = solve_feasibility(s)
         assert not start.feasible
+        # the cold solve runs its own phase 1 on A before continuing it
+        cold_start = solve_feasibility(s)
+        got, want = minimize(start), minimize(cold_start)
+        assert got.value == want.value == 1
+        assert got.dual == want.dual == (-1, 1)
+        assert (got.support, got.solution) == (want.support, want.solution) == ((0, 1), (-1, 2))
+        assert (start.pivots, got.pivots) == (1, 1)
+        assert cold_start.pivots + want.pivots == 2
+
+    def test_resuming_leaves_the_start_as_it_was(self):
+        s = LinearSystem(((1, 1), (0, 1)), (F(1), F(2)))
+        start = solve_feasibility(s)
         first = minimize(start)
         assert minimize(start) == first
-        assert first.value == 1
-        assert first.dual == (-1, 1)
-        assert (first.support, first.solution) == ((0, 1), (-1, 2))
-        assert (start.pivots, first.pivots) == (1, 1)
+        assert first.pivots == 1
         assert start == solve_feasibility(s)
 
     @pytest.mark.parametrize(
